@@ -45,6 +45,7 @@ from .oracle import ensemble_summary, integrate_master
 from .trajectory import (
     NormCollapseError,
     VanishingLikelihoodError,
+    default_workers,
     run_ensemble,
 )
 from .unravelings import (
@@ -288,7 +289,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     steps = int(round(t_max / dt))
     if steps < 1:
         raise ConfigError(f"t_max {t_max} is below one step of dt {dt}")
-    n_traj = _as_count(opts["n_traj"], "n_traj")
+    # The ensemble-check standard errors are jackknife estimates.
+    n_traj = _as_count(opts["n_traj"], "n_traj", minimum=2 if mode == "ensemble-check" else 1)
     seed = _as_count(opts["seed"], "seed", minimum=0)
     if opts["record_stride"] is None:
         stride = max(1, steps // 20) if mode == "ensemble-check" else 1
@@ -300,6 +302,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if not unraveling.state_dependent:
             unraveling.resolve(model)
         initial = _initial_state(opts, model)
+        default_workers()  # a bad UNRAVEL_THREADS is a config error, not a crash later
     except ConfigError:
         raise
     except (ValueError, TypeError, KeyError) as exc:

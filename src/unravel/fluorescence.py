@@ -13,7 +13,7 @@ Five record correlations are bundled as named scenarios: the two quadrature
 records u = +1 and u = -1, the uncorrelated record u = 0, and the two
 extremal state-dependent choices.  For each, the mean record is available
 in closed form; the closed forms are redundant consequences of the general
-mean-current formula and are kept as cross-checks only.
+mean-current formula, so they live in the tests as cross-checks only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import LindbladModel, check_pure_state, expectation, projector
+from .operators import LindbladModel, expectation, projector
 from .trajectory import run_ensemble
 from .unravelings import (
     FixedU,
@@ -104,34 +104,6 @@ def scenario_spec(name: str) -> UnravelingSpec:
     raise ValueError(f"unknown scenario {name!r}; choose one of {SCENARIOS}")
 
 
-def scenario_expected_current(params: AtomParams, spec: UnravelingSpec, state) -> complex:
-    """Closed-form mean record for a named scenario's specification.
-
-    In Bloch terms with root ``g = sqrt(gamma)``: u=+1 gives ``g x``; u=-1
-    gives ``g (<s> - <s^dag>)``, i.e. ``-i g y``; u=0 gives ``g <s>``; the
-    extremal state-dependent choices give 0 (sign +1) and ``2 g <s>``
-    (sign -1).  Each equals the general mean-current formula evaluated at
-    the resolved correlation matrix.
-    """
-    psi = check_pure_state(state, 2)
-    g = np.sqrt(params.gamma)
-    s = expectation(SIGMA_MINUS, psi)
-    if isinstance(spec, FixedU) and spec.u.shape == (1, 1):
-        val = complex(spec.u[0, 0])
-        if abs(val - 1.0) < 1e-12:
-            return complex(g * bloch(psi)[0])
-        if abs(val + 1.0) < 1e-12:
-            return complex(-1j * g * bloch(psi)[1])
-        raise ValueError("no closed form for this fixed correlation value")
-    if isinstance(spec, Heterodyne):
-        return complex(g * s)
-    if isinstance(spec, InvariantStateDep):
-        if spec.sign == 1:
-            return 0.0 + 0.0j
-        return complex(2.0 * g * s)
-    raise ValueError(f"no closed form for specification {spec!r}")
-
-
 def z_drift_residual(states, dt: float, params: AtomParams) -> np.ndarray:
     """Per-step difference between the sampled z motion and its drift.
 
@@ -150,31 +122,6 @@ def z_drift_residual(states, dt: float, params: AtomParams) -> np.ndarray:
     return z[1:] - z[:-1] - dt * drift
 
 
-def sme_u1_decomposed_step(rho, dzeta: float, params: AtomParams, dt: float) -> np.ndarray:
-    """One u = +1 projector step written in commutator/anticommutator form.
-
-    The noise term splits into a Hamiltonian-like rotation and a positive
-    back-action piece:
-    ``sqrt(gamma) ({sigma_x - <sigma_x>, P}/2 - (i/2)[sigma_y, P]) dzeta``.
-    Identical to the generic projector step with u = +1 and a real
-    increment, including the rank-one re-projection.
-    """
-    from .operators import check_density_matrix, liouvillian_apply
-
-    model = build_atom(params)
-    p = check_density_matrix(rho, 2)
-    g = np.sqrt(params.gamma)
-    x_val = expectation(SIGMA_X, p).real
-    centered_x = SIGMA_X - x_val * np.eye(2)
-    noise = g * (
-        0.5 * (centered_x @ p + p @ centered_x) - 0.5j * (SIGMA_Y @ p - p @ SIGMA_Y)
-    )
-    new = p + dt * liouvillian_apply(model, p) + float(dzeta) * noise
-    evals, evecs = np.linalg.eigh(new)
-    vec = evecs[:, -1]
-    return np.outer(vec, vec.conj())
-
-
 def write_figure_csvs(
     params: AtomParams,
     dt: float,
@@ -185,9 +132,9 @@ def write_figure_csvs(
 ) -> dict:
     """Run one trajectory per scenario and write Bloch/record CSV files.
 
-    Every scenario starts from the +x eigenstate and uses the stream keyed
-    by ``(seed, scenario_index)``.  Returns the manifest that is also
-    written to ``manifest.json``.
+    The scenarios run as one batch.  Every scenario starts from the +x
+    eigenstate and uses the stream keyed by ``(seed, scenario_index)``.
+    Returns the manifest that is also written to ``manifest.json``.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -204,32 +151,39 @@ def write_figure_csvs(
         "seed": int(seed),
         "scenarios": {},
     }
+    run = run_ensemble(
+        model,
+        [scenario_spec(name) for name in SCENARIOS],
+        plus_x_state(),
+        n_traj=len(SCENARIOS),
+        dt=dt,
+        steps=steps,
+        seed=seed,
+        record_stride=record_stride,
+        workers=1,
+    )
+    # Bloch components of psi = (a, b): x = 2 Re(a b*), y = -2 Im(a b*),
+    # z = |a|^2 - |b|^2.
+    a, b = run.states[:, :, 0], run.states[:, :, 1]
+    coherence = a * b.conj()
+    xyz = np.stack(
+        [2.0 * coherence.real, -2.0 * coherence.imag, np.abs(a) ** 2 - np.abs(b) ** 2],
+        axis=-1,
+    )
     for index, name in enumerate(SCENARIOS):
-        run = run_ensemble(
-            model,
-            scenario_spec(name),
-            plus_x_state(),
-            n_traj=1,
-            dt=dt,
-            steps=steps,
-            seed=seed,
-            record_stride=record_stride,
-            start_index=index,
-            workers=1,
-        )
         path = out / f"{name}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(FIGURE_HEADER)
             for row in range(run.times.shape[0]):
-                b = bloch(run.states[0, row])
-                current = run.currents[0, row, 0]
+                x, y, z = xyz[index, row]
+                current = run.currents[index, row, 0]
                 writer.writerow(
                     [
                         f"{run.times[row]:.10g}",
-                        f"{b[0]:.12g}",
-                        f"{b[1]:.12g}",
-                        f"{b[2]:.12g}",
+                        f"{x:.12g}",
+                        f"{y:.12g}",
+                        f"{z:.12g}",
                         f"{current.real:.12g}",
                         f"{current.imag:.12g}",
                     ]

@@ -12,14 +12,18 @@ and the complex record increments are
 Three numerically distinct but statistically equivalent steppers are
 provided.  The default propagates an unnormalized vector with the linear
 generator ``-iH - sum_k c_k^dag c_k / 2 + sum_k J_k^* c_k`` and renormalizes,
-which is the cheapest form and the one used by the batched ensemble runner.
-A direct Euler step of the projector equation and a normalized nonlinear
-vector step are available for cross-checks; pairwise differences under a
-shared noise path vanish as the step size shrinks.
+which is the cheapest form.  A direct Euler step of the projector equation
+and a normalized nonlinear vector step are available for cross-checks;
+pairwise differences under a shared noise path vanish as the step size
+shrinks.
 
-Each trajectory owns a counter-based pseudorandom stream derived from
-``(seed, trajectory_index)``, so results are reproducible and independent
-of how trajectories are batched or distributed over workers.
+Single trajectories and ensembles run through one batched kernel of the
+linear stepper, for any number of channels and any mix of constant and
+state-dependent ``u`` across the batch.  Each trajectory owns a
+counter-based pseudorandom stream derived from ``(seed, trajectory_index)``
+and the kernel's arithmetic on one trajectory never mixes in another, so a
+trajectory is a bit-exact function of its seed and index, whatever the
+batch width or worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import LindbladModel, check_density_matrix, check_pure_state
-from .unravelings import UnravelingSpec, sample_increments, validate_u
+from .unravelings import MOMENT_FLOOR, UnravelingSpec, color_increments, validate_u
+
+# bench/tracing.py times calls through this module's binding of the name.
+from .unravelings import sample_increments  # noqa: F401
 
 # A propagated vector whose norm falls below this has left the reachable
 # manifold (the step size is far too large); stop rather than renormalize.
@@ -43,8 +50,10 @@ PROJECTOR_TOL = 1e-8
 # Trajectories are executed in fixed-size index blocks so that results do
 # not depend on the worker count.
 CHUNK = 256
-# Standard normals are pregenerated in time blocks of this many steps.
-NOISE_BLOCK = 4096
+# Standard normals are drawn, and coloured for constant-u trajectories, in
+# time blocks of this many steps.  A block's few arrays of
+# CHUNK * NOISE_BLOCK * 2K doubles bound the kernel's working memory.
+NOISE_BLOCK = 256
 
 
 class NormCollapseError(RuntimeError):
@@ -77,12 +86,17 @@ class TrajectoryConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be at least 1, got {self.record_stride}")
+        _check_grid(self.dt, self.steps, self.record_stride)
+
+
+def _check_grid(dt, steps, record_stride) -> None:
+    """Reject time grids the runners cannot step; each test also rejects NaN."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not steps >= 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    if not record_stride >= 1:
+        raise ValueError(f"record_stride must be at least 1, got {record_stride}")
 
 
 @dataclass
@@ -235,7 +249,9 @@ def run_trajectory(model: LindbladModel, config: TrajectoryConfig, initial):
     """Propagate one conditioned trajectory with the linear stepper.
 
     Records the state, current, and increment at every
-    ``record_stride``-th step start.
+    ``record_stride``-th step start.  This is the batched ensemble kernel at
+    width 1, so the result equals trajectory ``trajectory_index`` of any
+    ``run_ensemble`` call with the same seed, grid and unraveling.
 
     Returns
     -------
@@ -243,29 +259,18 @@ def run_trajectory(model: LindbladModel, config: TrajectoryConfig, initial):
         States of shape ``(n_rec, N)`` and the matching record.
     """
     psi = check_pure_state(initial, model.dim)
-    stream = trajectory_stream(config.seed, config.trajectory_index)
-    spec = config.unraveling
-    static_u = None if spec.state_dependent else validate_u(spec.resolve(model))
-    n_rec = (config.steps + config.record_stride - 1) // config.record_stride
-    k = model.num_lindblads
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, model.dim), dtype=complex)
-    currents = np.empty((n_rec, k), dtype=complex)
-    increments = np.empty((n_rec, k), dtype=complex)
-    rec = 0
-    for i in range(config.steps):
-        u = static_u if static_u is not None else validate_u(spec.resolve(model, psi))
-        dxi = sample_increments(u, config.dt, stream)
-        new_psi, current = step_linear(model, u, psi, dxi, config.dt)
-        if i % config.record_stride == 0:
-            times[rec] = i * config.dt
-            states[rec] = psi
-            currents[rec] = current
-            increments[rec] = dxi
-            rec += 1
-        psi = new_psi
-    record = MeasurementRecord(times=times, currents=currents, increments=increments)
-    return states, record
+    times, states, currents, increments = _run_chunk(
+        model,
+        [config.unraveling],
+        psi,
+        config.dt,
+        config.steps,
+        config.seed,
+        config.trajectory_index,
+        config.record_stride,
+    )
+    record = MeasurementRecord(times=times, currents=currents[0], increments=increments[0])
+    return states[0], record
 
 
 @dataclass
@@ -287,162 +292,95 @@ def _resolve_specs(unraveling, n_traj: int) -> list:
 
 
 def _noise_blocks(streams, steps: int, width: int):
-    """Yield per-step standard normal slabs of shape (m, width)."""
-    done = 0
-    while done < steps:
-        nb = min(NOISE_BLOCK, steps - done)
-        block = np.empty((len(streams), nb, width))
-        for m, stream in enumerate(streams):
-            block[m] = stream.standard_normal((nb, width))
-        for j in range(nb):
-            yield block[:, j]
-        done += nb
-
-
-def _run_chunk_single_channel(model, specs, initial, dt, steps, seed, index0, stride):
-    """Vectorized linear stepping for K = 1, any mix of unravelings."""
-    m = len(specs)
-    n = model.dim
-    c = model.lindblads[0]
-    c_sq = c @ c
-    gen = _linear_generator(model)
-    psi = np.tile(initial, (m, 1)).astype(complex)
-    streams = [trajectory_stream(seed, index0 + i) for i in range(m)]
-
-    state_dep = np.array([s.state_dependent for s in specs])
-    signs = np.array(
-        [float(getattr(s, "sign", 0.0)) if s.state_dependent else 0.0 for s in specs]
-    )
-    u_const = np.array(
-        [
-            0.0 if s.state_dependent else complex(validate_u(s.resolve(model))[0, 0])
-            for s in specs
-        ],
-        dtype=complex,
-    )
-    any_dep = bool(state_dep.any())
-
-    n_rec = (steps + stride - 1) // stride
-    times = np.empty(n_rec)
-    states = np.empty((m, n_rec, n), dtype=complex)
-    currents = np.empty((m, n_rec, 1), dtype=complex)
-
-    gen_t = np.ascontiguousarray(gen.T)
-    c_t = np.ascontiguousarray(c.T)
-    c_sq_t = np.ascontiguousarray(c_sq.T)
-    rec = 0
-    step_index = 0
-    from .unravelings import MOMENT_FLOOR
-
-    for z in _noise_blocks(streams, steps, 2):
-        c_psi = psi @ c_t
-        s = np.einsum("mi,mi->m", psi.conj(), c_psi)
-        if any_dep:
-            second = np.einsum("mi,mi->m", psi.conj(), psi @ c_sq_t)
-            moment = second - s * s
-            scale = np.abs(moment)
-            safe = np.where(scale > MOMENT_FLOOR, scale, 1.0)
-            u_dep = np.where(scale > MOMENT_FLOOR, signs * moment / safe, 0.0)
-            u = np.where(state_dep, u_dep, u_const)
-        else:
-            u = u_const
-        r = np.abs(u)
-        phi = 0.5 * np.angle(u)
-        amp_plus = np.sqrt(dt * (1.0 + r) / 2.0)
-        amp_minus = np.sqrt(np.clip(dt * (1.0 - r) / 2.0, 0.0, None))
-        dxi = np.exp(1j * phi) * (amp_plus * z[:, 0] + 1j * amp_minus * z[:, 1])
-        j_dt = (u * s.conj() + s) * dt + dxi
-        if step_index % stride == 0:
-            times[rec] = step_index * dt
-            states[:, rec] = psi
-            currents[:, rec, 0] = j_dt / dt
-            rec += 1
-        psi = psi + dt * (psi @ gen_t) + j_dt.conj()[:, None] * c_psi
-        norms = np.sqrt(np.einsum("mi,mi->m", psi.conj(), psi).real)
-        if norms.min() < NORM_FLOOR:
-            raise NormCollapseError(f"state norm collapsed to {norms.min()}")
-        psi /= norms[:, None]
-        step_index += 1
-    return times, states, currents
-
-
-def _run_chunk_shared_u(model, spec, m, initial, dt, steps, seed, index0, stride):
-    """Vectorized linear stepping for one shared constant u, any K."""
-    n = model.dim
-    k = model.num_lindblads
-    u = validate_u(spec.resolve(model))
-    from .unravelings import CLAMP_TOL, CovarianceError, real_embedding
-
-    cov = real_embedding(u, dt)
-    evals, evecs = np.linalg.eigh(cov)
-    if evals.min() < -CLAMP_TOL:
-        raise CovarianceError(f"covariance eigenvalue {evals.min()} below clamp tolerance")
-    color = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None)))
-
-    cs = np.stack(model.lindblads)
-    gen_t = np.ascontiguousarray(_linear_generator(model).T)
-    psi = np.tile(initial, (m, 1)).astype(complex)
-    streams = [trajectory_stream(seed, index0 + i) for i in range(m)]
-
-    n_rec = (steps + stride - 1) // stride
-    times = np.empty(n_rec)
-    states = np.empty((m, n_rec, n), dtype=complex)
-    currents = np.empty((m, n_rec, k), dtype=complex)
-    rec = 0
-    step_index = 0
-    for z in _noise_blocks(streams, steps, 2 * k):
-        x = z @ color.T
-        dxi = x[:, :k] + 1j * x[:, k:]
-        c_psi = np.einsum("kij,mj->mki", cs, psi)
-        s = np.einsum("mi,mki->mk", psi.conj(), c_psi)
-        j_dt = (s.conj() @ u.T + s) * dt + dxi
-        if step_index % stride == 0:
-            times[rec] = step_index * dt
-            states[:, rec] = psi
-            currents[:, rec] = j_dt / dt
-            rec += 1
-        psi = psi + dt * (psi @ gen_t) + np.einsum("mk,mki->mi", j_dt.conj(), c_psi)
-        norms = np.sqrt(np.einsum("mi,mi->m", psi.conj(), psi).real)
-        if norms.min() < NORM_FLOOR:
-            raise NormCollapseError(f"state norm collapsed to {norms.min()}")
-        psi /= norms[:, None]
-        step_index += 1
-    return times, states, currents
+    """Yield ``(first_step, normals)`` with normals of shape (m, nb, width)."""
+    for start in range(0, steps, NOISE_BLOCK):
+        nb = min(NOISE_BLOCK, steps - start)
+        yield start, np.stack([stream.standard_normal((nb, width)) for stream in streams])
 
 
 def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
-    k = model.num_lindblads
-    if k == 1:
-        return _run_chunk_single_channel(
-            model, specs, initial, dt, steps, seed, index0, stride
-        )
-    first = specs[0]
-    if not first.state_dependent and all(s == first for s in specs):
-        return _run_chunk_shared_u(
-            model, first, len(specs), initial, dt, steps, seed, index0, stride
-        )
-    # General fallback: one trajectory at a time.
-    times = None
-    states = []
-    currents = []
+    """Linear stepping of one batch of trajectories, lane ``i`` running
+    ``specs[i]`` on the stream keyed by ``(seed, index0 + i)``.
+
+    Each step forms ``c_k psi`` for all channels and the means
+    ``s_k = <c_k>``.  State-dependent lanes then resolve their ``u`` from the
+    moments ``M = <{c_j, c_l}>/2 - s_j s_l`` with weight ``sign / ||M||``
+    (0 below ``MOMENT_FLOOR``) and colour their normals; constant lanes were
+    coloured once per noise block.  The record, the linear update and the
+    renormalization follow.  Every product is an einsum or a stacked
+    matrix-column product, whose rounding for one lane does not depend on
+    the others, so lane ``i`` is the same at any batch width.
+
+    Returns times ``(n_rec,)``, states ``(m, n_rec, N)``, and currents and
+    increments ``(m, n_rec, K)``.
+    """
+    m, n, k = len(specs), model.dim, model.num_lindblads
+    cs = np.array(model.lindblads, dtype=complex).reshape(k, n, n)
+    gen = _linear_generator(model)
+    dep = np.array([spec.state_dependent and k > 0 for spec in specs])
+    const = ~dep
+    any_const, any_dep = bool(const.any()), bool(dep.any())
+    u = np.zeros((m, k, k), dtype=complex)
     for i, spec in enumerate(specs):
-        config = TrajectoryConfig(
-            dt=dt,
-            steps=steps,
-            seed=seed,
-            unraveling=spec,
-            trajectory_index=index0 + i,
-            record_stride=stride,
-        )
-        st, rec = run_trajectory(model, config, initial)
-        times = rec.times
-        states.append(st)
-        currents.append(rec.currents)
-    return times, np.stack(states), np.stack(currents)
+        if not spec.state_dependent:
+            u[i] = validate_u(spec.resolve(model))
+    signs = np.array([float(spec.sign) for spec, d in zip(specs, dep) if d])
+    pairs = np.einsum("jab,lbc->jlac", cs, cs)
+    pairs = 0.5 * (pairs + pairs.transpose(1, 0, 2, 3))
+
+    psi = np.tile(np.asarray(initial, dtype=complex), (m, 1))
+    streams = [trajectory_stream(seed, index0 + i) for i in range(m)]
+    times = np.arange(0, steps, stride) * dt
+    n_rec = times.shape[0]
+    states = np.empty((m, n_rec, n), dtype=complex)
+    currents = np.empty((m, n_rec, k), dtype=complex)
+    increments = np.empty((m, n_rec, k), dtype=complex)
+    for start, z in _noise_blocks(streams, steps, 2 * k):
+        dxi_block = np.empty((m, z.shape[1], k), dtype=complex)
+        if any_const:
+            dxi_block[const] = color_increments(u[const, None], z[const], dt)
+        for j in range(z.shape[1]):
+            c_psi = np.einsum("kab,mb->mka", cs, psi)
+            s = np.einsum("ma,mka->mk", psi.conj(), c_psi)
+            dxi = dxi_block[:, j]
+            if any_dep:
+                p, sd = psi[dep], s[dep]
+                # Two-operand einsums only: a three-operand one rounds by width.
+                pairs_psi = np.einsum("jlab,mb->mjla", pairs, p)
+                moment = np.einsum("ma,mjla->mjl", p.conj(), pairs_psi)
+                moment -= sd[:, :, None] * sd[:, None, :]
+                if k == 1:  # |M|, sparing a batched SVD every step
+                    norm = np.abs(moment[:, 0, 0])
+                else:
+                    norm = np.linalg.norm(moment, 2, axis=(1, 2))
+                live = norm > MOMENT_FLOOR
+                weight = np.where(live, signs / np.where(live, norm, 1.0), 0.0)
+                u_dep = weight[:, None, None] * moment
+                u[dep] = u_dep
+                dxi[dep] = color_increments(u_dep, z[dep, j], dt)
+            j_dt = (np.einsum("mkl,ml->mk", u, s.conj()) + s) * dt + dxi
+            step = start + j
+            if step % stride == 0:
+                row = step // stride
+                states[:, row] = psi
+                currents[:, row] = j_dt / dt
+                increments[:, row] = dxi
+            psi = (
+                psi
+                + dt * np.einsum("ab,mb->ma", gen, psi)
+                + np.einsum("mk,mka->ma", j_dt.conj(), c_psi)
+            )
+            norms = np.sqrt(np.einsum("ma,ma->m", psi.conj(), psi).real)
+            if not norms.min() >= NORM_FLOOR:
+                raise NormCollapseError(f"state norm collapsed to {norms.min()}")
+            psi /= norms[:, None]
+    return times, states, currents, increments
 
 
-def _run_chunk_star(args):
-    return _run_chunk(*args)
+def _ensemble_part(args):
+    """States and currents of one index block; increments stay behind."""
+    times, states, currents, _ = _run_chunk(*args)
+    return times, states, currents
 
 
 def default_workers() -> int:
@@ -450,7 +388,10 @@ def default_workers() -> int:
     raw = os.environ.get("UNRAVEL_THREADS")
     if raw is None:
         return 1
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value < 1:
         raise ValueError(f"UNRAVEL_THREADS must be a positive integer, got {raw!r}")
     return value
@@ -472,8 +413,11 @@ def run_ensemble(
 
     ``unraveling`` is a single specification shared by all trajectories or a
     sequence assigning one per trajectory.  Trajectory ``i`` draws its noise
-    from the stream keyed by ``(seed, start_index + i)``; work is split into
-    fixed-size index blocks, so output is identical for any worker count.
+    from the stream keyed by ``(seed, start_index + i)``.  All trajectories
+    run through the same batched kernel as ``run_trajectory``, in fixed-size
+    index blocks, and a trajectory's arithmetic never depends on the others,
+    so trajectory ``i`` is bit-identical for any worker count, batch width
+    or mix of unravelings, and equal to ``run_trajectory`` at that index.
 
     Parameters
     ----------
@@ -482,6 +426,9 @@ def run_ensemble(
         variable, or 1.
     """
     psi0 = check_pure_state(initial, model.dim)
+    _check_grid(dt, steps, record_stride)
+    if not n_traj >= 1:
+        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     specs = _resolve_specs(unraveling, n_traj)
     if workers is None:
         workers = default_workers()
@@ -491,9 +438,9 @@ def run_ensemble(
     ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk_star, tasks))
+            parts = list(pool.map(_ensemble_part, tasks))
     else:
-        parts = [_run_chunk(*t) for t in tasks]
+        parts = [_ensemble_part(t) for t in tasks]
     times = parts[0][0]
     states = np.concatenate([p[1] for p in parts], axis=0)
     currents = np.concatenate([p[2] for p in parts], axis=0)

@@ -102,13 +102,54 @@ def real_embedding(u, dt: float) -> np.ndarray:
 
     Its smallest eigenvalue equals ``dt * (1 - spectral_norm(u)) / 2``, so
     positive semi-definiteness is equivalent to the norm bound on ``u``.
+    A stack of matrices of shape ``(..., K, K)`` gives a stack of
+    covariances of shape ``(..., 2K, 2K)``.
     """
     a = np.asarray(u, dtype=complex)
-    k = a.shape[0]
+    k = a.shape[-1]
     eye = np.eye(k)
     return (dt / 2.0) * np.block(
         [[eye + a.real, a.imag], [a.imag, eye - a.real]]
     )
+
+
+def color_increments(u, z, dt: float) -> np.ndarray:
+    """Map standard normals to complex increments dxi with correlations ``u``.
+
+    ``u`` of shape ``(..., K, K)`` must already satisfy ``validate_u``; ``z``
+    of shape ``(..., 2K)`` holds the standard normals, broadcast against
+    ``u``.  The normals are coloured by the eigendecomposition of the real
+    covariance, in closed form for K = 1, so frozen quadratures on the
+    boundary ``||u|| = 1`` come out exactly zero.  Every entry of the result
+    depends only on its own ``u`` and ``z``, not on the size of the stack.
+
+    Returns
+    -------
+    ndarray
+        Complex increments of shape ``(..., K)``.
+    """
+    a = np.asarray(u, dtype=complex)
+    k = a.shape[-1]
+    if k == 1:
+        # Closed-form eigendecomposition of the 2x2 covariance.
+        r = np.abs(a[..., 0, 0])
+        phi = 0.5 * np.angle(a[..., 0, 0])
+        lam_plus = dt * (1.0 + r) / 2.0
+        lam_minus = dt * (1.0 - r) / 2.0
+        if lam_minus.min() < -CLAMP_TOL:
+            raise CovarianceError(f"covariance eigenvalue {lam_minus.min()} below clamp tolerance")
+        lam_minus = np.maximum(lam_minus, 0.0)
+        val = np.exp(1j * phi) * (
+            np.sqrt(lam_plus) * z[..., 0] + 1j * np.sqrt(lam_minus) * z[..., 1]
+        )
+        return val[..., None]
+    evals, evecs = np.linalg.eigh(real_embedding(a, dt))
+    if evals.size and evals.min() < -CLAMP_TOL:
+        raise CovarianceError(f"covariance eigenvalue {evals.min()} below clamp tolerance")
+    scaled = np.sqrt(np.clip(evals, 0.0, None)) * z
+    # A stacked matrix-column product rounds each stack entry alike.
+    x = np.matmul(evecs, scaled[..., None])[..., 0]
+    return x[..., :k] + 1j * x[..., k:]
 
 
 def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
@@ -116,7 +157,8 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
 
     ``u`` must already satisfy ``validate_u``.  Consumes exactly 2K standard
     normal variates from ``rng``, so a fixed generator state yields a fixed
-    sample regardless of surrounding calls.
+    sample regardless of surrounding calls; the normals are mapped by
+    ``color_increments``, exactly as in the trajectory runners.
 
     Parameters
     ----------
@@ -133,28 +175,7 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
         Complex increments of shape ``(K,)``.
     """
     a = np.asarray(u, dtype=complex)
-    k = a.shape[0]
-    z = rng.standard_normal(2 * k)
-    if k == 0:
-        return np.zeros(0, dtype=complex)
-    if k == 1:
-        # Closed-form eigendecomposition of the 2x2 covariance.
-        r = abs(complex(a[0, 0]))
-        phi = 0.5 * np.angle(complex(a[0, 0]))
-        lam_plus = dt * (1.0 + r) / 2.0
-        lam_minus = dt * (1.0 - r) / 2.0
-        if lam_minus < -CLAMP_TOL:
-            raise CovarianceError(f"covariance eigenvalue {lam_minus} below clamp tolerance")
-        lam_minus = max(lam_minus, 0.0)
-        val = np.exp(1j * phi) * (np.sqrt(lam_plus) * z[0] + 1j * np.sqrt(lam_minus) * z[1])
-        return np.array([val], dtype=complex)
-    cov = real_embedding(a, dt)
-    evals, evecs = np.linalg.eigh(cov)
-    if evals.min() < -CLAMP_TOL:
-        raise CovarianceError(f"covariance eigenvalue {evals.min()} below clamp tolerance")
-    evals = np.clip(evals, 0.0, None)
-    x = evecs @ (np.sqrt(evals) * z)
-    return x[:k] + 1j * x[k:]
+    return color_increments(a, rng.standard_normal(2 * a.shape[0]), dt)
 
 
 def _centered_lindblads(model: LindbladModel, state) -> list[np.ndarray]:

@@ -31,6 +31,7 @@ from .trajectory import (
     step_linear,
     step_nonlinear_sse,
     step_sme,
+    trajectory_stream,
 )
 from .unravelings import (
     Heterodyne,
@@ -74,11 +75,6 @@ class CheckResult:
         )
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -117,7 +113,7 @@ def check_eigenvalue_identity(seed: int, trials_per_size: int = 40) -> CheckResu
     positive semi-definiteness of its real embedding for random draws on
     both sides of the boundary.
     """
-    rng = _stream(seed, 0)
+    rng = trajectory_stream(seed, 0)
     dt = 1e-3
     worst = 0.0
     mismatches = 0
@@ -154,7 +150,7 @@ def check_rotation_invariance(
     T u T^T, automatic for the state-derived choice), the conditioned
     projectors and the transformed currents coincide step by step.
     """
-    rng = _stream(seed, 1)
+    rng = trajectory_stream(seed, 1)
     model = _random_model(rng, 3, 2)
     t_mat = _random_unitary(rng, 2)
     rotated = rotate_lindblads(model, t_mat)
@@ -204,7 +200,7 @@ def check_shift_invariance(seed: int, steps: int = 400, dt: float = 1e-3) -> Che
     for identical increments at any u, because the shift cancels exactly in
     the centered noise operators and in the compensated generator.
     """
-    rng = _stream(seed, 2)
+    rng = trajectory_stream(seed, 2)
     model = _random_model(rng, 3, 2)
     chi = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
     shifted = shift_lindblads(model, chi)
@@ -242,7 +238,7 @@ def check_shift_invariance(seed: int, steps: int = 400, dt: float = 1e-3) -> Che
 
 def check_gauge_invariance(seed: int, steps: int = 1000, dt: float = 1e-3) -> CheckResult:
     """Random per-step phase twists never move the projector."""
-    rng = _stream(seed, 3)
+    rng = trajectory_stream(seed, 3)
     model = _random_model(rng, 3, 2)
     u = _random_symmetric(rng, 2, 0.6)
     validate_u(u)
@@ -289,7 +285,7 @@ def stepper_strong_orders(
     pairs = ("linear/projector", "linear/nonlinear", "projector/nonlinear")
     mean_sq = {pair: np.zeros(len(dts)) for pair in pairs}
     for path in range(n_paths):
-        rng = _stream(seed, path)
+        rng = trajectory_stream(seed, path)
         noise = np.array([sample_increments(u, fine, rng)[0] for _ in range(n_fine)])
         for di, dt in enumerate(dts):
             factor = int(round(dt / fine))

@@ -30,7 +30,6 @@ from unravel import (
     sample_increments,
     scenario_spec,
     shift_lindblads,
-    sme_u1_decomposed_step,
     spectral_norm,
     steady_state,
     step_linear,
@@ -42,6 +41,7 @@ from unravel import (
 )
 from unravel.unravelings import NORM_SLACK
 from unravel.verify import stepper_strong_orders
+from atom_closed_forms import sme_u1_decomposed_step
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
 
 ATOM_PARAMS = AtomParams(gamma=1.0, omega=10.0)

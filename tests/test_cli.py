@@ -68,6 +68,25 @@ class TestTrajectoriesMode:
         assert indices == {"0", "1", "2"}
         assert len(rows) == 1 + 3 * 10
 
+    def test_closed_system_model_file(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "dim": 2,
+            "hamiltonian": [[[0.0, 0.0], [5.0, 0.0]], [[5.0, 0.0], [0.0, 0.0]]],
+            "lindblads": [],
+        }))
+        code, _, _ = run_cli(
+            capsys,
+            "--mode", "trajectories", "--model", str(model_path),
+            "--n-traj", "2", "--dt", "1e-3", "--t-max", "0.01",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        with open(tmp_path / "trajectory_00001.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "re_psi_0", "im_psi_0", "re_psi_1", "im_psi_1"]
+        assert len(rows) == 11
+
     def test_identical_reruns_are_byte_identical(self, tmp_path, capsys):
         args = [
             "--mode", "trajectories", "--n-traj", "2", "--dt", "1e-3",
@@ -179,6 +198,21 @@ class TestConfigHandling:
             capsys, "--mode", "trajectories", "--dt", "1e-2", "--t-max", "1e-3"
         )
         assert code == EXIT_CONFIG
+
+    def test_non_integer_thread_count_is_config_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("UNRAVEL_THREADS", "abc")
+        code, _, err = run_cli(capsys, "--mode", "trajectories", "--n-traj", "1")
+        assert code == EXIT_CONFIG
+        assert "UNRAVEL_THREADS" in err
+
+    def test_single_trajectory_ensemble_check_is_config_error(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "ensemble-check", "--n-traj", "1", "--dt", "1e-3",
+            "--t-max", "0.01", "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        assert "n_traj" in err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = {

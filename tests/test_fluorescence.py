@@ -25,13 +25,12 @@ from unravel import (
     plus_x_state,
     projector,
     run_trajectory,
-    scenario_expected_current,
     scenario_spec,
-    sme_u1_decomposed_step,
     step_sme,
     write_figure_csvs,
     z_drift_residual,
 )
+from atom_closed_forms import scenario_expected_current, sme_u1_decomposed_step
 from conftest import random_state
 
 

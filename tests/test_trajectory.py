@@ -8,11 +8,14 @@ from unravel import (
     AtomParams,
     FixedU,
     Heterodyne,
+    Homodyne,
     InvariantStateDep,
+    InvariantTrace,
     KET_EXCITED,
     KET_GROUND,
     LindbladModel,
     NormCollapseError,
+    SIGMA_MINUS,
     SIGMA_X,
     TrajectoryConfig,
     VanishingLikelihoodError,
@@ -31,11 +34,14 @@ from unravel import (
     run_trajectory,
     sample_increments,
     shift_lindblads,
+    spectral_norm,
     step_linear,
     step_nonlinear_sse,
     step_sme,
     trajectory_stream,
+    u_trace,
 )
+from unravel.trajectory import NOISE_BLOCK, _run_chunk
 from conftest import random_model, random_state, random_symmetric_u
 
 
@@ -213,6 +219,20 @@ class TestRunTrajectory:
         z = np.array([bloch(s)[2] for s in states])
         np.testing.assert_allclose(z, np.cos(omega * record.times), atol=10 * dt)
 
+    def test_closed_system_rabi_oscillation_ensemble(self):
+        omega = 10.0
+        model = LindbladModel(hamiltonian=0.5 * omega * SIGMA_X, lindblads=())
+        dt = 1e-4
+        for spec in (Heterodyne(), InvariantStateDep(sign=1)):
+            run = run_ensemble(
+                model, spec, KET_EXCITED, n_traj=3, dt=dt, steps=2000, seed=0,
+                record_stride=100,
+            )
+            assert run.currents.shape == (3, 20, 0)
+            for states in run.states:
+                z = np.array([bloch(s)[2] for s in states])
+                np.testing.assert_allclose(z, np.cos(omega * run.times), atol=10 * dt)
+
     def test_record_identity(self, atom_model):
         # J dt - dxi reproduces the pre-step conditional mean exactly
         spec = FixedU(np.array([[0.5 + 0.2j]]))
@@ -256,10 +276,14 @@ class TestRunTrajectory:
         with pytest.raises(ValueError, match="record_stride"):
             TrajectoryConfig(dt=1e-3, steps=1, seed=0, unraveling=spec, record_stride=0)
 
+    def test_config_rejects_nan_step(self):
+        with pytest.raises(ValueError, match="dt"):
+            TrajectoryConfig(dt=float("nan"), steps=1, seed=0, unraveling=Heterodyne())
+
 
 class TestRunEnsemble:
     def test_single_channel_matches_serial_runner(self, atom_model):
-        # same noise stream; only the float grouping of the update differs
+        # same kernel and noise stream, run at width 3 and at width 1
         run = run_ensemble(
             atom_model, Heterodyne(), plus_x_state(), n_traj=3, dt=1e-3,
             steps=40, seed=9, start_index=2,
@@ -331,6 +355,145 @@ class TestRunEnsemble:
         )
         assert summary.passed()
 
+    def test_zero_trajectories_rejected(self, atom_model):
+        with pytest.raises(ValueError, match="n_traj"):
+            run_ensemble(
+                atom_model, Heterodyne(), plus_x_state(), n_traj=0, dt=1e-3,
+                steps=5, seed=0,
+            )
+
+    def test_negative_step_rejected(self, atom_model):
+        with pytest.raises(ValueError, match="dt"):
+            run_ensemble(
+                atom_model, Heterodyne(), plus_x_state(), n_traj=2, dt=-1e-3,
+                steps=5, seed=0,
+            )
+
+    def test_nan_step_rejected(self, atom_model):
+        with pytest.raises(ValueError, match="dt"):
+            run_ensemble(
+                atom_model, Heterodyne(), plus_x_state(), n_traj=2, dt=float("nan"),
+                steps=5, seed=0,
+            )
+
+    def test_non_finite_norm_trips_guard(self):
+        # the first step overflows to inf, and renormalizing gives NaN
+        model = LindbladModel(hamiltonian=1e300 * SIGMA_X, lindblads=(SIGMA_MINUS,))
+        with pytest.raises(NormCollapseError), np.errstate(all="ignore"):
+            run_ensemble(
+                model, Heterodyne(), plus_x_state(), n_traj=2, dt=1e10, steps=3, seed=0
+            )
+
+
+def kernel_specs(model, rng):
+    """One specification of every kind valid for ``model``."""
+    k = model.num_lindblads
+    trace_norm = spectral_norm(u_trace(model, 1.0))
+    specs = [
+        Heterodyne(),
+        FixedU(random_symmetric_u(rng, k, 0.7)),
+        InvariantStateDep(sign=1),
+        InvariantStateDep(sign=-1),
+        InvariantTrace(weight=0.9 / trace_norm),
+    ]
+    if k == 1:
+        specs.append(Homodyne(eta=0.3, theta1=0.4, theta2=-1.1))
+    return specs
+
+
+def assert_rows_follow_reference_stepper(model, spec, states, currents, increments, dt):
+    """Each recorded step is one ``step_linear`` step from the row before."""
+    for i in range(states.shape[0] - 1):
+        u = spec.resolve(model, states[i])
+        new, current = step_linear(model, u, states[i], increments[i], dt)
+        np.testing.assert_allclose(new, states[i + 1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(current, currents[i], rtol=0, atol=1e-12)
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("dim,channels", [(2, 1), (3, 2), (4, 3)])
+    def test_one_step_agreement(self, dim, channels):
+        rng = np.random.default_rng(100 * dim + channels)
+        model = random_model(rng, dim, channels)
+        initial = random_state(rng, dim)
+        dt = 1e-3
+        for index, spec in enumerate(kernel_specs(model, rng)):
+            config = TrajectoryConfig(
+                dt=dt, steps=30, seed=4, unraveling=spec, trajectory_index=index
+            )
+            states, record = run_trajectory(model, config, initial)
+            assert_rows_follow_reference_stepper(
+                model, spec, states, record.currents, record.increments, dt
+            )
+
+    def test_one_step_agreement_mixed_batch(self):
+        rng = np.random.default_rng(7)
+        model = random_model(rng, 3, 2)
+        initial = random_state(rng, 3)
+        specs = kernel_specs(model, rng)
+        dt = 1e-3
+        _, states, currents, increments = _run_chunk(
+            model, specs, initial, dt, 30, 6, 0, 1
+        )
+        for m, spec in enumerate(specs):
+            assert_rows_follow_reference_stepper(
+                model, spec, states[m], currents[m], increments[m], dt
+            )
+
+    @pytest.mark.parametrize("dim,channels", [(2, 1), (4, 3)])
+    def test_lane_is_independent_of_batch_width(self, dim, channels):
+        rng = np.random.default_rng(dim + channels)
+        model = random_model(rng, dim, channels)
+        initial = random_state(rng, dim)
+        pool = kernel_specs(model, rng)
+        mixed = [pool[i % len(pool)] for i in range(300)]
+        kw = dict(dt=1e-3, steps=40, seed=12, record_stride=3)
+        for specs in (mixed, [InvariantStateDep(sign=1)] * 300):
+            wide = run_ensemble(model, specs, initial, n_traj=300, **kw)
+            five = run_ensemble(model, specs[:5], initial, n_traj=5, **kw)
+            for lane in (0, 3, 4, 299):
+                config = TrajectoryConfig(
+                    unraveling=specs[lane], trajectory_index=lane, **kw
+                )
+                states, record = run_trajectory(model, config, initial)
+                assert np.array_equal(wide.states[lane], states)
+                assert np.array_equal(wide.currents[lane], record.currents)
+                if lane < 5:
+                    assert np.array_equal(five.states[lane], states)
+                    assert np.array_equal(five.currents[lane], record.currents)
+            _, states, currents, _ = _run_chunk(model, specs, initial, 1e-3, 40, 12, 0, 3)
+            assert np.array_equal(states, wide.states)
+            assert np.array_equal(currents, wide.currents)
+
+    def test_single_channel_noise_mapping(self, atom_model):
+        # the pinned-seed gates rest on this exact map from the stream's
+        # normals to the increments
+        dt = 1e-3
+        steps = NOISE_BLOCK + 5
+        specs = (Heterodyne(), FixedU(np.array([[0.3 + 0.4j]])), Homodyne(0.25, 0.7, -0.2))
+        for index, spec in enumerate(specs):
+            config = TrajectoryConfig(
+                dt=dt, steps=steps, seed=3, unraveling=spec, trajectory_index=index
+            )
+            _, record = run_trajectory(atom_model, config, plus_x_state())
+            z = trajectory_stream(3, index).standard_normal((steps, 2))
+            u = complex(spec.resolve(atom_model)[0, 0])
+            want = colored_increment(u, dt, z[:, 0], z[:, 1])
+            np.testing.assert_array_equal(record.increments[:, 0], want)
+
+        config = TrajectoryConfig(
+            dt=dt, steps=200, seed=3, unraveling=InvariantStateDep(sign=-1), trajectory_index=5
+        )
+        states, record = run_trajectory(atom_model, config, plus_x_state())
+        z = trajectory_stream(3, 5).standard_normal((200, 2))
+        for i, psi in enumerate(states):
+            u = complex(InvariantStateDep(sign=-1).resolve(atom_model, psi)[0, 0])
+            # |u| = 1 up to rounding eps (clamped like the package does when
+            # above), and the frozen quadrature's amplitude sqrt(dt (1 - |u|) / 2)
+            # turns that into ~sqrt(eps dt) ~ 5e-10
+            want = colored_increment(u / max(abs(u), 1.0), dt, z[i, 0], z[i, 1])
+            assert record.increments[i, 0] == pytest.approx(want, abs=1e-8)
+
 
 class TestStreams:
     def test_streams_differ_by_index(self):
@@ -354,4 +517,7 @@ class TestDefaultWorkers:
         assert default_workers() == 1
         monkeypatch.setenv("UNRAVEL_THREADS", "0")
         with pytest.raises(ValueError):
+            default_workers()
+        monkeypatch.setenv("UNRAVEL_THREADS", "abc")
+        with pytest.raises(ValueError, match="UNRAVEL_THREADS"):
             default_workers()
