@@ -66,6 +66,11 @@ EXIT_CONFIG = 2
 
 MODES = ("trajectories", "ensemble-check", "figures", "verify")
 
+# Upper bound on dt times the largest rate of the model (``_step_rate``).
+# The linear stepper is first order: beyond this a step moves the state by
+# a sizeable fraction of its norm, and renormalization hides the error.
+MAX_STEP_RATE = 0.1
+
 # Config-file keys, with the values used when neither file nor flag sets them.
 _DEFAULTS = {
     "mode": None,
@@ -270,11 +275,21 @@ def _initial_state(opts: dict, model: LindbladModel) -> np.ndarray:
         raise ConfigError(
             f"initial must be {model.dim} rows of [re, im], got shape {pairs.shape}"
         )
+    if not np.all(np.isfinite(pairs)):
+        raise ConfigError("initial state must have finite entries")
     vec = pairs[:, 0] + 1j * pairs[:, 1]
     norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ConfigError("initial state must be nonzero")
+    if not 0 < norm < np.inf:
+        raise ConfigError(f"initial state must have a nonzero, finite norm, got {norm}")
     return vec / norm
+
+
+def _step_rate(model: LindbladModel) -> float:
+    """Largest rate one linear step must resolve: the spectral norm of
+    ``H - (i/2) sum_k c_k^dag c_k`` or the largest ``||c_k||^2``."""
+    drift = model.hamiltonian - 0.5j * sum(c.conj().T @ c for c in model.lindblads)
+    jumps = [np.linalg.norm(c, 2) ** 2 for c in model.lindblads]
+    return max([np.linalg.norm(drift, 2)] + jumps)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -307,6 +322,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
+    if mode != "verify":
+        # figures always steps the atom, whatever --model names
+        rate = _step_rate(build_atom(atom) if mode == "figures" else model)
+        if dt * rate > MAX_STEP_RATE:
+            raise ConfigError(
+                f"dt {dt:g} is too large for this model: dt * rate = {dt * rate:.3g} "
+                f"exceeds {MAX_STEP_RATE:g}; use dt <= {MAX_STEP_RATE / rate:.3g}"
+            )
     return RunConfig(
         mode=mode,
         model=model,
@@ -328,15 +351,15 @@ def _complex_columns(prefix: str, count: int) -> list[str]:
     return [f"{part}_{prefix}_{i}" for i in range(count) for part in ("re", "im")]
 
 
-def _trajectory_row(times, states, currents, row: int) -> list[str]:
-    out = [f"{times[row]:.10g}"]
-    for z in states[row]:
-        out.append(f"{z.real:.17g}")
-        out.append(f"{z.imag:.17g}")
-    for z in currents[row]:
-        out.append(f"{z.real:.17g}")
-        out.append(f"{z.imag:.17g}")
-    return out
+def _trajectory_lines(prefix: str, times, states, currents) -> str:
+    """CSV rows of one trajectory, each led by ``prefix``, in the format
+    ``csv.writer`` gives the same values as strings: times to 10 and
+    components to 17 significant digits, rows ended by CRLF."""
+    template = prefix + "%.10g" + ",%.17g" * (2 * (states.shape[1] + currents.shape[1])) + "\r\n"
+    table = np.concatenate(
+        [times[:, None], states.view(float), currents.view(float)], axis=1
+    )
+    return "".join([template % tuple(row) for row in table.tolist()])
 
 
 def _write_trajectories(config: RunConfig) -> int:
@@ -356,29 +379,20 @@ def _write_trajectories(config: RunConfig) -> int:
         + _complex_columns("psi", config.model.dim)
         + _complex_columns("J", config.model.num_lindblads)
     )
-    n_rec = run.times.shape[0]
     files = []
     if config.combined:
         path = config.output_dir / "trajectories.csv"
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trajectory_index"] + header)
+            csv.writer(fh).writerow(["trajectory_index"] + header)
             for m in range(config.n_traj):
-                for row in range(n_rec):
-                    writer.writerow(
-                        [str(m)] + _trajectory_row(run.times, run.states[m], run.currents[m], row)
-                    )
+                fh.write(_trajectory_lines(f"{m},", run.times, run.states[m], run.currents[m]))
         files.append(path.name)
     else:
         for m in range(config.n_traj):
             path = config.output_dir / f"trajectory_{m:05d}.csv"
             with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for row in range(n_rec):
-                    writer.writerow(
-                        _trajectory_row(run.times, run.states[m], run.currents[m], row)
-                    )
+                csv.writer(fh).writerow(header)
+                fh.write(_trajectory_lines("", run.times, run.states[m], run.currents[m]))
             files.append(path.name)
     manifest = {
         "mode": "trajectories",

@@ -35,7 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import LindbladModel, check_density_matrix, check_pure_state
-from .unravelings import MOMENT_FLOOR, UnravelingSpec, color_increments, validate_u
+from .unravelings import (
+    MOMENT_FLOOR,
+    UnravelingSpec,
+    apply_color,
+    color_factors,
+    color_increments,
+    validate_u,
+)
 
 # bench/tracing.py times calls through this module's binding of the name.
 from .unravelings import sample_increments  # noqa: F401
@@ -47,13 +54,13 @@ NORM_FLOOR = 1e-12
 LIKELIHOOD_FLOOR = 1e-14
 # Projector inputs may deviate from idempotency by at most this much.
 PROJECTOR_TOL = 1e-8
-# Trajectories are executed in fixed-size index blocks so that results do
-# not depend on the worker count.
-CHUNK = 256
+# Most trajectories one kernel call steps side by side.  A lane's result
+# does not depend on the batch width, so this only caps memory: the kernel
+# keeps a few arrays of CHUNK * NOISE_BLOCK * 2K doubles besides the records.
+CHUNK = 1024
 # Standard normals are drawn, and coloured for constant-u trajectories, in
-# time blocks of this many steps.  A block's few arrays of
-# CHUNK * NOISE_BLOCK * 2K doubles bound the kernel's working memory.
-NOISE_BLOCK = 256
+# time blocks of this many steps.  CHUNK * NOISE_BLOCK = 65 536 lane-steps.
+NOISE_BLOCK = 64
 
 
 class NormCollapseError(RuntimeError):
@@ -291,25 +298,30 @@ def _resolve_specs(unraveling, n_traj: int) -> list:
     return [unraveling] * n_traj
 
 
-def _noise_blocks(streams, steps: int, width: int):
-    """Yield ``(first_step, normals)`` with normals of shape (m, nb, width)."""
-    for start in range(0, steps, NOISE_BLOCK):
-        nb = min(NOISE_BLOCK, steps - start)
-        yield start, np.stack([stream.standard_normal((nb, width)) for stream in streams])
+def _lanes(mask):
+    """Index of the lanes in ``mask``: a full slice, which selects by view
+    instead of copying, when that is every lane, and None when none."""
+    if mask.all():
+        return slice(None)
+    return mask if mask.any() else None
 
 
 def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
     """Linear stepping of one batch of trajectories, lane ``i`` running
     ``specs[i]`` on the stream keyed by ``(seed, index0 + i)``.
 
-    Each step forms ``c_k psi`` for all channels and the means
-    ``s_k = <c_k>``.  State-dependent lanes then resolve their ``u`` from the
-    moments ``M = <{c_j, c_l}>/2 - s_j s_l`` with weight ``sign / ||M||``
-    (0 below ``MOMENT_FLOOR``) and colour their normals; constant lanes were
-    coloured once per noise block.  The record, the linear update and the
-    renormalization follow.  Every product is an einsum or a stacked
-    matrix-column product, whose rounding for one lane does not depend on
-    the others, so lane ``i`` is the same at any batch width.
+    Constant lanes resolve ``u`` and factor its colouring once per call, and
+    colour each block of normals as it is drawn.  Each step forms
+    ``c_k psi`` for all channels and the means ``s_k = <c_k>``.
+    State-dependent lanes then resolve their ``u`` from the moments
+    ``M = <{c_j, c_l}>/2 - s_j s_l`` with weight ``sign / ||M||`` (0 below
+    ``MOMENT_FLOOR``) and colour their normals.  The record, the linear
+    update and the renormalization follow.  Every product is an einsum or a
+    stacked matrix-column product, whose rounding for one lane does not
+    depend on the others, so lane ``i`` is the same at any batch width.  A
+    batch of one kind (all constant or all state-dependent) selects its
+    lanes by a full slice, which copies nothing.  Working memory is a few
+    arrays of ``m * NOISE_BLOCK * 2K`` doubles besides the records.
 
     Returns times ``(n_rec,)``, states ``(m, n_rec, N)``, and currents and
     increments ``(m, n_rec, K)``.
@@ -317,14 +329,15 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
     m, n, k = len(specs), model.dim, model.num_lindblads
     cs = np.array(model.lindblads, dtype=complex).reshape(k, n, n)
     gen = _linear_generator(model)
-    dep = np.array([spec.state_dependent and k > 0 for spec in specs])
-    const = ~dep
-    any_const, any_dep = bool(const.any()), bool(dep.any())
+    dep_mask = np.array([spec.state_dependent and k > 0 for spec in specs])
+    dep, const = _lanes(dep_mask), _lanes(~dep_mask)
     u = np.zeros((m, k, k), dtype=complex)
     for i, spec in enumerate(specs):
         if not spec.state_dependent:
             u[i] = validate_u(spec.resolve(model))
-    signs = np.array([float(spec.sign) for spec, d in zip(specs, dep) if d])
+    if const is not None:
+        const_factors = color_factors(u[const, None], dt)
+    signs = np.array([float(spec.sign) for spec, d in zip(specs, dep_mask) if d])
     pairs = np.einsum("jab,lbc->jlac", cs, cs)
     pairs = 0.5 * (pairs + pairs.transpose(1, 0, 2, 3))
 
@@ -335,15 +348,21 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
     states = np.empty((m, n_rec, n), dtype=complex)
     currents = np.empty((m, n_rec, k), dtype=complex)
     increments = np.empty((m, n_rec, k), dtype=complex)
-    for start, z in _noise_blocks(streams, steps, 2 * k):
-        dxi_block = np.empty((m, z.shape[1], k), dtype=complex)
-        if any_const:
-            dxi_block[const] = color_increments(u[const, None], z[const], dt)
-        for j in range(z.shape[1]):
+    z_buf = np.empty((m, min(NOISE_BLOCK, steps), 2 * k))
+    dxi_buf = np.empty((m, z_buf.shape[1], k), dtype=complex)
+    for start in range(0, steps, NOISE_BLOCK):
+        nb = min(NOISE_BLOCK, steps - start)
+        z, dxi_block = z_buf[:, :nb], dxi_buf[:, :nb]
+        # Each stream is drawn in order, so the block size changes no value.
+        for stream, out in zip(streams, z):
+            stream.standard_normal(out=out)
+        if const is not None:
+            dxi_block[const] = apply_color(const_factors, z[const])
+        for j in range(nb):
             c_psi = np.einsum("kab,mb->mka", cs, psi)
             s = np.einsum("ma,mka->mk", psi.conj(), c_psi)
             dxi = dxi_block[:, j]
-            if any_dep:
+            if dep is not None:
                 p, sd = psi[dep], s[dep]
                 # Two-operand einsums only: a three-operand one rounds by width.
                 pairs_psi = np.einsum("jlab,mb->mjla", pairs, p)
@@ -414,16 +433,17 @@ def run_ensemble(
     ``unraveling`` is a single specification shared by all trajectories or a
     sequence assigning one per trajectory.  Trajectory ``i`` draws its noise
     from the stream keyed by ``(seed, start_index + i)``.  All trajectories
-    run through the same batched kernel as ``run_trajectory``, in fixed-size
-    index blocks, and a trajectory's arithmetic never depends on the others,
-    so trajectory ``i`` is bit-identical for any worker count, batch width
-    or mix of unravelings, and equal to ``run_trajectory`` at that index.
+    run through the same batched kernel as ``run_trajectory``, in contiguous
+    index ranges of at most ``CHUNK`` lanes, at least one range per worker.
+    A trajectory's arithmetic never depends on the others, so trajectory
+    ``i`` is bit-identical for any worker count, batch width or mix of
+    unravelings, and equal to ``run_trajectory`` at that index.
 
     Parameters
     ----------
     workers:
-        Process count.  Defaults to the UNRAVEL_THREADS environment
-        variable, or 1.
+        Process count, at least 1.  Defaults to the UNRAVEL_THREADS
+        environment variable, or 1.
     """
     psi0 = check_pure_state(initial, model.dim)
     _check_grid(dt, steps, record_stride)
@@ -432,9 +452,13 @@ def run_ensemble(
     specs = _resolve_specs(unraveling, n_traj)
     if workers is None:
         workers = default_workers()
+    if not workers >= 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    # At least one contiguous index range per worker, each of at most CHUNK.
+    size = min(CHUNK, -(-n_traj // workers))
     tasks = [
-        (model, specs[lo : lo + CHUNK], psi0, dt, steps, seed, start_index + lo, record_stride)
-        for lo in range(0, n_traj, CHUNK)
+        (model, specs[lo : lo + size], psi0, dt, steps, seed, start_index + lo, record_stride)
+        for lo in range(0, n_traj, size)
     ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -113,24 +113,24 @@ def real_embedding(u, dt: float) -> np.ndarray:
     )
 
 
-def color_increments(u, z, dt: float) -> np.ndarray:
-    """Map standard normals to complex increments dxi with correlations ``u``.
+def color_factors(u, dt: float):
+    """Factor the real covariance of ``u`` for ``apply_color``.
 
-    ``u`` of shape ``(..., K, K)`` must already satisfy ``validate_u``; ``z``
-    of shape ``(..., 2K)`` holds the standard normals, broadcast against
-    ``u``.  The normals are coloured by the eigendecomposition of the real
-    covariance, in closed form for K = 1, so frozen quadratures on the
-    boundary ``||u|| = 1`` come out exactly zero.  Every entry of the result
-    depends only on its own ``u`` and ``z``, not on the size of the stack.
+    ``u`` of shape ``(..., K, K)`` must already satisfy ``validate_u``.  For
+    K = 1 the factors are, in closed form, the phase ``exp(i angle(u) / 2)``
+    and the square roots of the covariance eigenvalues ``dt (1 + |u|) / 2``
+    and ``dt (1 - |u|) / 2``; for K > 1 they are the eigenvectors of
+    ``real_embedding(u, dt)`` and the square roots of its eigenvalues.
+    Eigenvalues in ``[-CLAMP_TOL, 0]`` are clamped to zero, so frozen
+    quadratures on the boundary ``||u|| = 1`` come out exactly zero.
 
-    Returns
-    -------
-    ndarray
-        Complex increments of shape ``(..., K)``.
+    Raises
+    ------
+    CovarianceError
+        If an eigenvalue lies below ``-CLAMP_TOL``.
     """
     a = np.asarray(u, dtype=complex)
-    k = a.shape[-1]
-    if k == 1:
+    if a.shape[-1] == 1:
         # Closed-form eigendecomposition of the 2x2 covariance.
         r = np.abs(a[..., 0, 0])
         phi = 0.5 * np.angle(a[..., 0, 0])
@@ -138,18 +138,46 @@ def color_increments(u, z, dt: float) -> np.ndarray:
         lam_minus = dt * (1.0 - r) / 2.0
         if lam_minus.min() < -CLAMP_TOL:
             raise CovarianceError(f"covariance eigenvalue {lam_minus.min()} below clamp tolerance")
-        lam_minus = np.maximum(lam_minus, 0.0)
-        val = np.exp(1j * phi) * (
-            np.sqrt(lam_plus) * z[..., 0] + 1j * np.sqrt(lam_minus) * z[..., 1]
-        )
-        return val[..., None]
+        return np.exp(1j * phi), np.sqrt(lam_plus), np.sqrt(np.maximum(lam_minus, 0.0))
     evals, evecs = np.linalg.eigh(real_embedding(a, dt))
     if evals.size and evals.min() < -CLAMP_TOL:
         raise CovarianceError(f"covariance eigenvalue {evals.min()} below clamp tolerance")
-    scaled = np.sqrt(np.clip(evals, 0.0, None)) * z
+    return evecs, np.sqrt(np.clip(evals, 0.0, None))
+
+
+def apply_color(factors, z) -> np.ndarray:
+    """Colour standard normals ``z`` of shape ``(..., 2K)`` with the factors
+    from ``color_factors``, broadcast against them; returns the complex
+    increments of shape ``(..., K)``.  Every entry of the result depends
+    only on its own factors and ``z``, not on the size of the stack."""
+    k = z.shape[-1] // 2
+    if k == 1:
+        phase, root_plus, root_minus = factors
+        val = phase * (root_plus * z[..., 0] + 1j * root_minus * z[..., 1])
+        return val[..., None]
+    evecs, roots = factors
+    scaled = roots * z
     # A stacked matrix-column product rounds each stack entry alike.
     x = np.matmul(evecs, scaled[..., None])[..., 0]
     return x[..., :k] + 1j * x[..., k:]
+
+
+def color_increments(u, z, dt: float) -> np.ndarray:
+    """Map standard normals to complex increments dxi with correlations ``u``.
+
+    ``u`` of shape ``(..., K, K)`` must already satisfy ``validate_u``; ``z``
+    of shape ``(..., 2K)`` holds the standard normals, broadcast against
+    ``u``.  This is ``apply_color(color_factors(u, dt), z)``: the normals
+    are coloured by the eigendecomposition of the real covariance, in
+    closed form for K = 1.  A constant ``u`` may be factored once and its
+    factors applied to many blocks of normals with the same result.
+
+    Returns
+    -------
+    ndarray
+        Complex increments of shape ``(..., K)``.
+    """
+    return apply_color(color_factors(u, dt), z)
 
 
 def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from unravel import build_atom, AtomParams
-from unravel.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, main
+from unravel import cli
+from unravel.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, MODES, build_config, build_parser, main
+from unravel.trajectory import EnsembleRun
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +88,57 @@ class TestTrajectoriesMode:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "re_psi_0", "im_psi_0", "re_psi_1", "im_psi_1"]
         assert len(rows) == 11
+
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_rows_match_csv_writer(self, tmp_path, capsys, monkeypatch, combined):
+        # values of every magnitude and sign, a negative zero among them
+        rng = np.random.default_rng(3)
+        n_traj, n_rec = 3, 7
+        parts = rng.normal(size=(2, n_traj, n_rec, 3)) * 10.0 ** rng.integers(
+            -300, 300, size=(2, n_traj, n_rec, 3)
+        )
+        parts[0, 1, 2, 0] = -0.0
+        parts[1, 2, 4, 1] = -0.0
+        states = parts[0, :, :, :2] + 1j * parts[1, :, :, :2]
+        currents = parts[0, :, :, 2:] + 1j * parts[1, :, :, 2:]
+        times = np.arange(n_rec) * (1.0 / 3.0)
+        run = EnsembleRun(times=times, states=states, currents=currents)
+        monkeypatch.setattr(cli, "run_ensemble", lambda *args, **kwargs: run)
+        flags = ["--combined"] if combined else []
+        code, _, _ = run_cli(
+            capsys,
+            "--mode", "trajectories", "--n-traj", str(n_traj), "--dt", "1e-3",
+            "--t-max", "0.007", *flags, "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+
+        def row(m, r):
+            values = [f"{times[r]:.10g}"]
+            for z in list(states[m, r]) + list(currents[m, r]):
+                values += [f"{z.real:.17g}", f"{z.imag:.17g}"]
+            return values
+
+        header = ["t", "re_psi_0", "im_psi_0", "re_psi_1", "im_psi_1", "re_J_0", "im_J_0"]
+        expected = {}
+        if combined:
+            with open(tmp_path / "want.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["trajectory_index"] + header)
+                for m in range(n_traj):
+                    for r in range(n_rec):
+                        writer.writerow([str(m)] + row(m, r))
+            expected["trajectories.csv"] = (tmp_path / "want.csv").read_bytes()
+        else:
+            for m in range(n_traj):
+                with open(tmp_path / "want.csv", "w", newline="") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    for r in range(n_rec):
+                        writer.writerow(row(m, r))
+                expected[f"trajectory_{m:05d}.csv"] = (tmp_path / "want.csv").read_bytes()
+        assert b"-0," in b"".join(expected.values())
+        for name, want in expected.items():
+            assert (tmp_path / name).read_bytes() == want
 
     def test_identical_reruns_are_byte_identical(self, tmp_path, capsys):
         args = [
@@ -213,6 +266,33 @@ class TestConfigHandling:
         )
         assert code == EXIT_CONFIG
         assert "n_traj" in err
+
+    def test_non_finite_initial_state_is_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "mode": "trajectories",
+            "initial": [[float("nan"), 0.0], [1.0, 0.0]],
+            "n_traj": 1, "dt": 1e-3, "t_max": 0.01,
+            "output_dir": str(tmp_path),
+        }))
+        code, _, err = run_cli(capsys, "--config", str(config_path))
+        assert code == EXIT_CONFIG
+        assert "initial state must have finite entries" in err
+
+    def test_step_beyond_stability_is_config_error(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "figures", "--dt", "1", "--t-max", "100",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        assert "dt 1 is too large" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_defaults_pass_the_step_check(self, mode):
+        config = build_config(build_parser().parse_args(["--mode", mode]))
+        assert config.dt == 1e-4
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = {

@@ -41,7 +41,8 @@ from unravel import (
     trajectory_stream,
     u_trace,
 )
-from unravel.trajectory import NOISE_BLOCK, _run_chunk
+from unravel import trajectory
+from unravel.trajectory import CHUNK, NOISE_BLOCK, _run_chunk
 from conftest import random_model, random_state, random_symmetric_u
 
 
@@ -313,13 +314,25 @@ class TestRunEnsemble:
             np.testing.assert_allclose(run.states[m], states, atol=1e-12)
             np.testing.assert_allclose(run.currents[m], record.currents, atol=1e-9)
 
-    def test_worker_count_does_not_change_output(self, atom_model):
+    def test_worker_count_does_not_change_output(self, atom_model, monkeypatch):
+        tasks = []
+
+        class CountingPool(trajectory.ProcessPoolExecutor):
+            def map(self, fn, items, **kwargs):
+                items = list(items)
+                tasks.append(len(items))
+                return super().map(fn, items, **kwargs)
+
+        monkeypatch.setattr(trajectory, "ProcessPoolExecutor", CountingPool)
         kw = dict(
             model=atom_model, unraveling=Heterodyne(), initial=plus_x_state(),
             n_traj=300, dt=1e-3, steps=20, seed=17,
         )
         serial = run_ensemble(workers=1, **kw)
+        assert tasks == []
         parallel = run_ensemble(workers=4, **kw)
+        # one index range per worker went through the pool
+        assert tasks == [4]
         np.testing.assert_array_equal(serial.states, parallel.states)
         np.testing.assert_array_equal(serial.currents, parallel.currents)
 
@@ -374,6 +387,13 @@ class TestRunEnsemble:
             run_ensemble(
                 atom_model, Heterodyne(), plus_x_state(), n_traj=2, dt=float("nan"),
                 steps=5, seed=0,
+            )
+
+    def test_zero_workers_rejected(self, atom_model):
+        with pytest.raises(ValueError, match="workers"):
+            run_ensemble(
+                atom_model, Heterodyne(), plus_x_state(), n_traj=2, dt=1e-3,
+                steps=5, seed=0, workers=0,
             )
 
     def test_non_finite_norm_trips_guard(self):
@@ -464,6 +484,23 @@ class TestKernelAgainstReference:
             _, states, currents, _ = _run_chunk(model, specs, initial, 1e-3, 40, 12, 0, 3)
             assert np.array_equal(states, wide.states)
             assert np.array_equal(currents, wide.currents)
+
+    def test_lane_is_independent_of_chunk_boundary(self):
+        # lanes CHUNK - 1 and CHUNK run in different kernel calls
+        rng = np.random.default_rng(9)
+        model = random_model(rng, 2, 1)
+        initial = random_state(rng, 2)
+        pool = kernel_specs(model, rng)
+        n_traj = CHUNK + 3
+        mixed = [pool[i % len(pool)] for i in range(n_traj)]
+        kw = dict(dt=1e-3, steps=12, seed=5, record_stride=2)
+        for specs in (mixed, [InvariantStateDep(sign=1)] * n_traj, [Heterodyne()] * n_traj):
+            run = run_ensemble(model, specs, initial, n_traj=n_traj, workers=1, **kw)
+            for lane in (CHUNK - 1, CHUNK, CHUNK + 2):
+                config = TrajectoryConfig(unraveling=specs[lane], trajectory_index=lane, **kw)
+                states, record = run_trajectory(model, config, initial)
+                assert np.array_equal(run.states[lane], states)
+                assert np.array_equal(run.currents[lane], record.currents)
 
     def test_single_channel_noise_mapping(self, atom_model):
         # the pinned-seed gates rest on this exact map from the stream's

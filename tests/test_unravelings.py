@@ -28,7 +28,26 @@ from unravel import (
     u_trace,
     validate_u,
 )
+from unravel.unravelings import apply_color, color_factors, color_increments
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
+
+
+def one_shot_increments(u, z, dt):
+    """The colouring written as one expression, refactoring u at each call."""
+    a = np.asarray(u, dtype=complex)
+    k = a.shape[-1]
+    if k == 1:
+        r = np.abs(a[..., 0, 0])
+        phi = 0.5 * np.angle(a[..., 0, 0])
+        lam_minus = np.maximum(dt * (1.0 - r) / 2.0, 0.0)
+        val = np.exp(1j * phi) * (
+            np.sqrt(dt * (1.0 + r) / 2.0) * z[..., 0] + 1j * np.sqrt(lam_minus) * z[..., 1]
+        )
+        return val[..., None]
+    evals, evecs = np.linalg.eigh(real_embedding(a, dt))
+    scaled = np.sqrt(np.clip(evals, 0.0, None)) * z
+    x = np.matmul(evecs, scaled[..., None])[..., 0]
+    return x[..., :k] + 1j * x[..., k:]
 
 
 class TestValidation:
@@ -120,6 +139,34 @@ class TestSampling:
     def test_rejects_invalid_covariance(self, rng):
         with pytest.raises(CovarianceError):
             sample_increments([[1.5]], 1e-3, rng)
+
+
+class TestFactoredColoring:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("norm", [0.0, 0.7, 1.0])
+    def test_factors_applied_per_block_equal_one_shot(self, channels, norm):
+        # Stacks throughout: numpy scalars take another arithmetic path than
+        # arrays, and the kernel only ever colours arrays.
+        rng = np.random.default_rng(31 + channels)
+        dt = 1e-3
+        # three u, each colouring a block of five steps of normals
+        us = np.stack([random_symmetric_u(rng, channels, norm) for _ in range(3)])
+        z = rng.standard_normal((3, 5, 2 * channels))
+        factored = apply_color(color_factors(us[:, None], dt), z)
+        assert factored.shape == (3, 5, channels)
+        assert np.array_equal(factored, one_shot_increments(us[:, None], z, dt))
+        assert np.array_equal(factored, color_increments(us[:, None], z, dt))
+        for j in range(5):
+            want = one_shot_increments(us, z[:, j], dt)
+            assert np.array_equal(factored[:, j], want)
+            assert np.array_equal(color_increments(us, z[:, j], dt), want)
+            assert np.array_equal(color_increments(us[1:2], z[1:2, j], dt), want[1:2])
+
+    def test_clamp_check_runs_at_factor_time(self):
+        with pytest.raises(CovarianceError):
+            color_factors(np.array([[1.5]]), 1e-3)
+        with pytest.raises(CovarianceError):
+            color_factors(1.5 * np.eye(3), 1e-3)
 
 
 class TestHomodyneU:
