@@ -196,7 +196,7 @@ def _merged_options(args: argparse.Namespace) -> dict:
 def _as_positive_float(value, name: str) -> float:
     try:
         out = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
     if not np.isfinite(out) or out <= 0:
         raise ConfigError(f"{name} must be positive, got {value!r}")
@@ -206,7 +206,7 @@ def _as_positive_float(value, name: str) -> float:
 def _as_count(value, name: str, minimum: int = 1) -> int:
     try:
         out = int(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
     if isinstance(value, float) and value != out:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -307,6 +307,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # The ensemble-check standard errors are jackknife estimates.
     n_traj = _as_count(opts["n_traj"], "n_traj", minimum=2 if mode == "ensemble-check" else 1)
     seed = _as_count(opts["seed"], "seed", minimum=0)
+    if mode == "figures" and (opts["model"] != "atom" or opts["initial"] is not None):
+        raise ConfigError("figures runs the driven atom (--gamma/--omega) from +x; "
+                          "it takes no --model other than atom and no initial state")
     if opts["record_stride"] is None:
         stride = max(1, steps // 20) if mode == "ensemble-check" else 1
     else:
@@ -320,11 +323,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         default_workers()  # a bad UNRAVEL_THREADS is a config error, not a crash later
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     if mode != "verify":
-        # figures always steps the atom, whatever --model names
-        rate = _step_rate(build_atom(atom) if mode == "figures" else model)
+        rate = _step_rate(model)
         if dt * rate > MAX_STEP_RATE:
             raise ConfigError(
                 f"dt {dt:g} is too large for this model: dt * rate = {dt * rate:.3g} "

@@ -170,24 +170,16 @@ def write_figure_csvs(
         [2.0 * coherence.real, -2.0 * coherence.imag, np.abs(a) ** 2 - np.abs(b) ** 2],
         axis=-1,
     )
+    # The format csv.writer gives these values as strings, rows ended by CRLF.
+    template = "%.10g" + ",%.12g" * 5 + "\r\n"
     for index, name in enumerate(SCENARIOS):
         path = out / f"{name}.csv"
+        table = np.concatenate(
+            [run.times[:, None], xyz[index], run.currents[index].view(float)], axis=1
+        )
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(FIGURE_HEADER)
-            for row in range(run.times.shape[0]):
-                x, y, z = xyz[index, row]
-                current = run.currents[index, row, 0]
-                writer.writerow(
-                    [
-                        f"{run.times[row]:.10g}",
-                        f"{x:.12g}",
-                        f"{y:.12g}",
-                        f"{z:.12g}",
-                        f"{current.real:.12g}",
-                        f"{current.imag:.12g}",
-                    ]
-                )
+            csv.writer(fh).writerow(FIGURE_HEADER)
+            fh.write("".join([template % tuple(row) for row in table.tolist()]))
         manifest["scenarios"][name] = {"file": path.name, "trajectory_index": index}
     with (out / "manifest.json").open("w") as fh:
         json.dump(manifest, fh, indent=2)

@@ -203,7 +203,9 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
         Complex increments of shape ``(K,)``.
     """
     a = np.asarray(u, dtype=complex)
-    return color_increments(a, rng.standard_normal(2 * a.shape[0]), dt)
+    z = rng.standard_normal(2 * a.shape[0])
+    # A stack of one: numpy's scalar complex arithmetic rounds differently.
+    return color_increments(a[None], z[None], dt)[0]
 
 
 def _centered_lindblads(model: LindbladModel, state) -> list[np.ndarray]:

@@ -207,6 +207,29 @@ class TestFiguresMode:
         assert manifest["parameters"]["gamma"] == 2.0
         assert manifest["parameters"]["omega"] == 5.0
 
+    def test_model_other_than_atom_is_config_error(self, tmp_path, capsys):
+        model_path = tmp_path / "decay.json"
+        model_path.write_text(build_atom(AtomParams(gamma=2.0, omega=0.0)).to_json())
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "figures", "--model", str(model_path),
+            "--dt", "1e-3", "--t-max", "0.01", "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        assert "--model" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_initial_state_is_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "mode": "figures", "initial": [[0.0, 0.0], [1.0, 0.0]],
+            "dt": 1e-3, "t_max": 0.01, "output_dir": str(tmp_path),
+        }))
+        code, _, err = run_cli(capsys, "--config", str(config_path))
+        assert code == EXIT_CONFIG
+        assert "initial" in err
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestVerifyMode:
     def test_deterministic_report(self, capsys):

@@ -32,6 +32,7 @@ from unravel import (
 )
 from atom_closed_forms import scenario_expected_current, sme_u1_decomposed_step
 from conftest import random_state
+from unravel.trajectory import EnsembleRun
 
 
 class TestAtomParams:
@@ -262,6 +263,43 @@ class TestFigureOutput:
             # recorded points are pure states
             radii = np.sum(body[:, 1:4] ** 2, axis=1)
             np.testing.assert_allclose(radii, 1.0, atol=1e-9)
+
+    def test_rows_match_csv_writer(self, tmp_path, monkeypatch):
+        # values of every magnitude and sign, negative zeros among them
+        rng = np.random.default_rng(4)
+        n, n_rec = len(SCENARIOS), 6
+        parts = rng.normal(size=(4, n, n_rec)) * 10.0 ** rng.integers(
+            -150, 150, size=(4, n, n_rec)
+        )
+        states = np.stack([parts[0] + 1j * parts[1], parts[2] - 1j * parts[3]], axis=-1)
+        currents = (parts[3] + 1j * parts[0])[..., None]
+        currents[1, 2, 0] = complex(-0.0, 1.0)
+        currents[2, 3, 0] = complex(1.0, -0.0)
+        times = np.arange(n_rec) * (1.0 / 3.0)
+        run = EnsembleRun(times=times, states=states, currents=currents)
+        monkeypatch.setattr(
+            "unravel.fluorescence.run_ensemble", lambda *args, **kwargs: run
+        )
+        write_figure_csvs(AtomParams(), dt=1e-3, t_max=0.006, seed=0, output_dir=tmp_path)
+        a, b = states[..., 0], states[..., 1]
+        coherence = a * b.conj()
+        xyz = np.stack(
+            [2.0 * coherence.real, -2.0 * coherence.imag, np.abs(a) ** 2 - np.abs(b) ** 2],
+            axis=-1,
+        )
+        for index, name in enumerate(SCENARIOS):
+            with open(tmp_path / "want.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t", "x", "y", "z", "re_J", "im_J"])
+                for r in range(n_rec):
+                    x, y, z = xyz[index, r]
+                    j = currents[index, r, 0]
+                    writer.writerow([f"{times[r]:.10g}"] + [
+                        f"{v:.12g}" for v in (x, y, z, j.real, j.imag)
+                    ])
+            want = (tmp_path / "want.csv").read_bytes()
+            assert (tmp_path / f"{name}.csv").read_bytes() == want
+        assert b"-0," in (tmp_path / "homodyne_y.csv").read_bytes()
 
     def test_distinct_streams_per_scenario(self, tmp_path):
         params = AtomParams()

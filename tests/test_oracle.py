@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from unravel import (
     DegenerateSteadyStateError,
@@ -71,6 +72,18 @@ class TestIntegrateMaster:
             rhos, rhos.conj().transpose(0, 2, 1), atol=1e-12
         )
 
+    def test_matches_exact_propagator_on_random_model(self):
+        # N = 4, K = 3: beyond the atom and pure decay of the tests above
+        rng = np.random.default_rng(5)
+        model = random_model(rng, 4, 3)
+        rho0 = projector(random_state(rng, 4))
+        dt, steps = 1e-3, 400
+        rhos = integrate_master(model, rho0, dt, steps)
+        gen = liouvillian_matrix(model)
+        for k in (1, 37, 400):
+            want = (expm(k * dt * gen) @ rho0.reshape(-1)).reshape(4, 4)
+            np.testing.assert_allclose(rhos[k], want, atol=1e-9)
+
     def test_includes_initial_state(self, decay_model):
         rho0 = projector(KET_EXCITED)
         rhos = integrate_master(decay_model, rho0, 1e-3, 3)
@@ -138,6 +151,18 @@ class TestTraceDistance:
             d = trace_distance(a, b)
             assert 0.0 <= d <= 1.0 + 1e-12
 
+    def test_stack_equals_per_pair_calls(self, rng):
+        a = np.stack([projector(random_state(rng, 3)) for _ in range(6)]).reshape(2, 3, 3, 3)
+        b = np.stack([projector(random_state(rng, 3)) for _ in range(6)]).reshape(2, 3, 3, 3)
+        got = trace_distance(a, b)
+        assert got.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j] == trace_distance(a[i, j], b[i, j])
+        # one matrix broadcasts against a stack
+        one = trace_distance(a[0], b[0, 0])
+        assert np.array_equal(one, [trace_distance(x, b[0, 0]) for x in a[0]])
+
 
 class TestEnsembleSummary:
     def test_exact_agreement_passes(self, decay_model):
@@ -195,3 +220,4 @@ class TestEnsembleSummary:
             devs.append(np.mean(batches))
         slope = np.polyfit(np.log(sizes), np.log(devs), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
+

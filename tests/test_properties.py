@@ -1,0 +1,123 @@
+"""Property tests: malformed configurations and short random ensembles."""
+
+import json
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from unravel import (
+    FixedU,
+    Heterodyne,
+    Homodyne,
+    InvariantStateDep,
+    InvariantTrace,
+    run_ensemble,
+    u_trace,
+)
+from unravel.cli import EXIT_CONFIG, main
+from conftest import random_model, random_state, random_symmetric_u
+
+# Text that no float() or int() parses: no digit, and no letter of inf or nan.
+WORDS = st.text(alphabet="abcxyz _-", max_size=4)
+JUNK = st.one_of(
+    WORDS, st.lists(st.integers(), max_size=2), st.dictionaries(WORDS, st.integers(), max_size=1)
+)
+HUGE = st.integers(min_value=10**309, max_value=10**400)
+BAD_POSITIVE = st.one_of(
+    st.floats(max_value=0.0), st.just(float("nan")), st.just(float("inf")), HUGE, JUNK
+)
+BAD_COUNT = st.one_of(
+    st.integers(max_value=0),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x != int(x)),
+    st.just(float("nan")),
+    st.just(float("inf")),
+    JUNK,
+)
+BAD_FIELDS = st.one_of(
+    st.tuples(st.sampled_from(["dt", "t_max", "gamma"]), BAD_POSITIVE),
+    st.tuples(st.sampled_from(["n_traj", "record_stride"]), BAD_COUNT),
+    st.tuples(st.just("seed"), st.one_of(st.integers(max_value=-1), JUNK)),
+    st.tuples(st.just("omega"), st.one_of(st.floats(max_value=-1e-300), HUGE, WORDS)),
+    st.tuples(
+        st.just("initial"),
+        st.one_of(
+            JUNK,
+            st.just([[0.0, 0.0], [0.0, 0.0]]),
+            st.just([[float("nan"), 0.0], [1.0, 0.0]]),
+            st.just([[1.0, 0.0], [float("inf"), 0.0]]),
+            st.lists(st.lists(st.floats(-1, 1), min_size=2, max_size=2), min_size=3, max_size=4),
+        ),
+    ),
+    st.tuples(
+        st.just("unraveling"),
+        st.one_of(WORDS, st.dictionaries(WORDS, st.integers(), max_size=2)),
+    ),
+    st.tuples(
+        st.just("model"),
+        st.one_of(WORDS.map(lambda w: w + ".json"), st.dictionaries(WORDS, JUNK, max_size=2)),
+    ),
+    st.tuples(st.just("mode"), st.one_of(WORDS, st.none())),
+    st.tuples(WORDS.map(lambda w: "unknown_" + w), st.integers()),
+)
+MODES = st.sampled_from(["trajectories", "ensemble-check", "figures", "verify"])
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(mode=MODES, bad=st.lists(BAD_FIELDS, min_size=1, max_size=2))
+def test_malformed_config_exits_2(tmp_path, capsys, mode, bad):
+    # a small valid run, so a field that slips through fails fast
+    config = {"mode": mode, "dt": 1e-3, "t_max": 0.01, "n_traj": 2,
+              "output_dir": str(tmp_path / "out")}
+    config.update(bad)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def _spec(kind, model, rng, norm):
+    k = model.num_lindblads
+    if kind == "fixed":
+        return FixedU(u=random_symmetric_u(rng, k, norm))
+    if kind == "homodyne":
+        return Homodyne(eta=norm, theta1=rng.uniform(0, np.pi), theta2=rng.uniform(0, np.pi))
+    if kind == "heterodyne":
+        return Heterodyne()
+    if kind == "invariant":
+        return InvariantStateDep(sign=1 if norm > 0.5 else -1)
+    scale = np.linalg.norm(u_trace(model, 1.0), 2)
+    return InvariantTrace(weight=norm / scale if scale > 0 else 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.integers(2, 3),
+    channels=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+    kinds=st.lists(
+        st.sampled_from(["fixed", "homodyne", "heterodyne", "invariant", "trace"]),
+        min_size=1, max_size=3,
+    ),
+    norm=st.floats(0.0, 1.0),
+    steps=st.integers(1, 12),
+    stride=st.integers(1, 4),
+)
+def test_random_short_runs_stay_finite_and_normalised(
+    dim, channels, seed, kinds, norm, steps, stride
+):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim, channels)
+    if channels != 1:
+        kinds = [kind for kind in kinds if kind != "homodyne"] or ["heterodyne"]
+    specs = [_spec(kind, model, rng, norm) for kind in kinds]
+    run = run_ensemble(
+        model, specs, random_state(rng, dim), n_traj=len(specs),
+        dt=1e-3, steps=steps, seed=seed, record_stride=stride,
+    )
+    n_rec = len(range(0, steps, stride))
+    assert run.states.shape == (len(specs), n_rec, dim)
+    assert run.currents.shape == (len(specs), n_rec, channels)
+    assert np.all(np.isfinite(run.states)) and np.all(np.isfinite(run.currents))
+    np.testing.assert_allclose(np.linalg.norm(run.states, axis=-1), 1.0, atol=1e-12)

@@ -531,6 +531,22 @@ class TestKernelAgainstReference:
             want = colored_increment(u / max(abs(u), 1.0), dt, z[i, 0], z[i, 1])
             assert record.increments[i, 0] == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_sample_increments_equal_kernel_increments(self, atom_model, channels):
+        # a single u, drawn from the same stream, is coloured exactly as the
+        # kernel colours it
+        if channels == 1:
+            model, u = atom_model, np.array([[0.3 + 0.4j]])
+        else:
+            rng = np.random.default_rng(11)
+            model, u = random_model(rng, 4, 3), random_symmetric_u(rng, 3, 0.8)
+        initial = np.eye(model.dim)[0].astype(complex)
+        config = TrajectoryConfig(dt=1e-3, steps=200, seed=3, unraveling=FixedU(u))
+        _, record = run_trajectory(model, config, initial)
+        stream = trajectory_stream(3, 0)
+        draws = np.array([sample_increments(u, 1e-3, stream) for _ in range(200)])
+        assert np.array_equal(draws, record.increments)
+
 
 class TestStreams:
     def test_streams_differ_by_index(self):
