@@ -95,6 +95,13 @@ _DEFAULTS = {
 }
 
 
+# Options that figures mode, which runs its own five scenarios, one
+# trajectory each, would otherwise ignore.
+_NOT_FOR_FIGURES = (
+    "unraveling", "u_json", "eta", "theta1", "theta2", "sign", "trace_r", "n_traj", "combined",
+)
+
+
 class ConfigError(ValueError):
     """The merged configuration violates one of its invariants."""
 
@@ -172,8 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_options(args: argparse.Namespace) -> dict:
+def _merged_options(args: argparse.Namespace) -> tuple[dict, set]:
+    """The options with defaults filled in, and the keys a file or flag set."""
     opts = dict(_DEFAULTS)
+    given = set()
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -186,11 +195,13 @@ def _merged_options(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
         opts.update(data)
+        given.update(data)
     for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             opts[key] = value
-    return opts
+            given.add(key)
+    return opts, given
 
 
 def _as_positive_float(value, name: str) -> float:
@@ -293,7 +304,7 @@ def _step_rate(model: LindbladModel) -> float:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    opts = _merged_options(args)
+    opts, given = _merged_options(args)
     mode = opts["mode"]
     if mode is None:
         raise ConfigError(f"--mode is required; choose from {', '.join(MODES)}")
@@ -307,9 +318,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # The ensemble-check standard errors are jackknife estimates.
     n_traj = _as_count(opts["n_traj"], "n_traj", minimum=2 if mode == "ensemble-check" else 1)
     seed = _as_count(opts["seed"], "seed", minimum=0)
-    if mode == "figures" and (opts["model"] != "atom" or opts["initial"] is not None):
-        raise ConfigError("figures runs the driven atom (--gamma/--omega) from +x; "
-                          "it takes no --model other than atom and no initial state")
+    if mode == "figures":
+        if opts["model"] != "atom" or opts["initial"] is not None:
+            raise ConfigError("figures runs the driven atom (--gamma/--omega) from +x; "
+                              "it takes no --model other than atom and no initial state")
+        ignored = [key for key in _NOT_FOR_FIGURES if key in given]
+        if ignored:
+            flags = ", ".join("--" + key.replace("_", "-") for key in ignored)
+            raise ConfigError(f"figures runs its own five scenarios, one trajectory each; "
+                              f"it takes no {flags}")
     if opts["record_stride"] is None:
         stride = max(1, steps // 20) if mode == "ensemble-check" else 1
     else:

@@ -23,7 +23,11 @@ state-dependent ``u`` across the batch.  Each trajectory owns a
 counter-based pseudorandom stream derived from ``(seed, trajectory_index)``
 and the kernel's arithmetic on one trajectory never mixes in another, so a
 trajectory is a bit-exact function of its seed and index, whatever the
-batch width or worker count.
+batch width or worker count.  Inside the kernel the trajectories (lanes)
+run constant-``u`` first, then state-dependent, so each kind is a slice,
+and the lane index is the last, contiguous axis of every per-lane array,
+so each per-lane product streams over the lanes; the records come back
+lane-first, in the caller's order.
 """
 
 from __future__ import annotations
@@ -64,7 +68,22 @@ NOISE_BLOCK = 64
 
 
 class NormCollapseError(RuntimeError):
-    """The propagated vector norm collapsed below the safe floor."""
+    """The propagated vector norm collapsed below the safe floor, or is not
+    finite.
+
+    The batched kernel sets ``trajectory_index`` (the lowest failing one),
+    ``step`` (the step whose update failed) and ``t`` (that step's start
+    time); the single-step functions leave them None.
+    """
+
+    def __init__(self, message: str, trajectory_index=None, step=None, t=None):
+        super().__init__(message)
+        self.trajectory_index = trajectory_index
+        self.step = step
+        self.t = t
+
+    def __reduce__(self):  # keep the fields across worker processes
+        return type(self), (str(self), self.trajectory_index, self.step, self.t)
 
 
 class VanishingLikelihoodError(RuntimeError):
@@ -298,101 +317,132 @@ def _resolve_specs(unraveling, n_traj: int) -> list:
     return [unraveling] * n_traj
 
 
-def _lanes(mask):
-    """Index of the lanes in ``mask``: a full slice, which selects by view
-    instead of copying, when that is every lane, and None when none."""
-    if mask.all():
-        return slice(None)
-    return mask if mask.any() else None
+def _collapse(norms, indices, step: int, dt: float) -> NormCollapseError:
+    """The error for a step whose renormalization failed on some lane:
+    ``indices`` maps kernel lanes to trajectory indices, and the lowest
+    failing index is reported."""
+    bad = ~((norms >= NORM_FLOOR) & (norms < np.inf))
+    lane = np.flatnonzero(bad)[np.argmin(indices[bad])]
+    index, t = int(indices[lane]), step * dt
+    return NormCollapseError(
+        f"state norm {norms[lane]} in trajectory {index} at step {step} (t = {t:g})",
+        trajectory_index=index,
+        step=step,
+        t=t,
+    )
 
 
 def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
-    """Linear stepping of one batch of trajectories, lane ``i`` running
-    ``specs[i]`` on the stream keyed by ``(seed, index0 + i)``.
+    """Linear stepping of one batch of trajectories, ``specs[i]`` running on
+    the stream keyed by ``(seed, index0 + i)``.
 
-    Constant lanes resolve ``u`` and factor its colouring once per call, and
-    colour each block of normals as it is drawn.  Each step forms
-    ``c_k psi`` for all channels and the means ``s_k = <c_k>``.
-    State-dependent lanes then resolve their ``u`` from the moments
-    ``M = <{c_j, c_l}>/2 - s_j s_l`` with weight ``sign / ||M||`` (0 below
-    ``MOMENT_FLOOR``) and colour their normals.  The record, the linear
-    update and the renormalization follow.  Every product is an einsum or a
-    stacked matrix-column product, whose rounding for one lane does not
-    depend on the others, so lane ``i`` is the same at any batch width.  A
-    batch of one kind (all constant or all state-dependent) selects its
-    lanes by a full slice, which copies nothing.  Working memory is a few
-    arrays of ``m * NOISE_BLOCK * 2K`` doubles besides the records.
+    Inside the call the lanes are reordered: the constant lanes first, then
+    the state-dependent ones, each group in index order, so that each kind
+    is a slice.  The lane index is the last, contiguous axis of every
+    per-lane array (the state ``(N, m)``, ``u`` ``(K, K, m)``, the means,
+    moments, increments and currents), so each einsum streams over the
+    lanes.  Each distinct constant spec object is resolved, validated and
+    its colouring factored once; each block of normals is coloured for all
+    constant lanes as it is drawn.
+
+    Each step applies the linear generator and the K channel operators as
+    one stacked ``(K+1, N, N)`` product, and forms the means
+    ``s_k = <c_k>``.  State-dependent lanes then resolve their ``u`` from
+    the moments ``M = <{c_j, c_l}>/2 - s_j s_l`` with weight
+    ``sign / ||M||`` (0 below ``MOMENT_FLOOR``) and colour their normals.
+    The record, the linear update and the renormalization follow.  Every
+    product is an einsum or a stacked matrix-column product, whose rounding
+    for one lane does not depend on the others or on the lane order, so lane
+    ``i`` is the same at any batch width.  A norm below ``NORM_FLOOR`` or
+    not finite raises ``NormCollapseError`` naming the lowest failing
+    trajectory index, the step and its start time.  Working memory is a
+    few arrays of ``m * NOISE_BLOCK * 2K`` doubles besides the records.
 
     Returns times ``(n_rec,)``, states ``(m, n_rec, N)``, and currents and
-    increments ``(m, n_rec, K)``.
+    increments ``(m, n_rec, K)``, lane-first in the order of ``specs``;
+    the rows are written straight into them at each record step.
     """
     m, n, k = len(specs), model.dim, model.num_lindblads
     cs = np.array(model.lindblads, dtype=complex).reshape(k, n, n)
-    gen = _linear_generator(model)
-    dep_mask = np.array([spec.state_dependent and k > 0 for spec in specs])
-    dep, const = _lanes(dep_mask), _lanes(~dep_mask)
-    u = np.zeros((m, k, k), dtype=complex)
-    for i, spec in enumerate(specs):
-        if not spec.state_dependent:
-            u[i] = validate_u(spec.resolve(model))
-    if const is not None:
-        const_factors = color_factors(u[const, None], dt)
-    signs = np.array([float(spec.sign) for spec, d in zip(specs, dep_mask) if d])
+    ops = np.concatenate([_linear_generator(model)[None], cs])
+    dep_flags = [spec.state_dependent and k > 0 for spec in specs]
+    order = np.argsort(dep_flags, kind="stable")
+    m_c = m - sum(dep_flags)
+    indices = index0 + order
+    # Records go to the lanes' own rows, by a slice when no lane moved.
+    rec = slice(None) if np.array_equal(order, np.arange(m)) else order
+
+    # Specs are told apart by identity: equal but distinct objects resolve
+    # separately, and one object shared by many lanes resolves once.
+    const_specs = [specs[i] for i in order[:m_c]]
+    distinct = list({id(spec): spec for spec in const_specs}.values())
+    slot = {id(spec): j for j, spec in enumerate(distinct)}
+    which = np.array([slot[id(spec)] for spec in const_specs], dtype=int)
+    # Without channels a state-dependent spec is constant too, with empty u.
+    u_distinct = np.array(
+        [np.zeros((0, 0)) if spec.state_dependent else validate_u(spec.resolve(model))
+         for spec in distinct],
+        dtype=complex,
+    ).reshape(len(distinct), k, k)
+    u = np.zeros((k, k, m), dtype=complex)
+    u[:, :, :m_c] = u_distinct[which].transpose(1, 2, 0)
+    if m_c:
+        const_factors = tuple(f[which] for f in color_factors(u_distinct[:, None], dt))
+    signs = np.array([float(specs[i].sign) for i in order[m_c:]])
     pairs = np.einsum("jab,lbc->jlac", cs, cs)
     pairs = 0.5 * (pairs + pairs.transpose(1, 0, 2, 3))
 
-    psi = np.tile(np.asarray(initial, dtype=complex), (m, 1))
-    streams = [trajectory_stream(seed, index0 + i) for i in range(m)]
+    psi = np.tile(np.asarray(initial, dtype=complex)[:, None], (1, m))
+    streams = [trajectory_stream(seed, index) for index in indices]
     times = np.arange(0, steps, stride) * dt
     n_rec = times.shape[0]
     states = np.empty((m, n_rec, n), dtype=complex)
     currents = np.empty((m, n_rec, k), dtype=complex)
     increments = np.empty((m, n_rec, k), dtype=complex)
+    # The normals stay lane-first: each stream fills its own contiguous rows.
     z_buf = np.empty((m, min(NOISE_BLOCK, steps), 2 * k))
-    dxi_buf = np.empty((m, z_buf.shape[1], k), dtype=complex)
+    dxi_buf = np.empty((z_buf.shape[1], k, m), dtype=complex)
     for start in range(0, steps, NOISE_BLOCK):
         nb = min(NOISE_BLOCK, steps - start)
-        z, dxi_block = z_buf[:, :nb], dxi_buf[:, :nb]
+        z, dxi_block = z_buf[:, :nb], dxi_buf[:nb]
         # Each stream is drawn in order, so the block size changes no value.
         for stream, out in zip(streams, z):
             stream.standard_normal(out=out)
-        if const is not None:
-            dxi_block[const] = apply_color(const_factors, z[const])
+        if m_c:
+            dxi_block[:, :, :m_c] = apply_color(const_factors, z[:m_c]).transpose(1, 2, 0)
         for j in range(nb):
-            c_psi = np.einsum("kab,mb->mka", cs, psi)
-            s = np.einsum("ma,mka->mk", psi.conj(), c_psi)
-            dxi = dxi_block[:, j]
-            if dep is not None:
-                p, sd = psi[dep], s[dep]
+            ops_psi = np.einsum("kab,bm->kam", ops, psi)
+            c_psi = ops_psi[1:]
+            psi_c = psi.conj()
+            s = np.einsum("am,kam->km", psi_c, c_psi)
+            dxi = dxi_block[j]
+            if m_c < m:
+                p, p_c, sd = psi[:, m_c:], psi_c[:, m_c:], s[:, m_c:]
                 # Two-operand einsums only: a three-operand one rounds by width.
-                pairs_psi = np.einsum("jlab,mb->mjla", pairs, p)
-                moment = np.einsum("ma,mjla->mjl", p.conj(), pairs_psi)
-                moment -= sd[:, :, None] * sd[:, None, :]
+                pairs_psi = np.einsum("jlab,bm->jlam", pairs, p)
+                moment = np.einsum("am,jlam->jlm", p_c, pairs_psi)
+                moment -= sd[:, None] * sd[None]
                 if k == 1:  # |M|, sparing a batched SVD every step
-                    norm = np.abs(moment[:, 0, 0])
+                    norm = np.abs(moment[0, 0])
                 else:
-                    norm = np.linalg.norm(moment, 2, axis=(1, 2))
+                    norm = np.linalg.norm(moment, 2, axis=(0, 1))
                 live = norm > MOMENT_FLOOR
                 weight = np.where(live, signs / np.where(live, norm, 1.0), 0.0)
-                u_dep = weight[:, None, None] * moment
-                u[dep] = u_dep
-                dxi[dep] = color_increments(u_dep, z[dep, j], dt)
-            j_dt = (np.einsum("mkl,ml->mk", u, s.conj()) + s) * dt + dxi
+                u[:, :, m_c:] = u_dep = weight * moment
+                dep_dxi = color_increments(u_dep.transpose(2, 0, 1), z[m_c:, j], dt)
+                dxi[:, m_c:] = dep_dxi.T
+            j_dt = (np.einsum("klm,lm->km", u, s.conj()) + s) * dt + dxi
             step = start + j
             if step % stride == 0:
                 row = step // stride
-                states[:, row] = psi
-                currents[:, row] = j_dt / dt
-                increments[:, row] = dxi
-            psi = (
-                psi
-                + dt * np.einsum("ab,mb->ma", gen, psi)
-                + np.einsum("mk,mka->ma", j_dt.conj(), c_psi)
-            )
-            norms = np.sqrt(np.einsum("ma,ma->m", psi.conj(), psi).real)
-            if not norms.min() >= NORM_FLOOR:
-                raise NormCollapseError(f"state norm collapsed to {norms.min()}")
-            psi /= norms[:, None]
+                states[rec, row] = psi.T
+                currents[rec, row] = (j_dt / dt).T
+                increments[rec, row] = dxi.T
+            psi = psi + dt * ops_psi[0] + np.einsum("km,kam->am", j_dt.conj(), c_psi)
+            norms = np.sqrt(np.einsum("am,am->m", psi.conj(), psi).real)
+            if not (NORM_FLOOR <= norms.min() and norms.max() < np.inf):
+                raise _collapse(norms, indices, step, dt)
+            psi /= norms
     return times, states, currents, increments
 
 

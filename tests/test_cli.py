@@ -230,6 +230,36 @@ class TestFiguresMode:
         assert "initial" in err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("unraveling", "heterodyne"),
+            ("u_json", "[[[0.5, 0.0]]]"),
+            ("eta", 0.5),
+            ("theta1", 0.1),
+            ("theta2", 0.2),
+            ("sign", -1),
+            ("trace_r", 0.3),
+            ("n_traj", 3),
+            ("combined", True),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_ignored_option_is_config_error(self, tmp_path, capsys, key, value, source):
+        flag = "--" + key.replace("_", "-")
+        base = ["--mode", "figures", "--dt", "1e-3", "--t-max", "0.01",
+                "--output-dir", str(tmp_path)]
+        if source == "flag":
+            argv = base + ([flag] if value is True else [flag, str(value)])
+        else:
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps({key: value}))
+            argv = base + ["--config", str(config_path)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert flag in err
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestVerifyMode:
     def test_deterministic_report(self, capsys):

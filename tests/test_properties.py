@@ -77,6 +77,19 @@ def test_malformed_config_exits_2(tmp_path, capsys, mode, bad):
     assert "config error" in capsys.readouterr().err
 
 
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(bad=st.lists(BAD_FIELDS, min_size=1, max_size=2))
+def test_malformed_figures_config_exits_2(tmp_path, capsys, bad):
+    # figures rejects n_traj as such, so this valid base run leaves it out
+    config = {"mode": "figures", "dt": 1e-3, "t_max": 0.01, "output_dir": str(tmp_path / "out")}
+    config.update(bad)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
 def _spec(kind, model, rng, norm):
     k = model.num_lindblads
     if kind == "fixed":

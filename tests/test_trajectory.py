@@ -1,5 +1,7 @@
 """Tests for conditioned-trajectory steppers, records, and batch running."""
 
+import pickle
+
 import numpy as np
 import pytest
 from mpmath import mp, mpc
@@ -403,6 +405,45 @@ class TestRunEnsemble:
             run_ensemble(
                 model, Heterodyne(), plus_x_state(), n_traj=2, dt=1e10, steps=3, seed=0
             )
+
+    def test_norm_collapse_names_trajectory_step_and_time(self):
+        # the overflow model above; inside the kernel the constant lane
+        # (index 8) steps ahead of the state-dependent one, and both fail at
+        # step 0, so the lowest failing index must be mapped back
+        model = LindbladModel(hamiltonian=1e300 * SIGMA_X, lindblads=(SIGMA_MINUS,))
+        with pytest.raises(NormCollapseError) as info, np.errstate(all="ignore"):
+            run_ensemble(
+                model, [InvariantStateDep(1), Heterodyne()], plus_x_state(), n_traj=2,
+                dt=1e10, steps=3, seed=0, start_index=7,
+            )
+        err = info.value
+        assert (err.trajectory_index, err.step, err.t) == (7, 0, 0.0)
+        assert "trajectory 7" in str(err)
+        assert "step 0" in str(err)
+        assert "t = 0" in str(err)
+        # the fields survive the trip back from a worker process
+        again = pickle.loads(pickle.dumps(err))
+        assert (again.trajectory_index, again.step, again.t, str(again)) == (
+            7, 0, 0.0, str(err)
+        )
+
+    def test_distinct_constant_specs_one_per_lane(self, atom_model):
+        # each constant spec object is resolved once per kernel call; lanes
+        # holding different objects must still get their own u
+        fixed = [FixedU(np.array([[0.15 * j * np.exp(0.7j * j)]])) for j in range(6)]
+        homodyne = [Homodyne(eta=1.0, theta1=0.3), Homodyne(eta=1.0, theta1=-0.9)]
+        plus, minus = InvariantStateDep(sign=1), InvariantStateDep(sign=-1)
+        specs = [
+            fixed[0], plus, fixed[1], homodyne[0], fixed[2], minus, fixed[3],
+            plus, homodyne[1], fixed[4], minus, fixed[0], fixed[5], plus,
+        ]
+        kw = dict(dt=1e-3, steps=NOISE_BLOCK + 16, seed=8, record_stride=3)
+        run = run_ensemble(atom_model, specs, plus_x_state(), n_traj=len(specs), **kw)
+        for lane, spec in enumerate(specs):
+            config = TrajectoryConfig(unraveling=spec, trajectory_index=lane, **kw)
+            states, record = run_trajectory(atom_model, config, plus_x_state())
+            assert np.array_equal(run.states[lane], states)
+            assert np.array_equal(run.currents[lane], record.currents)
 
 
 def kernel_specs(model, rng):
