@@ -16,9 +16,13 @@ verify
 
 Options come from an optional JSON config file (``--config``), overridden
 field by field by command-line flags.  Exit codes: 0 success, 1 gate or
-property failure, 2 configuration error.  The environment variable
-``UNRAVEL_THREADS`` bounds worker processes; output is identical for any
-worker count.
+property failure, 2 configuration error.  Ensembles fan out over the CPUs
+available, with at least ``trajectory.MIN_LANES`` trajectories per worker
+process, so one narrower than twice that runs in-process.  The environment
+variable ``UNRAVEL_THREADS`` sets the CPU count instead, and
+``UNRAVEL_THREADS=1`` runs every ensemble in-process.  Output is
+byte-identical for any worker count; ``trajectories`` mode records the
+worker processes and index ranges used in its manifest.
 """
 
 from __future__ import annotations
@@ -427,6 +431,8 @@ def _write_trajectories(config: RunConfig) -> int:
             "combined": config.combined,
         },
         "files": files,
+        "workers": run.workers,
+        "lane_ranges": run.lane_ranges,
     }
     with (config.output_dir / "manifest.json").open("w") as fh:
         json.dump(manifest, fh, indent=2)

@@ -160,7 +160,6 @@ def write_figure_csvs(
         steps=steps,
         seed=seed,
         record_stride=record_stride,
-        workers=1,
     )
     # Bloch components of psi = (a, b): x = 2 Re(a b*), y = -2 Im(a b*),
     # z = |a|^2 - |b|^2.

@@ -65,6 +65,18 @@ CHUNK = 1024
 # Standard normals are drawn, and coloured for constant-u trajectories, in
 # time blocks of this many steps.  CHUNK * NOISE_BLOCK = 65 536 lane-steps.
 NOISE_BLOCK = 64
+# Fewest lanes a worker process gets when run_ensemble picks the worker
+# count: narrower ranges are bound by the per-step numpy floor, not by lane
+# work, and do not repay starting a process.  Wall time of 2 processes over
+# 1 for a whole batch of n lanes (lowest of 3 paired runs, 2-core VM):
+#
+#   n lanes                        64   128   256   512  1024
+#   atom invariant, 2500 steps   1.05  0.90  0.82  0.74  0.61
+#   N=4 K=3 fixed u, 2000 steps  0.80  0.70  0.53  0.50  0.50
+#
+# A 2-process pool costs about 6 ms to start and join; at 100 steps, 256
+# atom lanes took 20 ms in 2 processes against 14 ms in one.
+MIN_LANES = 256
 
 
 class NormCollapseError(RuntimeError):
@@ -301,11 +313,15 @@ def run_trajectory(model: LindbladModel, config: TrajectoryConfig, initial):
 
 @dataclass
 class EnsembleRun:
-    """States and currents of a batch of trajectories on a shared grid."""
+    """States and currents of a batch of trajectories on a shared grid,
+    with the worker processes used (1 in-process) and the number of
+    contiguous index ranges the batch was cut into."""
 
     times: np.ndarray
     states: np.ndarray
     currents: np.ndarray
+    workers: int = 1
+    lane_ranges: int = 1
 
 
 def _resolve_specs(unraveling, n_traj: int) -> list:
@@ -453,10 +469,15 @@ def _ensemble_part(args):
 
 
 def default_workers() -> int:
-    """Worker count bounded by the UNRAVEL_THREADS environment variable."""
+    """Worker processes available to ``run_ensemble``: the UNRAVEL_THREADS
+    environment variable if it is set, else the CPUs this process may run
+    on."""
     raw = os.environ.get("UNRAVEL_THREADS")
     if raw is None:
-        return 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            return os.cpu_count() or 1
     try:
         value = int(raw)
     except ValueError:
@@ -487,13 +508,19 @@ def run_ensemble(
     index ranges of at most ``CHUNK`` lanes, at least one range per worker.
     A trajectory's arithmetic never depends on the others, so trajectory
     ``i`` is bit-identical for any worker count, batch width or mix of
-    unravelings, and equal to ``run_trajectory`` at that index.
+    unravelings, and equal to ``run_trajectory`` at that index.  Each range's
+    records are copied into the result as they arrive, so besides the result
+    the caller's process holds about one range at a time.
 
     Parameters
     ----------
     workers:
-        Process count, at least 1.  Defaults to the UNRAVEL_THREADS
-        environment variable, or 1.
+        Process count, at least 1; 1 runs in this process.  By default the
+        run uses the CPUs available (``default_workers``), but never so
+        many that a worker gets fewer than ``MIN_LANES`` lanes, so a batch
+        narrower than ``2 * MIN_LANES`` runs in this process, as does every
+        batch under ``UNRAVEL_THREADS=1``.  The output is byte-identical
+        either way.
     """
     psi0 = check_pure_state(initial, model.dim)
     _check_grid(dt, steps, record_stride)
@@ -501,7 +528,7 @@ def run_ensemble(
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     specs = _resolve_specs(unraveling, n_traj)
     if workers is None:
-        workers = default_workers()
+        workers = max(1, min(default_workers(), n_traj // MIN_LANES))
     if not workers >= 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     # At least one contiguous index range per worker, each of at most CHUNK.
@@ -510,12 +537,23 @@ def run_ensemble(
         (model, specs[lo : lo + size], psi0, dt, steps, seed, start_index + lo, record_stride)
         for lo in range(0, n_traj, size)
     ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_ensemble_part, tasks))
-    else:
-        parts = [_ensemble_part(t) for t in tasks]
-    times = parts[0][0]
-    states = np.concatenate([p[1] for p in parts], axis=0)
-    currents = np.concatenate([p[2] for p in parts], axis=0)
-    return EnsembleRun(times=times, states=states, currents=currents)
+    workers = min(workers, len(tasks))
+    if len(tasks) == 1:
+        times, states, currents = _ensemble_part(tasks[0])
+        return EnsembleRun(times, states, currents)
+    n_rec = -(-steps // record_stride)
+    states = np.empty((n_traj, n_rec, model.dim), dtype=complex)
+    currents = np.empty((n_traj, n_rec, model.num_lindblads), dtype=complex)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        parts = pool.map(_ensemble_part, tasks) if pool else map(_ensemble_part, tasks)
+        lo = 0
+        for times, part_states, part_currents in parts:
+            states[lo : lo + size] = part_states
+            currents[lo : lo + size] = part_currents
+            lo += size
+            del part_states, part_currents  # hold one part at a time
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    return EnsembleRun(times, states, currents, workers=workers, lane_ranges=len(tasks))

@@ -9,7 +9,7 @@ import pytest
 from unravel import build_atom, AtomParams
 from unravel import cli
 from unravel.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, MODES, build_config, build_parser, main
-from unravel.trajectory import EnsembleRun
+from unravel.trajectory import MIN_LANES, EnsembleRun
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +37,20 @@ class TestTrajectoriesMode:
             "t", "re_psi_0", "im_psi_0", "re_psi_1", "im_psi_1", "re_J_0", "im_J_0"
         ]
         assert len(rows) == 21
+
+    @pytest.mark.parametrize("n_traj, used", [(2 * MIN_LANES, 2), (2, 1)])
+    def test_manifest_records_workers_and_ranges(
+        self, tmp_path, capsys, monkeypatch, n_traj, used
+    ):
+        monkeypatch.setenv("UNRAVEL_THREADS", "2")
+        code, _, _ = run_cli(
+            capsys,
+            "--mode", "trajectories", "--combined", "--n-traj", str(n_traj),
+            "--dt", "1e-3", "--t-max", "0.01", "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["workers"], manifest["lane_ranges"]) == (used, used)
 
     def test_csv_round_trip_preserves_purity(self, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -1,5 +1,6 @@
 """Tests for conditioned-trajectory steppers, records, and batch running."""
 
+import os
 import pickle
 
 import numpy as np
@@ -44,7 +45,7 @@ from unravel import (
     u_trace,
 )
 from unravel import trajectory
-from unravel.trajectory import CHUNK, NOISE_BLOCK, _run_chunk
+from unravel.trajectory import CHUNK, MIN_LANES, NOISE_BLOCK, _run_chunk
 from conftest import random_model, random_state, random_symmetric_u
 
 
@@ -284,6 +285,21 @@ class TestRunTrajectory:
             TrajectoryConfig(dt=float("nan"), steps=1, seed=0, unraveling=Heterodyne())
 
 
+@pytest.fixture
+def pool_tasks(monkeypatch):
+    """Number of tasks in each map sent through run_ensemble's process pool."""
+    tasks = []
+
+    class CountingPool(trajectory.ProcessPoolExecutor):
+        def map(self, fn, items, **kwargs):
+            items = list(items)
+            tasks.append(len(items))
+            return super().map(fn, items, **kwargs)
+
+    monkeypatch.setattr(trajectory, "ProcessPoolExecutor", CountingPool)
+    return tasks
+
+
 class TestRunEnsemble:
     def test_single_channel_matches_serial_runner(self, atom_model):
         # same kernel and noise stream, run at width 3 and at width 1
@@ -337,6 +353,37 @@ class TestRunEnsemble:
         assert tasks == [4]
         np.testing.assert_array_equal(serial.states, parallel.states)
         np.testing.assert_array_equal(serial.currents, parallel.currents)
+
+    def test_narrow_batch_starts_no_pool(self, atom_model, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was started")
+
+        monkeypatch.setenv("UNRAVEL_THREADS", "8")
+        monkeypatch.setattr(trajectory, "ProcessPoolExecutor", NoPool)
+        run = run_ensemble(
+            atom_model, Heterodyne(), plus_x_state(), n_traj=2 * MIN_LANES - 1,
+            dt=1e-3, steps=5, seed=4,
+        )
+        assert (run.workers, run.lane_ranges) == (1, 1)
+
+    def test_wide_batch_fans_out_one_range_per_worker(
+        self, atom_model, monkeypatch, pool_tasks
+    ):
+        monkeypatch.setenv("UNRAVEL_THREADS", "8")
+        kw = dict(
+            model=atom_model, unraveling=InvariantStateDep(sign=1), initial=plus_x_state(),
+            n_traj=2 * MIN_LANES, dt=1e-3, steps=12, seed=6, record_stride=5,
+        )
+        fanned = run_ensemble(**kw)
+        # 8 CPUs, but only two ranges of MIN_LANES lanes each
+        assert pool_tasks == [2]
+        assert (fanned.workers, fanned.lane_ranges) == (2, 2)
+        serial = run_ensemble(workers=1, **kw)
+        assert (serial.workers, serial.lane_ranges) == (1, 1)
+        assert np.array_equal(fanned.times, serial.times)
+        assert np.array_equal(fanned.states, serial.states)
+        assert np.array_equal(fanned.currents, serial.currents)
 
     def test_mixed_specs_one_per_trajectory(self, atom_model):
         specs = [Heterodyne(), FixedU(np.array([[1.0]])), InvariantStateDep(sign=1)]
@@ -426,6 +473,20 @@ class TestRunEnsemble:
         assert (again.trajectory_index, again.step, again.t, str(again)) == (
             7, 0, 0.0, str(err)
         )
+
+    def test_norm_collapse_crosses_the_pool(self, pool_tasks):
+        # the overflow model above, one lane per worker: both ranges fail at
+        # step 0, and the error names the lowest failing trajectory
+        model = LindbladModel(hamiltonian=1e300 * SIGMA_X, lindblads=(SIGMA_MINUS,))
+        with pytest.raises(NormCollapseError) as info, np.errstate(all="ignore"):
+            run_ensemble(
+                model, [InvariantStateDep(1), Heterodyne()], plus_x_state(), n_traj=2,
+                dt=1e10, steps=3, seed=0, start_index=7, workers=2,
+            )
+        assert pool_tasks == [2]
+        err = info.value
+        assert (err.trajectory_index, err.step, err.t) == (7, 0, 0.0)
+        assert "trajectory 7" in str(err)
 
     def test_distinct_constant_specs_one_per_lane(self, atom_model):
         # each constant spec object is resolved once per kernel call; lanes
@@ -608,7 +669,7 @@ class TestDefaultWorkers:
         monkeypatch.setenv("UNRAVEL_THREADS", "3")
         assert default_workers() == 3
         monkeypatch.delenv("UNRAVEL_THREADS")
-        assert default_workers() == 1
+        assert default_workers() == len(os.sched_getaffinity(0))
         monkeypatch.setenv("UNRAVEL_THREADS", "0")
         with pytest.raises(ValueError):
             default_workers()
