@@ -23,15 +23,28 @@ variable ``UNRAVEL_THREADS`` sets the CPU count instead, and
 ``UNRAVEL_THREADS=1`` runs every ensemble in-process.  Output is
 byte-identical for any worker count; ``trajectories`` mode records the
 worker processes and index ranges used in its manifest.
+
+In ``trajectories`` mode each worker formats and writes the CSV rows of
+the index range it computed (``run_ensemble``'s ``per_range``), one
+trajectory at a time, so the records never reach this process; for the
+combined file the ranges' part files are appended in index order.  The
+files are staged in a hidden folder inside the output directory and moved
+into place only when every range has succeeded, so a failed run leaves no
+CSV, part file or manifest behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +383,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _csv_line(fields) -> str:
+    """One CSV row as ``csv.writer`` writes it, CRLF-terminated."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
 def _complex_columns(prefix: str, count: int) -> list[str]:
     return [f"{part}_{prefix}_{i}" for i in range(count) for part in ("re", "im")]
 
@@ -385,38 +405,68 @@ def _trajectory_lines(prefix: str, times, states, currents) -> str:
     return "".join([template % tuple(row) for row in table.tolist()])
 
 
+def _write_range(folder: Path, header: str, combined: bool, first, times, states, currents):
+    """Write the CSV rows of one index range of trajectories into ``folder``,
+    one trajectory at a time, and return the names of the files written:
+    one part file of index-led rows when ``combined``, else one file with
+    ``header`` per trajectory.  Runs in the process that computed the range."""
+    if combined:
+        name = f"part_{first:05d}.csv"
+        with (folder / name).open("w", newline="") as fh:
+            for m in range(states.shape[0]):
+                fh.write(_trajectory_lines(f"{first + m},", times, states[m], currents[m]))
+        return [name]
+    names = []
+    for m in range(states.shape[0]):
+        name = f"trajectory_{first + m:05d}.csv"
+        with (folder / name).open("w", newline="") as fh:
+            fh.write(header)
+            fh.write(_trajectory_lines("", times, states[m], currents[m]))
+        names.append(name)
+    return names
+
+
 def _write_trajectories(config: RunConfig) -> int:
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    run = run_ensemble(
-        config.model,
-        config.unraveling,
-        config.initial,
-        n_traj=config.n_traj,
-        dt=config.dt,
-        steps=config.steps,
-        seed=config.seed,
-        record_stride=config.record_stride,
-    )
-    header = (
+    columns = (
         ["t"]
         + _complex_columns("psi", config.model.dim)
         + _complex_columns("J", config.model.num_lindblads)
     )
-    files = []
-    if config.combined:
-        path = config.output_dir / "trajectories.csv"
-        with path.open("w", newline="") as fh:
-            csv.writer(fh).writerow(["trajectory_index"] + header)
-            for m in range(config.n_traj):
-                fh.write(_trajectory_lines(f"{m},", run.times, run.states[m], run.currents[m]))
-        files.append(path.name)
-    else:
-        for m in range(config.n_traj):
-            path = config.output_dir / f"trajectory_{m:05d}.csv"
-            with path.open("w", newline="") as fh:
-                csv.writer(fh).writerow(header)
-                fh.write(_trajectory_lines("", run.times, run.states[m], run.currents[m]))
-            files.append(path.name)
+    # Files are written into a staging folder and moved into place only
+    # when every range has succeeded, so a failed run leaves no output.
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=config.output_dir))
+    write = partial(_write_range, staging, _csv_line(columns), config.combined)
+    try:
+        run = run_ensemble(
+            config.model,
+            config.unraveling,
+            config.initial,
+            n_traj=config.n_traj,
+            dt=config.dt,
+            steps=config.steps,
+            seed=config.seed,
+            record_stride=config.record_stride,
+            per_range=write,
+        )
+        written = run.range_results
+        if written is None:  # the records came back whole: one range
+            written = [write(0, run.times, run.states, run.currents)]
+        if config.combined:
+            files = ["trajectories.csv"]
+            with (staging / files[0]).open("wb") as fh:
+                fh.write(_csv_line(["trajectory_index"] + columns).encode())
+                for names in written:
+                    part = staging / names[0]
+                    with part.open("rb") as src:
+                        shutil.copyfileobj(src, fh)
+                    part.unlink()
+        else:
+            files = [name for names in written for name in names]
+        for name in files:
+            os.replace(staging / name, config.output_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     manifest = {
         "mode": "trajectories",
         "model": config.model.to_dict(),

@@ -45,6 +45,7 @@ from .unravelings import (
     apply_color,
     color_factors,
     color_increments,
+    extremal_factors,
     validate_u,
 )
 
@@ -315,13 +316,16 @@ def run_trajectory(model: LindbladModel, config: TrajectoryConfig, initial):
 class EnsembleRun:
     """States and currents of a batch of trajectories on a shared grid,
     with the worker processes used (1 in-process) and the number of
-    contiguous index ranges the batch was cut into."""
+    contiguous index ranges the batch was cut into.  A run given a
+    per-range function holds that function's results in index order
+    instead of the states and currents."""
 
     times: np.ndarray
     states: np.ndarray
     currents: np.ndarray
     workers: int = 1
     lane_ranges: int = 1
+    range_results: list | None = None
 
 
 def _resolve_specs(unraveling, n_traj: int) -> list:
@@ -348,7 +352,7 @@ def _collapse(norms, indices, step: int, dt: float) -> NormCollapseError:
     )
 
 
-def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
+def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride, increments=True):
     """Linear stepping of one batch of trajectories, ``specs[i]`` running on
     the stream keyed by ``(seed, index0 + i)``.
 
@@ -359,13 +363,17 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
     moments, increments and currents), so each einsum streams over the
     lanes.  Each distinct constant spec object is resolved, validated and
     its colouring factored once; each block of normals is coloured for all
-    constant lanes as it is drawn.
+    constant lanes as it is drawn, for K > 1 lanes-last by ``apply_color``'s
+    term-by-term sum, with one shared factor broadcast over the lanes when
+    a single spec object drives them all.
 
     Each step applies the linear generator and the K channel operators as
     one stacked ``(K+1, N, N)`` product, and forms the means
     ``s_k = <c_k>``.  State-dependent lanes then resolve their ``u`` from
     the moments ``M = <{c_j, c_l}>/2 - s_j s_l`` with weight
-    ``sign / ||M||`` (0 below ``MOMENT_FLOOR``) and colour their normals.
+    ``sign / ||M||`` (0 below ``MOMENT_FLOOR``) and colour their normals:
+    for K = 1 in closed form, for K > 1 with the factors of one batched
+    ``eigh`` (``extremal_factors``).
     The record, the linear update and the renormalization follow.  Every
     product is an einsum or a stacked matrix-column product, whose rounding
     for one lane does not depend on the others or on the lane order, so lane
@@ -376,7 +384,9 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
 
     Returns times ``(n_rec,)``, states ``(m, n_rec, N)``, and currents and
     increments ``(m, n_rec, K)``, lane-first in the order of ``specs``;
-    the rows are written straight into them at each record step.
+    the rows are written straight into them at each record step.  With
+    ``increments=False`` the increments are neither kept nor returned
+    (None in their place).
     """
     m, n, k = len(specs), model.dim, model.num_lindblads
     cs = np.array(model.lindblads, dtype=complex).reshape(k, n, n)
@@ -402,8 +412,16 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
     ).reshape(len(distinct), k, k)
     u = np.zeros((k, k, m), dtype=complex)
     u[:, :, :m_c] = u_distinct[which].transpose(1, 2, 0)
-    if m_c:
+    if m_c and k == 1:
         const_factors = tuple(f[which] for f in color_factors(u_distinct[:, None], dt))
+    elif m_c and k > 1:
+        # Stored lanes last and viewed lanes first, as apply_color takes
+        # them; a factor shared by every lane broadcasts over the lanes.
+        lanes = which if len(distinct) > 1 else which[:1]
+        const_factors = tuple(
+            np.moveaxis(np.moveaxis(f[lanes], 0, -1).copy(), -1, 0)
+            for f in color_factors(u_distinct, dt)
+        )
     signs = np.array([float(specs[i].sign) for i in order[m_c:]])
     pairs = np.einsum("jab,lbc->jlac", cs, cs)
     pairs = 0.5 * (pairs + pairs.transpose(1, 0, 2, 3))
@@ -414,18 +432,31 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
     n_rec = times.shape[0]
     states = np.empty((m, n_rec, n), dtype=complex)
     currents = np.empty((m, n_rec, k), dtype=complex)
-    increments = np.empty((m, n_rec, k), dtype=complex)
+    if increments:
+        increments = np.empty((m, n_rec, k), dtype=complex)
+    else:
+        increments = None
     # The normals stay lane-first: each stream fills its own contiguous rows.
     z_buf = np.empty((m, min(NOISE_BLOCK, steps), 2 * k))
     dxi_buf = np.empty((z_buf.shape[1], k, m), dtype=complex)
+    if m_c and k > 1:  # the constant lanes' normals, lanes last
+        z_lanes = np.empty((2 * k, z_buf.shape[1], m_c))
     for start in range(0, steps, NOISE_BLOCK):
         nb = min(NOISE_BLOCK, steps - start)
         z, dxi_block = z_buf[:, :nb], dxi_buf[:nb]
         # Each stream is drawn in order, so the block size changes no value.
         for stream, out in zip(streams, z):
             stream.standard_normal(out=out)
-        if m_c:
+        if m_c and k == 1:
             dxi_block[:, :, :m_c] = apply_color(const_factors, z[:m_c]).transpose(1, 2, 0)
+        elif m_c and k > 1:
+            z_const = z_lanes[:, :nb]
+            np.copyto(z_const, z[:m_c].transpose(2, 1, 0))
+            apply_color(
+                const_factors,
+                np.moveaxis(z_const, 0, -1),
+                out=dxi_block[:, :, :m_c].transpose(0, 2, 1),
+            )
         for j in range(nb):
             ops_psi = np.einsum("kab,bm->kam", ops, psi)
             c_psi = ops_psi[1:]
@@ -438,14 +469,16 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
                 pairs_psi = np.einsum("jlab,bm->jlam", pairs, p)
                 moment = np.einsum("am,jlam->jlm", p_c, pairs_psi)
                 moment -= sd[:, None] * sd[None]
-                if k == 1:  # |M|, sparing a batched SVD every step
+                if k == 1:  # closed forms: ||M|| = |M|, and the colouring
                     norm = np.abs(moment[0, 0])
-                else:
-                    norm = np.linalg.norm(moment, 2, axis=(0, 1))
-                live = norm > MOMENT_FLOOR
-                weight = np.where(live, signs / np.where(live, norm, 1.0), 0.0)
-                u[:, :, m_c:] = u_dep = weight * moment
-                dep_dxi = color_increments(u_dep.transpose(2, 0, 1), z[m_c:, j], dt)
+                    live = norm > MOMENT_FLOOR
+                    weight = np.where(live, signs / np.where(live, norm, 1.0), 0.0)
+                    u[:, :, m_c:] = u_dep = weight * moment
+                    dep_dxi = color_increments(u_dep.transpose(2, 0, 1), z[m_c:, j], dt)
+                else:  # one eigh gives ||M|| and the colour factors
+                    weight, dep_factors = extremal_factors(moment.transpose(2, 0, 1), signs, dt)
+                    u[:, :, m_c:] = weight * moment
+                    dep_dxi = apply_color(dep_factors, z[m_c:, j])
                 dxi[:, m_c:] = dep_dxi.T
             j_dt = (np.einsum("klm,lm->km", u, s.conj()) + s) * dt + dxi
             step = start + j
@@ -453,7 +486,8 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
                 row = step // stride
                 states[rec, row] = psi.T
                 currents[rec, row] = (j_dt / dt).T
-                increments[rec, row] = dxi.T
+                if increments is not None:
+                    increments[rec, row] = dxi.T
             psi = psi + dt * ops_psi[0] + np.einsum("km,kam->am", j_dt.conj(), c_psi)
             norms = np.sqrt(np.einsum("am,am->m", psi.conj(), psi).real)
             if not (NORM_FLOOR <= norms.min() and norms.max() < np.inf):
@@ -463,9 +497,14 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride):
 
 
 def _ensemble_part(args):
-    """States and currents of one index block; increments stay behind."""
-    times, states, currents, _ = _run_chunk(*args)
-    return times, states, currents
+    """Times and, without a per-range function, the states and currents of
+    one index range; with one, what it returns for the range's records."""
+    *chunk_args, per_range = args
+    index0 = chunk_args[6]
+    times, states, currents, _ = _run_chunk(*chunk_args, increments=False)
+    if per_range is None:
+        return times, (states, currents)
+    return times, per_range(index0, times, states, currents)
 
 
 def default_workers() -> int:
@@ -498,6 +537,7 @@ def run_ensemble(
     record_stride: int = 1,
     start_index: int = 0,
     workers: int | None = None,
+    per_range=None,
 ) -> EnsembleRun:
     """Propagate many trajectories and collect states and currents.
 
@@ -521,6 +561,14 @@ def run_ensemble(
         narrower than ``2 * MIN_LANES`` runs in this process, as does every
         batch under ``UNRAVEL_THREADS=1``.  The output is byte-identical
         either way.
+    per_range:
+        A picklable function to consume the records where they were
+        computed.  It is called once per index range, in the process that
+        ran the range, as ``per_range(first_index, times, states,
+        currents)`` with the range's records lane-first, and its results
+        come back in ``EnsembleRun.range_results`` in index order; the
+        returned run then holds no ``states`` or ``currents`` (None), so
+        the records never cross to the caller's process.
     """
     psi0 = check_pure_state(initial, model.dim)
     _check_grid(dt, steps, record_stride)
@@ -534,26 +582,33 @@ def run_ensemble(
     # At least one contiguous index range per worker, each of at most CHUNK.
     size = min(CHUNK, -(-n_traj // workers))
     tasks = [
-        (model, specs[lo : lo + size], psi0, dt, steps, seed, start_index + lo, record_stride)
+        (model, specs[lo : lo + size], psi0, dt, steps, seed, start_index + lo, record_stride,
+         per_range)
         for lo in range(0, n_traj, size)
     ]
     workers = min(workers, len(tasks))
-    if len(tasks) == 1:
-        times, states, currents = _ensemble_part(tasks[0])
+    if per_range is None and len(tasks) == 1:
+        times, (states, currents) = _ensemble_part(tasks[0])
         return EnsembleRun(times, states, currents)
-    n_rec = -(-steps // record_stride)
-    states = np.empty((n_traj, n_rec, model.dim), dtype=complex)
-    currents = np.empty((n_traj, n_rec, model.num_lindblads), dtype=complex)
+    states = currents = results = None
+    if per_range is None:
+        n_rec = -(-steps // record_stride)
+        states = np.empty((n_traj, n_rec, model.dim), dtype=complex)
+        currents = np.empty((n_traj, n_rec, model.num_lindblads), dtype=complex)
+    else:
+        results = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         parts = pool.map(_ensemble_part, tasks) if pool else map(_ensemble_part, tasks)
         lo = 0
-        for times, part_states, part_currents in parts:
-            states[lo : lo + size] = part_states
-            currents[lo : lo + size] = part_currents
+        for times, part in parts:
+            if per_range is None:
+                states[lo : lo + size], currents[lo : lo + size] = part
+            else:
+                results.append(part)
             lo += size
-            del part_states, part_currents  # hold one part at a time
+            del part  # hold one part at a time
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    return EnsembleRun(times, states, currents, workers=workers, lane_ranges=len(tasks))
+    return EnsembleRun(times, states, currents, workers, len(tasks), results)

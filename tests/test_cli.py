@@ -7,15 +7,37 @@ import numpy as np
 import pytest
 
 from unravel import build_atom, AtomParams
+from conftest import random_model, random_symmetric_u
 from unravel import cli
 from unravel.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, MODES, build_config, build_parser, main
-from unravel.trajectory import MIN_LANES, EnsembleRun
+from unravel.trajectory import MIN_LANES, EnsembleRun, NormCollapseError
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def pairs(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+# Overflows at the first step: the norm of every lane becomes infinite.
+OVERFLOW_MODEL = {
+    "dim": 2,
+    "hamiltonian": [[[0.0, 0.0], [1e300, 0.0]], [[1e300, 0.0], [0.0, 0.0]]],
+    "lindblads": [[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+}
+
+write_range = cli._write_range
+
+
+def write_first_range_only(folder, header, combined, first, times, states, currents):
+    """A per-range writer whose later ranges fail after the first has written."""
+    if first > 0:
+        raise NormCollapseError(f"stand-in failure of the range from {first}")
+    return write_range(folder, header, combined, first, times, states, currents)
 
 
 class TestTrajectoriesMode:
@@ -164,6 +186,74 @@ class TestTrajectoriesMode:
         a = (tmp_path / "a" / "trajectories.csv").read_bytes()
         b = (tmp_path / "b" / "trajectories.csv").read_bytes()
         assert a == b
+
+
+class TestWorkersWriteTheRows:
+    @pytest.mark.parametrize("unraveling", ["fixed", "invariant"])
+    def test_combined_csv_is_byte_identical_for_any_worker_count(
+        self, tmp_path, capsys, monkeypatch, unraveling
+    ):
+        rng = np.random.default_rng(8)
+        model = random_model(rng, 4, 3)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(model.to_json())
+        u = random_symmetric_u(rng, 3, 0.8)
+        scheme = ["--unraveling", unraveling]
+        scheme += ["--u-json", json.dumps(pairs(u))] if unraveling == "fixed" else []
+        written = {}
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("UNRAVEL_THREADS", threads)
+            out_dir = tmp_path / threads
+            code, _, _ = run_cli(
+                capsys,
+                "--mode", "trajectories", "--combined", "--model", str(model_path), *scheme,
+                "--n-traj", str(4 * MIN_LANES), "--dt", "1e-3", "--t-max", "0.01",
+                "--seed", "3", "--output-dir", str(out_dir),
+            )
+            assert code == EXIT_OK
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["workers"] == int(threads)
+            assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "trajectories.csv"]
+            written[threads] = (out_dir / "trajectories.csv").read_bytes()
+        assert written["1"].count(b"\n") == 1 + 4 * MIN_LANES * 10
+        assert written["2"] == written["1"]
+        assert written["4"] == written["1"]
+
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys, monkeypatch, combined):
+        monkeypatch.setenv("UNRAVEL_THREADS", "2")
+        # let the overflow model past the step-size check to fail in the kernel
+        monkeypatch.setattr(cli, "MAX_STEP_RATE", np.inf)
+        model_path = tmp_path / "overflow.json"
+        model_path.write_text(json.dumps(OVERFLOW_MODEL))
+        out_dir = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(
+                capsys,
+                "--mode", "trajectories", "--model", str(model_path),
+                "--n-traj", str(2 * MIN_LANES), "--dt", "1e10", "--t-max", "3e10",
+                *(["--combined"] if combined else []), "--output-dir", str(out_dir),
+            )
+        assert code == EXIT_GATE
+        assert "property failure: NormCollapseError" in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_range_failing_after_another_wrote_leaves_no_output(
+        self, tmp_path, capsys, monkeypatch, combined
+    ):
+        monkeypatch.setenv("UNRAVEL_THREADS", "2")
+        monkeypatch.setattr(cli, "_write_range", write_first_range_only)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "trajectories", "--n-traj", str(2 * MIN_LANES), "--dt", "1e-3",
+            "--t-max", "0.005", *(["--combined"] if combined else []),
+            "--output-dir", str(out_dir),
+        )
+        assert code == EXIT_GATE
+        assert f"stand-in failure of the range from {MIN_LANES}" in err
+        assert list(out_dir.iterdir()) == []
 
 
 class TestEnsembleCheckMode:

@@ -650,6 +650,61 @@ class TestKernelAgainstReference:
         assert np.array_equal(draws, record.increments)
 
 
+def range_records(first, times, states, currents):
+    """A per-range function for run_ensemble: the records it was handed."""
+    return first, times, states, currents
+
+
+class TestPerRange:
+    def test_records_stay_with_the_range_and_come_back_in_order(self, atom_model):
+        kw = dict(
+            model=atom_model, unraveling=Homodyne(0.6, 0.3), initial=plus_x_state(),
+            n_traj=7, dt=1e-3, steps=20, seed=2, record_stride=3, start_index=5,
+        )
+        whole = run_ensemble(workers=1, **kw)
+        for workers, firsts in ((1, [5]), (3, [5, 8, 11])):
+            run = run_ensemble(workers=workers, per_range=range_records, **kw)
+            assert run.states is None and run.currents is None
+            assert (run.workers, run.lane_ranges) == (workers, workers)
+            assert [r[0] for r in run.range_results] == firsts
+            states = np.concatenate([r[2] for r in run.range_results])
+            currents = np.concatenate([r[3] for r in run.range_results])
+            assert np.array_equal(states, whole.states)
+            assert np.array_equal(currents, whole.currents)
+            assert all(np.array_equal(r[1], whole.times) for r in run.range_results)
+
+    def test_ensemble_ranges_keep_no_increments(self, atom_model):
+        args = (atom_model, [Heterodyne()] * 3, plus_x_state(), 1e-3, 10, 1, 0, 1)
+        times, states, currents, increments = _run_chunk(*args)
+        lean = _run_chunk(*args, increments=False)
+        assert lean[3] is None and increments.shape == (3, 10, 1)
+        assert np.array_equal(lean[0], times)
+        assert np.array_equal(lean[1], states)
+        assert np.array_equal(lean[2], currents)
+
+
+class TestStateDependentManyChannels:
+    def test_lane_below_moment_floor_draws_uncorrelated_noise(self):
+        # c_k = |0><k| annihilate |0>, and a diagonal H keeps the state
+        # there, so the moments vanish at every step and u falls back to 0
+        dim, dt, steps, seed, index = 4, 1e-3, NOISE_BLOCK + 10, 5, 2
+        lindblads = []
+        for k in range(1, dim):
+            c = np.zeros((dim, dim), dtype=complex)
+            c[0, k] = 1.0
+            lindblads.append(c)
+        model = LindbladModel(hamiltonian=np.diag([0.0, 1.0, 2.0, 3.0]), lindblads=tuple(lindblads))
+        initial = np.eye(dim)[0].astype(complex)
+        config = TrajectoryConfig(
+            dt=dt, steps=steps, seed=seed, unraveling=InvariantStateDep(1), trajectory_index=index
+        )
+        states, record = run_trajectory(model, config, initial)
+        assert np.abs(states[:, 1:]).max() == 0.0
+        stream = trajectory_stream(seed, index)
+        draws = np.array([sample_increments(np.zeros((3, 3)), dt, stream) for _ in range(steps)])
+        assert np.array_equal(draws, record.increments)
+
+
 class TestStreams:
     def test_streams_differ_by_index(self):
         a = trajectory_stream(0, 0).standard_normal(4)

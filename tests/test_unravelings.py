@@ -28,7 +28,14 @@ from unravel import (
     u_trace,
     validate_u,
 )
-from unravel.unravelings import apply_color, color_factors, color_increments
+from unravel.unravelings import (
+    MOMENT_FLOOR,
+    WIDE_STACK,
+    apply_color,
+    color_factors,
+    color_increments,
+    extremal_factors,
+)
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
 
 
@@ -154,19 +161,90 @@ class TestFactoredColoring:
         z = rng.standard_normal((3, 5, 2 * channels))
         factored = apply_color(color_factors(us[:, None], dt), z)
         assert factored.shape == (3, 5, channels)
-        assert np.array_equal(factored, one_shot_increments(us[:, None], z, dt))
+
+        def assert_matches_reference(got, want):
+            if channels == 1:
+                assert np.array_equal(got, want)
+            else:  # apply_color sums in another order than the matrix product
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+        assert_matches_reference(factored, one_shot_increments(us[:, None], z, dt))
         assert np.array_equal(factored, color_increments(us[:, None], z, dt))
         for j in range(5):
             want = one_shot_increments(us, z[:, j], dt)
-            assert np.array_equal(factored[:, j], want)
-            assert np.array_equal(color_increments(us, z[:, j], dt), want)
-            assert np.array_equal(color_increments(us[1:2], z[1:2, j], dt), want[1:2])
+            assert_matches_reference(factored[:, j], want)
+            assert_matches_reference(color_increments(us, z[:, j], dt), want)
+            assert_matches_reference(color_increments(us[1:2], z[1:2, j], dt), want[1:2])
+
+    def test_wide_and_narrow_stacks_colour_alike(self, rng):
+        # a wide stack is summed one component at a time, a narrow one all
+        # components at once; a lane's bits depend on neither, nor on layout
+        dt = 1e-3
+        us = np.stack([random_symmetric_u(rng, 3, 0.9) for _ in range(4)])
+        evecs, roots = color_factors(us, dt)
+        rows = WIDE_STACK // 24 + 1
+        z = rng.standard_normal((rows, 4, 6))
+        assert z.size >= WIDE_STACK > z[0].size
+        wide = apply_color((evecs, roots), z)
+        lanes_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(z, -1, 0)), 0, -1)
+        out = np.empty((3, rows, 4), dtype=complex)
+        apply_color((evecs, roots), lanes_last, out=np.moveaxis(out, 0, -1))
+        assert np.array_equal(np.moveaxis(out, 0, -1), wide)
+        for row in (0, 17, rows - 1):
+            assert np.array_equal(apply_color((evecs, roots), z[row]), wide[row])
+            for lane in range(4):
+                one = (evecs[lane : lane + 1], roots[lane : lane + 1])
+                assert np.array_equal(apply_color(one, z[row, lane][None])[0], wide[row, lane])
 
     def test_clamp_check_runs_at_factor_time(self):
         with pytest.raises(CovarianceError):
             color_factors(np.array([[1.5]]), 1e-3)
         with pytest.raises(CovarianceError):
             color_factors(1.5 * np.eye(3), 1e-3)
+
+
+class TestExtremalFactors:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_eigh_factors_colour_like_the_resolved_u(self, sign):
+        # the eigenvectors may differ in sign or order from those of
+        # color_factors, so the coloured normals are compared through their
+        # covariance: colour each unit normal and form the Gram matrix
+        rng = np.random.default_rng(40 + sign)
+        model = random_model(rng, 4, 3)
+        dt = 1e-3
+        states = [random_state(rng, 4) for _ in range(5)]
+        moments = np.stack([u_state_dependent(model, psi, 1.0) for psi in states])
+        weight, factors = extremal_factors(moments, np.full(5, float(sign)), dt)
+        unit = np.eye(6)[:, None]
+        for i, psi in enumerate(states):
+            u = InvariantStateDep(sign).resolve(model, psi)
+            np.testing.assert_allclose(weight[i] * moments[i], u, rtol=0, atol=1e-14)
+            lane = (factors[0][i : i + 1], factors[1][i : i + 1])
+            got = apply_color(lane, unit)[:, 0]
+            want = color_increments(u[None], unit, dt)[:, 0]
+            gram = [np.concatenate([x.real, x.imag], axis=1) for x in (got, want)]
+            np.testing.assert_allclose(
+                gram[0].T @ gram[0], gram[1].T @ gram[1], rtol=0, atol=1e-14
+            )
+            np.testing.assert_allclose(
+                gram[0].T @ gram[0], real_embedding(u, dt), rtol=0, atol=1e-14
+            )
+
+    def test_below_the_moment_floor_the_factors_are_those_of_zero(self):
+        moments = np.zeros((2, 3, 3), dtype=complex)
+        moments[1, 0, 0] = 0.5 * MOMENT_FLOOR
+        weight, (evecs, roots) = extremal_factors(moments, np.array([1.0, -1.0]), 1e-3)
+        zero_evecs, zero_roots = color_factors(np.zeros((3, 3)), 1e-3)
+        assert np.array_equal(weight, [0.0, 0.0])
+        for lane in range(2):
+            assert np.array_equal(evecs[lane], zero_evecs)
+            assert np.array_equal(roots[lane], zero_roots)
+
+    def test_frozen_quadrature_is_exactly_silent(self):
+        # ||u|| = 1, so one covariance eigenvalue is zero
+        moments = np.diag([1.0, 0.5, 0.2]).astype(complex)[None]
+        _, (_, roots) = extremal_factors(moments, np.array([-1.0]), 1e-3)
+        assert roots.min() == 0.0
 
 
 class TestHomodyneU:
