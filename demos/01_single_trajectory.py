@@ -15,6 +15,7 @@ from unravel import (
     build_atom,
     plus_x_state,
     run_trajectory,
+    steady_state,
 )
 
 
@@ -41,6 +42,8 @@ def main():
     radii = [np.sum(np.array(bloch(psi)) ** 2) for psi in states]
     print(f"\nthe state stays pure: max |r|^2 - 1 = {max(abs(r - 1) for r in radii):.2e}")
     print("the raw current is huge (noise ~ 1/sqrt(dt)); only averages are tame")
+    x, y, z = np.round(bloch(steady_state(model)), 4) + 0.0  # no "-0.0000"
+    print(f"the ensemble average relaxes to the fixed point ({x:.4f}, {y:.4f}, {z:.4f})")
 
 
 if __name__ == "__main__":

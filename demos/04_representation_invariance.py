@@ -12,14 +12,15 @@ import numpy as np
 from unravel import (
     AtomParams,
     InvariantStateDep,
+    TrajectoryConfig,
     build_atom,
     liouvillian_apply,
     plus_x_state,
     projector,
     rotate_lindblads,
+    run_trajectory,
     sample_increments,
     shift_lindblads,
-    step_linear,
     step_sme,
     transition_rate,
 )
@@ -44,21 +45,18 @@ def main():
     print(f"  transition rate differs by       {rate:.1e}")
 
     print("\npathwise agreement with a state-adapted scheme (remix only):")
-    spec = InvariantStateDep(sign=1)
-    rotated = rotate_lindblads(model, [[phase]])
-    rng = np.random.default_rng(5)
-    a, b = psi.copy(), psi.copy()
+    # the remixed presentation is driven by the remixed record noise
     dt = 1e-3
-    for _ in range(2000):
-        u_a = spec.resolve(model, a)
-        u_b = spec.resolve(rotated, b)
-        dxi = sample_increments(u_a, dt, rng)
-        a, _ = step_linear(model, u_a, a, dxi, dt)
-        b, _ = step_linear(rotated, u_b, b, phase * dxi, dt)
-    print(f"  projector deviation after 2000 steps: {np.abs(projector(a) - projector(b)).max():.1e}")
+    config = TrajectoryConfig(dt=dt, steps=2000, seed=5, unraveling=InvariantStateDep(sign=1))
+    rotated = rotate_lindblads(model, [[phase]])
+    a, rec = run_trajectory(model, config, psi)
+    b, _ = run_trajectory(rotated, config, psi, increments=phase * rec.increments)
+    dev = max(np.abs(projector(x) - projector(y)).max() for x, y in zip(a, b))
+    print(f"  projector deviation over 2000 steps: {dev:.1e}")
 
     print("\npathwise agreement under an offset (projector stepper):")
     shifted = shift_lindblads(model, chi)
+    rng = np.random.default_rng(5)
     pa, pb = projector(psi), projector(psi)
     for _ in range(2000):
         dxi = sample_increments(np.zeros((1, 1)), dt, rng)

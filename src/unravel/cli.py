@@ -61,7 +61,6 @@ from .operators import LindbladModel, matrix_from_pairs, projector
 from .oracle import ensemble_summary, integrate_master
 from .trajectory import (
     NormCollapseError,
-    VanishingLikelihoodError,
     default_workers,
     run_ensemble,
 )
@@ -557,7 +556,7 @@ def run(config: RunConfig) -> int:
     }
     try:
         return handlers[config.mode](config)
-    except (NormCollapseError, VanishingLikelihoodError, CovarianceError, UMatrixError) as exc:
+    except (NormCollapseError, CovarianceError, UMatrixError) as exc:
         print(f"property failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_GATE
 

@@ -77,7 +77,7 @@ def build_atom(params: AtomParams) -> LindbladModel:
 
 def plus_x_state() -> np.ndarray:
     """The +1 eigenstate of sigma_x, the conventional initial condition."""
-    return np.array([1, 1], dtype=complex) / np.sqrt(2.0)
+    return (KET_EXCITED + KET_GROUND) / np.sqrt(2.0)
 
 
 def bloch(state) -> np.ndarray:

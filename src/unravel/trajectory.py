@@ -9,17 +9,18 @@ and the complex record increments are
 
     J_k dt = <u_kj c_j^dag + c_k> dt + dxi_k
 
-Three numerically distinct but statistically equivalent steppers are
-provided.  The default propagates an unnormalized vector with the linear
-generator ``-iH - sum_k c_k^dag c_k / 2 + sum_k J_k^* c_k`` and renormalizes,
-which is the cheapest form.  A direct Euler step of the projector equation
-and a normalized nonlinear vector step are available for cross-checks;
-pairwise differences under a shared noise path vanish as the step size
-shrinks.
+Every run goes through one stepper, a batched kernel that propagates an
+unnormalized vector with the linear generator
+``-iH - sum_k c_k^dag c_k / 2 + sum_k J_k^* c_k`` and renormalizes, which
+is the cheapest form.  Two statistically equivalent steppers are kept for
+cross-checks: a direct Euler step of the projector equation and a
+normalized nonlinear vector step.  Pairwise differences under a shared
+noise path, which the kernel takes as supplied increments, vanish as the
+step size shrinks.
 
-Single trajectories and ensembles run through one batched kernel of the
-linear stepper, for any number of channels and any mix of constant and
-state-dependent ``u`` across the batch.  Each trajectory owns a
+Single trajectories and ensembles run through the kernel, for any number
+of channels and any mix of constant and state-dependent ``u`` across the
+batch.  Each trajectory owns a
 counter-based pseudorandom stream derived from ``(seed, trajectory_index)``
 and the kernel's arithmetic on one trajectory never mixes in another, so a
 trajectory is a bit-exact function of its seed and index, whatever the
@@ -38,25 +39,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LindbladModel, check_density_matrix, check_pure_state
+from .operators import LindbladModel, check_density_matrix, check_pure_state, liouvillian_apply
 from .unravelings import (
-    MOMENT_FLOOR,
     UnravelingSpec,
     apply_color,
+    centered_moments,
     color_factors,
-    color_increments,
-    extremal_factors,
+    extremal_u,
+    moment_pairs,
     validate_u,
 )
-
-# bench/tracing.py times calls through this module's binding of the name.
-from .unravelings import sample_increments  # noqa: F401
 
 # A propagated vector whose norm falls below this has left the reachable
 # manifold (the step size is far too large); stop rather than renormalize.
 NORM_FLOOR = 1e-12
-# Conditioning on a record of likelihood below this is numerically void.
-LIKELIHOOD_FLOOR = 1e-14
 # Projector inputs may deviate from idempotency by at most this much.
 PROJECTOR_TOL = 1e-8
 # Most trajectories one kernel call steps side by side.  A lane's result
@@ -97,10 +93,6 @@ class NormCollapseError(RuntimeError):
 
     def __reduce__(self):  # keep the fields across worker processes
         return type(self), (str(self), self.trajectory_index, self.step, self.t)
-
-
-class VanishingLikelihoodError(RuntimeError):
-    """A measurement outcome with numerically zero probability was applied."""
 
 
 def trajectory_stream(seed: int, index: int) -> np.random.Generator:
@@ -147,43 +139,12 @@ class MeasurementRecord:
     increments: np.ndarray
 
 
-def expected_current(model: LindbladModel, u, state) -> np.ndarray:
-    """Mean of the record, ``E[J]_k = <u_kj c_j^dag + c_k>``."""
-    psi = check_pure_state(state, model.dim)
-    a = np.asarray(u, dtype=complex)
-    s = np.array([np.vdot(psi, c @ psi) for c in model.lindblads])
-    return a @ s.conj() + s
-
-
 def _linear_generator(model: LindbladModel) -> np.ndarray:
     h = model.hamiltonian
     gen = -1j * h.astype(complex)
     for c in model.lindblads:
         gen -= 0.5 * (c.conj().T @ c)
     return gen
-
-
-def step_linear(model: LindbladModel, u, state, dxi, dt: float):
-    """One linear-generator step; returns the renormalized state and J.
-
-    The unnormalized update is
-    ``phi += dt * (-iH - sum c^dag c / 2 + sum J_k^* c_k) phi`` with the
-    currents built from the pre-step expectations and the supplied
-    increments; the returned state is ``phi`` renormalized.
-    """
-    psi = check_pure_state(state, model.dim)
-    inc = np.asarray(dxi, dtype=complex).reshape(-1)
-    if inc.shape[0] != model.num_lindblads:
-        raise ValueError(f"expected {model.num_lindblads} increments, got {inc.shape[0]}")
-    ej = expected_current(model, u, psi)
-    j_dt = ej * dt + inc
-    phi = psi + dt * (_linear_generator(model) @ psi)
-    for k, c in enumerate(model.lindblads):
-        phi = phi + j_dt[k].conjugate() * (c @ psi)
-    norm = np.linalg.norm(phi)
-    if norm < NORM_FLOOR:
-        raise NormCollapseError(f"state norm collapsed to {norm}")
-    return phi / norm, j_dt / dt
 
 
 def step_sme(model: LindbladModel, rho, dxi, dt: float) -> np.ndarray:
@@ -198,8 +159,6 @@ def step_sme(model: LindbladModel, rho, dxi, dt: float) -> np.ndarray:
     inc = np.asarray(dxi, dtype=complex).reshape(-1)
     if inc.shape[0] != model.num_lindblads:
         raise ValueError(f"expected {model.num_lindblads} increments, got {inc.shape[0]}")
-    from .operators import liouvillian_apply
-
     new = p + dt * liouvillian_apply(model, p)
     eye = np.eye(model.dim)
     for k, c in enumerate(model.lindblads):
@@ -211,7 +170,7 @@ def step_sme(model: LindbladModel, rho, dxi, dt: float) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def effective_hamiltonian(model: LindbladModel, state) -> np.ndarray:
+def _effective_hamiltonian(model: LindbladModel, state) -> np.ndarray:
     """Non-Hermitian drift generator of the normalized nonlinear step.
 
     ``H_eff = H - (i/2) sum_k (c_k^dag c_k - 2 <c_k>^* c_k + <c_k>^* <c_k>)``.
@@ -234,7 +193,7 @@ def step_nonlinear_sse(model: LindbladModel, state, dxi, dt: float) -> np.ndarra
     if inc.shape[0] != model.num_lindblads:
         raise ValueError(f"expected {model.num_lindblads} increments, got {inc.shape[0]}")
     eye = np.eye(model.dim)
-    new = psi + dt * (-1j * (effective_hamiltonian(model, psi) @ psi))
+    new = psi + dt * (-1j * (_effective_hamiltonian(model, psi) @ psi))
     for k, c in enumerate(model.lindblads):
         s = np.vdot(psi, c @ psi)
         new = new + inc[k].conjugate() * ((c - s * eye) @ psi)
@@ -242,33 +201,6 @@ def step_nonlinear_sse(model: LindbladModel, state, dxi, dt: float) -> np.ndarra
     if norm < NORM_FLOOR:
         raise NormCollapseError(f"state norm collapsed to {norm}")
     return new / norm
-
-
-def measurement_operator(model: LindbladModel, currents, dt: float) -> np.ndarray:
-    """Kraus operator of one record sample,
-    ``1 - iH dt - sum c^dag c dt / 2 + sum J_k^* c_k dt``.
-
-    Averaged over the zero-mean record measure with correlations ``u``,
-    the operators resolve the identity up to O(dt^2).
-    """
-    j = np.asarray(currents, dtype=complex).reshape(-1)
-    if j.shape[0] != model.num_lindblads:
-        raise ValueError(f"expected {model.num_lindblads} currents, got {j.shape[0]}")
-    omega = np.eye(model.dim, dtype=complex) + dt * _linear_generator(model)
-    for k, c in enumerate(model.lindblads):
-        omega = omega + dt * j[k].conjugate() * c
-    return omega
-
-
-def apply_measurement(omega, rho) -> np.ndarray:
-    """Condition a state on one record sample: Omega rho Omega^dag, normalized."""
-    o = np.asarray(omega, dtype=complex)
-    r = check_density_matrix(rho, o.shape[0])
-    new = o @ r @ o.conj().T
-    weight = np.trace(new).real
-    if weight <= LIKELIHOOD_FLOOR:
-        raise VanishingLikelihoodError(f"record likelihood {weight} is numerically zero")
-    return new / weight
 
 
 def gauge_transform_step(state, f, dxi) -> np.ndarray:
@@ -284,7 +216,7 @@ def gauge_transform_step(state, f, dxi) -> np.ndarray:
     return np.exp(1j * dchi) * psi
 
 
-def run_trajectory(model: LindbladModel, config: TrajectoryConfig, initial):
+def run_trajectory(model: LindbladModel, config: TrajectoryConfig, initial, increments=None):
     """Propagate one conditioned trajectory with the linear stepper.
 
     Records the state, current, and increment at every
@@ -292,13 +224,24 @@ def run_trajectory(model: LindbladModel, config: TrajectoryConfig, initial):
     width 1, so the result equals trajectory ``trajectory_index`` of any
     ``run_ensemble`` call with the same seed, grid and unraveling.
 
+    ``increments`` of shape ``(steps, K)``, if given, drive the steps in
+    place of the noise drawn from the trajectory's stream: the record of
+    one run fed back reproduces it exactly, and transformed increments
+    drive the same path in another presentation of the model.
+
     Returns
     -------
     (ndarray, MeasurementRecord)
         States of shape ``(n_rec, N)`` and the matching record.
     """
     psi = check_pure_state(initial, model.dim)
-    times, states, currents, increments = _run_chunk(
+    if increments is not None:
+        increments = np.asarray(increments, dtype=complex)
+        shape = (config.steps, model.num_lindblads)
+        if increments.shape != shape:
+            raise ValueError(f"increments must have shape {shape}, got {increments.shape}")
+        increments = increments[None]
+    times, states, currents, recorded, _ = _run_chunk(
         model,
         [config.unraveling],
         psi,
@@ -307,8 +250,9 @@ def run_trajectory(model: LindbladModel, config: TrajectoryConfig, initial):
         config.seed,
         config.trajectory_index,
         config.record_stride,
+        supplied=increments,
     )
-    record = MeasurementRecord(times=times, currents=currents[0], increments=increments[0])
+    record = MeasurementRecord(times=times, currents=currents[0], increments=recorded[0])
     return states[0], record
 
 
@@ -352,7 +296,9 @@ def _collapse(norms, indices, step: int, dt: float) -> NormCollapseError:
     )
 
 
-def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride, increments=True):
+def _run_chunk(
+    model, specs, initial, dt, steps, seed, index0, stride, increments=True, supplied=None
+):
     """Linear stepping of one batch of trajectories, ``specs[i]`` running on
     the stream keyed by ``(seed, index0 + i)``.
 
@@ -370,10 +316,7 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride, increment
     Each step applies the linear generator and the K channel operators as
     one stacked ``(K+1, N, N)`` product, and forms the means
     ``s_k = <c_k>``.  State-dependent lanes then resolve their ``u`` from
-    the moments ``M = <{c_j, c_l}>/2 - s_j s_l`` with weight
-    ``sign / ||M||`` (0 below ``MOMENT_FLOOR``) and colour their normals:
-    for K = 1 in closed form, for K > 1 with the factors of one batched
-    ``eigh`` (``extremal_factors``).
+    their ``centered_moments`` and colour their normals with ``extremal_u``.
     The record, the linear update and the renormalization follow.  Every
     product is an einsum or a stacked matrix-column product, whose rounding
     for one lane does not depend on the others or on the lane order, so lane
@@ -382,11 +325,15 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride, increment
     trajectory index, the step and its start time.  Working memory is a
     few arrays of ``m * NOISE_BLOCK * 2K`` doubles besides the records.
 
-    Returns times ``(n_rec,)``, states ``(m, n_rec, N)``, and currents and
-    increments ``(m, n_rec, K)``, lane-first in the order of ``specs``;
-    the rows are written straight into them at each record step.  With
-    ``increments=False`` the increments are neither kept nor returned
-    (None in their place).
+    ``supplied`` increments of shape ``(m, steps, K)``, lane-first in the
+    order of ``specs``, replace the streams and the colouring; ``u`` is
+    still resolved each step for the currents.
+
+    Returns times ``(n_rec,)``, states ``(m, n_rec, N)``, currents and
+    increments ``(m, n_rec, K)``, and the states after the last step
+    ``(m, N)``, lane-first in the order of ``specs``; the rows are written
+    straight into them at each record step.  With ``increments=False`` the
+    increments are neither kept nor returned (None in their place).
     """
     m, n, k = len(specs), model.dim, model.num_lindblads
     cs = np.array(model.lindblads, dtype=complex).reshape(k, n, n)
@@ -412,9 +359,10 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride, increment
     ).reshape(len(distinct), k, k)
     u = np.zeros((k, k, m), dtype=complex)
     u[:, :, :m_c] = u_distinct[which].transpose(1, 2, 0)
-    if m_c and k == 1:
+    draw = supplied is None
+    if draw and m_c and k == 1:
         const_factors = tuple(f[which] for f in color_factors(u_distinct[:, None], dt))
-    elif m_c and k > 1:
+    elif draw and m_c and k > 1:
         # Stored lanes last and viewed lanes first, as apply_color takes
         # them; a factor shared by every lane broadcasts over the lanes.
         lanes = which if len(distinct) > 1 else which[:1]
@@ -423,11 +371,9 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride, increment
             for f in color_factors(u_distinct, dt)
         )
     signs = np.array([float(specs[i].sign) for i in order[m_c:]])
-    pairs = np.einsum("jab,lbc->jlac", cs, cs)
-    pairs = 0.5 * (pairs + pairs.transpose(1, 0, 2, 3))
+    pairs = moment_pairs(cs)
 
     psi = np.tile(np.asarray(initial, dtype=complex)[:, None], (1, m))
-    streams = [trajectory_stream(seed, index) for index in indices]
     times = np.arange(0, steps, stride) * dt
     n_rec = times.shape[0]
     states = np.empty((m, n_rec, n), dtype=complex)
@@ -436,50 +382,44 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride, increment
         increments = np.empty((m, n_rec, k), dtype=complex)
     else:
         increments = None
-    # The normals stay lane-first: each stream fills its own contiguous rows.
-    z_buf = np.empty((m, min(NOISE_BLOCK, steps), 2 * k))
-    dxi_buf = np.empty((z_buf.shape[1], k, m), dtype=complex)
-    if m_c and k > 1:  # the constant lanes' normals, lanes last
-        z_lanes = np.empty((2 * k, z_buf.shape[1], m_c))
+    if draw:
+        streams = [trajectory_stream(seed, index) for index in indices]
+        # The normals stay lane-first: each stream fills its own contiguous rows.
+        z_buf = np.empty((m, min(NOISE_BLOCK, steps), 2 * k))
+        dxi_buf = np.empty((z_buf.shape[1], k, m), dtype=complex)
+        if m_c and k > 1:  # the constant lanes' normals, lanes last
+            z_lanes = np.empty((2 * k, z_buf.shape[1], m_c))
+    else:  # the supplied increments, in kernel lane order and lanes last
+        dxi_all = np.asarray(supplied, dtype=complex)[order].transpose(1, 2, 0).copy()
     for start in range(0, steps, NOISE_BLOCK):
         nb = min(NOISE_BLOCK, steps - start)
-        z, dxi_block = z_buf[:, :nb], dxi_buf[:nb]
-        # Each stream is drawn in order, so the block size changes no value.
-        for stream, out in zip(streams, z):
-            stream.standard_normal(out=out)
-        if m_c and k == 1:
-            dxi_block[:, :, :m_c] = apply_color(const_factors, z[:m_c]).transpose(1, 2, 0)
-        elif m_c and k > 1:
-            z_const = z_lanes[:, :nb]
-            np.copyto(z_const, z[:m_c].transpose(2, 1, 0))
-            apply_color(
-                const_factors,
-                np.moveaxis(z_const, 0, -1),
-                out=dxi_block[:, :, :m_c].transpose(0, 2, 1),
-            )
+        if draw:
+            z, dxi_block = z_buf[:, :nb], dxi_buf[:nb]
+            # Each stream is drawn in order, so the block size changes no value.
+            for stream, out in zip(streams, z):
+                stream.standard_normal(out=out)
+            if m_c and k == 1:
+                dxi_block[:, :, :m_c] = apply_color(const_factors, z[:m_c]).transpose(1, 2, 0)
+            elif m_c and k > 1:
+                z_const = z_lanes[:, :nb]
+                np.copyto(z_const, z[:m_c].transpose(2, 1, 0))
+                apply_color(
+                    const_factors,
+                    np.moveaxis(z_const, 0, -1),
+                    out=dxi_block[:, :, :m_c].transpose(0, 2, 1),
+                )
+        else:
+            dxi_block = dxi_all[start : start + nb]
         for j in range(nb):
             ops_psi = np.einsum("kab,bm->kam", ops, psi)
             c_psi = ops_psi[1:]
-            psi_c = psi.conj()
-            s = np.einsum("am,kam->km", psi_c, c_psi)
+            s = np.einsum("am,kam->km", psi.conj(), c_psi)
             dxi = dxi_block[j]
             if m_c < m:
-                p, p_c, sd = psi[:, m_c:], psi_c[:, m_c:], s[:, m_c:]
-                # Two-operand einsums only: a three-operand one rounds by width.
-                pairs_psi = np.einsum("jlab,bm->jlam", pairs, p)
-                moment = np.einsum("am,jlam->jlm", p_c, pairs_psi)
-                moment -= sd[:, None] * sd[None]
-                if k == 1:  # closed forms: ||M|| = |M|, and the colouring
-                    norm = np.abs(moment[0, 0])
-                    live = norm > MOMENT_FLOOR
-                    weight = np.where(live, signs / np.where(live, norm, 1.0), 0.0)
-                    u[:, :, m_c:] = u_dep = weight * moment
-                    dep_dxi = color_increments(u_dep.transpose(2, 0, 1), z[m_c:, j], dt)
-                else:  # one eigh gives ||M|| and the colour factors
-                    weight, dep_factors = extremal_factors(moment.transpose(2, 0, 1), signs, dt)
-                    u[:, :, m_c:] = weight * moment
-                    dep_dxi = apply_color(dep_factors, z[m_c:, j])
-                dxi[:, m_c:] = dep_dxi.T
+                moment = centered_moments(pairs, psi[:, m_c:], s[:, m_c:])
+                u[:, :, m_c:], dep_dxi = extremal_u(moment, signs, z[m_c:, j] if draw else None, dt)
+                if draw:
+                    dxi[:, m_c:] = dep_dxi.T
             j_dt = (np.einsum("klm,lm->km", u, s.conj()) + s) * dt + dxi
             step = start + j
             if step % stride == 0:
@@ -493,7 +433,24 @@ def _run_chunk(model, specs, initial, dt, steps, seed, index0, stride, increment
             if not (NORM_FLOOR <= norms.min() and norms.max() < np.inf):
                 raise _collapse(norms, indices, step, dt)
             psi /= norms
-    return times, states, currents, increments
+    final = np.empty((m, n), dtype=complex)
+    final[rec] = psi.T
+    return times, states, currents, increments, final
+
+
+def _kernel_path(model, spec, initial, dt, increments=None, steps=None, seed=0):
+    """The kernel at width 1, driven by the supplied ``(steps, K)``
+    increments or by ``steps`` draws from trajectory 0 of ``seed``: the
+    states before and after every step ``(steps + 1, N)``, the currents and
+    the increments."""
+    if increments is not None:
+        increments = np.asarray(increments, dtype=complex)
+        steps = increments.shape[0]
+        increments = increments[None]
+    _, states, currents, drawn, final = _run_chunk(
+        model, [spec], initial, dt, steps, seed, 0, 1, supplied=increments
+    )
+    return np.vstack([states[0], final]), currents[0], drawn[0]
 
 
 def _ensemble_part(args):
@@ -501,7 +458,7 @@ def _ensemble_part(args):
     one index range; with one, what it returns for the range's records."""
     *chunk_args, per_range = args
     index0 = chunk_args[6]
-    times, states, currents, _ = _run_chunk(*chunk_args, increments=False)
+    times, states, currents, _, _ = _run_chunk(*chunk_args, increments=False)
     if per_range is None:
         return times, (states, currents)
     return times, per_range(index0, times, states, currents)

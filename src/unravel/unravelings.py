@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LindbladModel, check_pure_state, expectation
+from .operators import LindbladModel, check_pure_state
 
 # Deviation from complex symmetry tolerated in a u matrix.
 SYMMETRY_TOL = 1e-12
@@ -193,37 +193,83 @@ def apply_color(factors, z, out=None) -> np.ndarray:
     return out
 
 
-def extremal_factors(moment, signs, dt: float):
-    """Weights and colour factors of the extremal state-dependent
-    correlations ``u = w M`` with ``w = sign / ||M||``, for a stack of
-    K x K moment matrices ``M`` (K > 1) of shape ``(..., K, K)``.
+def moment_pairs(lindblads) -> np.ndarray:
+    """Symmetrized products ``{c_j, c_l} / 2`` of a ``(K, N, N)`` stack of
+    channel operators, of shape ``(K, K, N, N)``, from whose expectations
+    ``centered_moments`` forms the second moments."""
+    cs = np.asarray(lindblads, dtype=complex)
+    pairs = np.einsum("jab,lbc->jlac", cs, cs)
+    return 0.5 * (pairs + pairs.transpose(1, 0, 2, 3))
 
-    One ``eigh`` of the real symmetric ``B = [[Re M, Im M], [Im M, -Re M]]``
-    does the work: its eigenvalues are the singular values of ``M`` and
-    their negatives, so its top eigenvalue is ``||M||``, and since
-    ``real_embedding(w M, dt) = dt (I + w B) / 2`` its eigenvectors with the
-    roots of ``dt (1 + w lambda) / 2`` are colour factors of ``u`` for
-    ``apply_color``.  They factor the same covariance as
-    ``color_factors(u, dt)``, with eigenvectors that may differ in sign or
-    order.  Where ``||M||`` is at most ``MOMENT_FLOOR`` the weight is 0 and
-    the factors are those of ``u = 0``, exactly.
+
+def centered_moments(pairs, psi, means) -> np.ndarray:
+    """Centered second moments of a batch of states, lanes last.
+
+    ``psi`` of shape ``(N, m)`` holds m normalized states, ``means`` of
+    shape ``(K, m)`` their ``<c_k>`` and ``pairs`` is ``moment_pairs`` of
+    the channels.  Returns, of shape ``(K, K, m)``,
+
+        M_jl = <{(c_j - <c_j>), (c_l - <c_l>)}> / 2 = <{c_j, c_l}> / 2 - <c_j><c_l>
+
+    The symmetrization makes each ``M`` complex symmetric; under a unitary
+    remixing T of the channels it transforms as ``T M T^T``, which is
+    precisely how increment correlations transform, so correlations
+    proportional to ``M`` give conditioned dynamics independent of the
+    operator representation.
+    """
+    # Two-operand einsums only: a three-operand one rounds by width.
+    pairs_psi = np.einsum("jlab,bm->jlam", pairs, psi)
+    moment = np.einsum("am,jlam->jlm", psi.conj(), pairs_psi)
+    moment -= means[:, None] * means[None]
+    return moment
+
+
+def extremal_u(moment, signs, z=None, dt=None):
+    """Extremal state-dependent correlations ``u = w M``, lanes last, and
+    optionally increments coloured by them.
+
+    ``moment`` ``(K, K, m)`` holds ``centered_moments`` and ``signs``
+    ``(m,)`` each lane's ``+1`` or ``-1``.  The weight ``w = sign / ||M||``
+    makes ``||u|| = 1``; where ``||M||`` is at most ``MOMENT_FLOOR`` it is
+    0, so ``u = 0``.  Returns ``u`` and, given standard normals ``z``
+    ``(m, 2K)`` and the step ``dt``, increments ``(m, K)`` with
+    correlations ``u`` (else None).
+
+    For K = 1, ``||M|| = |M|`` and the colouring has a closed form.  For
+    K > 1 one ``eigh`` of the real symmetric
+    ``B = [[Re M, Im M], [Im M, -Re M]]`` does the work: its eigenvalues are
+    the singular values of ``M`` and their negatives, so its top eigenvalue
+    is ``||M||``, and since ``real_embedding(w M, dt) = dt (I + w B) / 2``
+    its eigenvectors with the roots of ``dt (1 + w lambda) / 2`` factor the
+    covariance of ``u`` for ``apply_color``, like ``color_factors(u, dt)``
+    up to the sign and order of the eigenvectors.  Below the floor the
+    factors are those of ``u = 0``, exactly.  A lane's values depend only
+    on its own columns.
 
     Raises
     ------
     CovarianceError
         If a covariance eigenvalue lies below ``-CLAMP_TOL``.
     """
-    m = np.asarray(moment, dtype=complex)
-    k = m.shape[-1]
-    b = np.empty(m.shape[:-2] + (2 * k, 2 * k))
-    b[..., :k, :k] = m.real
-    b[..., :k, k:] = m.imag
-    b[..., k:, :k] = m.imag
-    b[..., k:, k:] = -m.real
-    evals, evecs = np.linalg.eigh(b)
-    norm = evals[..., -1]
+    k = moment.shape[0]
+    if k == 1:
+        norm = np.abs(moment[0, 0])
+    else:
+        m = moment.transpose(2, 0, 1)
+        b = np.empty(m.shape[:-2] + (2 * k, 2 * k))
+        b[..., :k, :k] = m.real
+        b[..., :k, k:] = m.imag
+        b[..., k:, :k] = m.imag
+        b[..., k:, k:] = -m.real
+        evals, evecs = np.linalg.eigh(b)
+        norm = evals[..., -1]
     live = norm > MOMENT_FLOOR
     weight = np.where(live, signs / np.where(live, norm, 1.0), 0.0)
+    u = weight * moment
+    if z is None:
+        return u, None
+    if k == 1:
+        return u, color_increments(u.transpose(2, 0, 1), z, dt)
     lam = (dt / 2.0) * (1.0 + weight[..., None] * evals)
     if lam.size and lam.min() < -CLAMP_TOL:
         raise CovarianceError(f"covariance eigenvalue {lam.min()} below clamp tolerance")
@@ -232,7 +278,7 @@ def extremal_factors(moment, signs, dt: float):
         zero_evecs, zero_roots = color_factors(np.zeros((k, k)), dt)
         evecs = np.where(live[..., None, None], evecs, zero_evecs)
         roots = np.where(live[..., None], roots, zero_roots)
-    return weight, (evecs, roots)
+    return u, apply_color((evecs, roots), z)
 
 
 def color_increments(u, z, dt: float) -> np.ndarray:
@@ -282,62 +328,16 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
     return color_increments(a[None], z[None], dt)[0]
 
 
-def _centered_lindblads(model: LindbladModel, state) -> list[np.ndarray]:
-    psi = check_pure_state(state, model.dim)
-    eye = np.eye(model.dim)
-    return [c - expectation(c, psi) * eye for c in model.lindblads]
-
-
-def u_state_dependent(model: LindbladModel, state, weight: float) -> np.ndarray:
-    """Correlations from the symmetrized second moments of the centered c_k.
-
-    ``u_jk = weight * <{(c_j - <c_j>), (c_k - <c_k>)}> / 2`` in the given
-    state.  The symmetrization makes the matrix complex symmetric; under a
-    unitary remixing T of the Lindblad operators the result transforms as
-    ``T u T^T``, which is precisely how increment correlations transform,
-    so the conditioned dynamics is representation independent.
-    """
-    psi = check_pure_state(state, model.dim)
-    deltas = _centered_lindblads(model, psi)
-    k = model.num_lindblads
-    m = np.empty((k, k), dtype=complex)
-    for j in range(k):
-        for l in range(j, k):
-            prod = 0.5 * (deltas[j] @ deltas[l] + deltas[l] @ deltas[j])
-            m[j, l] = m[l, j] = expectation(prod, psi)
-    return weight * m
-
-
 def u_trace(model: LindbladModel, weight: float) -> np.ndarray:
     """State-independent analogue built from trace-centered operators.
 
     ``u_jk = weight * Tr[(c_j - Tr c_j / N)(c_k - Tr c_k / N)]`` with
-    symmetrized products; constant along a trajectory.
+    symmetrized products (``moment_pairs``); constant along a trajectory.
     """
     n = model.dim
-    eye = np.eye(n)
-    cent = [c - (np.trace(c) / n) * eye for c in model.lindblads]
-    k = model.num_lindblads
-    m = np.empty((k, k), dtype=complex)
-    for j in range(k):
-        for l in range(j, k):
-            prod = 0.5 * (cent[j] @ cent[l] + cent[l] @ cent[j])
-            m[j, l] = m[l, j] = np.trace(prod)
-    return weight * m
-
-
-def extremal_R(moment_matrix, sign: int) -> float:
-    """Largest-magnitude weight keeping ``R * M`` a valid correlation matrix.
-
-    Returns ``sign / spectral_norm(M)``, or 0 when the norm is below the
-    1e-9 floor (the correlations then collapse to the uncorrelated case).
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    norm = spectral_norm(moment_matrix)
-    if norm <= MOMENT_FLOOR:
-        return 0.0
-    return float(sign) / norm
+    cent = [c - (np.trace(c) / n) * np.eye(n) for c in model.lindblads]
+    pairs = moment_pairs(np.array(cent, dtype=complex).reshape(-1, n, n))
+    return weight * np.einsum("jlaa->jl", pairs)
 
 
 def homodyne_u(eta: float, theta1: float, theta2: float) -> np.ndarray:
@@ -434,8 +434,14 @@ class InvariantStateDep:
     state_dependent = True
 
     def resolve(self, model: LindbladModel, state) -> np.ndarray:
-        m = u_state_dependent(model, state, 1.0)
-        return extremal_R(m, self.sign) * m
+        """``extremal_u`` at one state, the kernel's formula at width 1."""
+        psi = check_pure_state(state, model.dim)[:, None]
+        if model.num_lindblads == 0:  # without channels u is the empty matrix
+            return np.zeros((0, 0), dtype=complex)
+        cs = np.array(model.lindblads, dtype=complex)
+        means = np.einsum("am,kam->km", psi.conj(), np.einsum("kab,bm->kam", cs, psi))
+        moment = centered_moments(moment_pairs(cs), psi, means)
+        return extremal_u(moment, np.array([float(self.sign)]))[0][:, :, 0]
 
     def to_dict(self) -> dict:
         return {"type": "invariant", "sign": int(self.sign)}

@@ -4,10 +4,12 @@ Each check exercises one property the implementation is supposed to
 satisfy up to floating point and discretization error: the eigenvalue
 identity of the real noise covariance, invariance of the physics under
 unitary remixing and shifts of the Lindblad operators, gauge invariance
-of the conditioned projector, and mutual strong convergence of the three
-steppers under coupled noise.  All randomness comes from counter-based
-streams keyed by the caller's seed, so a report is a pure function of
-that seed.
+of the conditioned projector, and mutual strong convergence of the
+trajectory kernel and the two cross-check steppers under coupled noise.
+The remixing, gauge and convergence checks drive the kernel that every
+run goes through, with supplied increments where two paths must share
+their noise.  All randomness comes from counter-based streams keyed by
+the caller's seed, so a report is a pure function of that seed.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from .operators import (
     transition_rate_operator,
 )
 from .trajectory import (
+    _kernel_path,
     gauge_transform_step,
-    step_linear,
     step_nonlinear_sse,
     step_sme,
     trajectory_stream,
 )
 from .unravelings import (
+    FixedU,
     Heterodyne,
     InvariantStateDep,
     NORM_SLACK,
@@ -106,6 +109,21 @@ def _random_symmetric(rng: np.random.Generator, k: int, norm: float) -> np.ndarr
     return u * (norm / current)
 
 
+def _static_deviation(model, other, rng: np.random.Generator) -> float:
+    """Largest difference between two presentations of a model in the
+    transition rate operator and its trace at a random state, and in the
+    generator applied to another random state's projector."""
+    probe = _random_state(rng, model.dim)
+    rho = projector(_random_state(rng, model.dim))
+    return max(
+        np.abs(
+            transition_rate_operator(model, probe) - transition_rate_operator(other, probe)
+        ).max(),
+        abs(transition_rate(model, probe) - transition_rate(other, probe)),
+        np.abs(liouvillian_apply(model, rho) - liouvillian_apply(other, rho)).max(),
+    )
+
+
 def check_eigenvalue_identity(seed: int, trials_per_size: int = 40) -> CheckResult:
     """Smallest covariance eigenvalue equals dt (1 - ||u||) / 2.
 
@@ -154,30 +172,18 @@ def check_rotation_invariance(
     model = _random_model(rng, 3, 2)
     t_mat = _random_unitary(rng, 2)
     rotated = rotate_lindblads(model, t_mat)
-    probe = _random_state(rng, 3)
-    rho = projector(_random_state(rng, 3))
-    static_dev = max(
-        np.abs(
-            transition_rate_operator(model, probe)
-            - transition_rate_operator(rotated, probe)
-        ).max(),
-        abs(transition_rate(model, probe) - transition_rate(rotated, probe)),
-        np.abs(liouvillian_apply(model, rho) - liouvillian_apply(rotated, rho)).max(),
-    )
+    static_dev = _static_deviation(model, rotated, rng)
     path_dev = 0.0
     for spec in (Heterodyne(), InvariantStateDep(sign=1)):
-        a = b = _random_state(rng, 3)
-        for _ in range(steps):
-            u_a = validate_u(spec.resolve(model, a))
-            u_b = validate_u(spec.resolve(rotated, b))
-            dxi = sample_increments(u_a, dt, rng)
-            a, j_a = step_linear(model, u_a, a, dxi, dt)
-            b, j_b = step_linear(rotated, u_b, b, t_mat @ dxi, dt)
-            path_dev = max(
-                path_dev,
-                np.abs(projector(a) - projector(b)).max(),
-                np.abs(t_mat @ j_a - j_b).max() * dt,
-            )
+        psi = _random_state(rng, 3)
+        noise_seed = int(rng.integers(2**32))
+        a, j_a, dxi = _kernel_path(model, spec, psi, dt, steps=steps, seed=noise_seed)
+        b, j_b, _ = _kernel_path(rotated, spec, psi, dt, dxi @ t_mat.T)
+        path_dev = max(
+            path_dev,
+            *(np.abs(projector(x) - projector(y)).max() for x, y in zip(a, b)),
+            np.abs(j_a @ t_mat.T - j_b).max() * dt,
+        )
     passed = static_dev <= 1e-10 and path_dev <= 1e-8
     return CheckResult(
         name="rotation-invariance",
@@ -204,16 +210,7 @@ def check_shift_invariance(seed: int, steps: int = 400, dt: float = 1e-3) -> Che
     model = _random_model(rng, 3, 2)
     chi = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
     shifted = shift_lindblads(model, chi)
-    probe = _random_state(rng, 3)
-    rho = projector(_random_state(rng, 3))
-    static_dev = max(
-        np.abs(
-            transition_rate_operator(model, probe)
-            - transition_rate_operator(shifted, probe)
-        ).max(),
-        abs(transition_rate(model, probe) - transition_rate(shifted, probe)),
-        np.abs(liouvillian_apply(model, rho) - liouvillian_apply(shifted, rho)).max(),
-    )
+    static_dev = _static_deviation(model, shifted, rng)
     u = _random_symmetric(rng, 2, 0.8)
     validate_u(u)
     p_a = p_b = projector(_random_state(rng, 3))
@@ -240,16 +237,14 @@ def check_gauge_invariance(seed: int, steps: int = 1000, dt: float = 1e-3) -> Ch
     """Random per-step phase twists never move the projector."""
     rng = trajectory_stream(seed, 3)
     model = _random_model(rng, 3, 2)
-    u = _random_symmetric(rng, 2, 0.6)
-    validate_u(u)
-    a = b = _random_state(rng, 3)
+    spec = FixedU(_random_symmetric(rng, 2, 0.6))
+    b = _random_state(rng, 3)
+    a, _, increments = _kernel_path(model, spec, b, dt, steps=steps, seed=int(rng.integers(2**32)))
     dev = 0.0
-    for _ in range(steps):
-        dxi = sample_increments(u, dt, rng)
+    for step, dxi in enumerate(increments):
         f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        a, _ = step_linear(model, u, a, dxi, dt)
-        b, _ = step_linear(model, u, gauge_transform_step(b, f, dxi), dxi, dt)
-        dev = max(dev, np.abs(projector(a) - projector(b)).max())
+        b = _kernel_path(model, spec, gauge_transform_step(b, f, dxi), dt, dxi[None])[0][1]
+        dev = max(dev, np.abs(projector(a[step + 1]) - projector(b)).max())
     return CheckResult(
         name="gauge-invariance",
         passed=dev <= 1e-10,
@@ -266,7 +261,8 @@ def stepper_strong_orders(
     n_paths: int,
     n_probes: int = 10,
 ) -> dict[str, float]:
-    """Fitted pairwise strong orders of the three steppers under coupled noise.
+    """Fitted pairwise strong orders of the trajectory kernel and the two
+    cross-check steppers under coupled noise.
 
     Increments are drawn once per path on the finest grid and aggregated
     for the coarser ones, so every resolution sees the same underlying
@@ -276,8 +272,7 @@ def stepper_strong_orders(
     against dt is the measured strong order for each stepper pair.
     """
     model = build_atom(AtomParams(gamma=1.0, omega=10.0))
-    u = np.array([[0.3 + 0.4j]], dtype=complex)
-    validate_u(u)
+    spec = FixedU(np.array([[0.3 + 0.4j]]))
     psi0 = plus_x_state()
     dts = sorted(dt_values, reverse=True)
     fine = dts[-1]
@@ -286,24 +281,23 @@ def stepper_strong_orders(
     mean_sq = {pair: np.zeros(len(dts)) for pair in pairs}
     for path in range(n_paths):
         rng = trajectory_stream(seed, path)
-        noise = np.array([sample_increments(u, fine, rng)[0] for _ in range(n_fine)])
+        noise = np.array([sample_increments(spec.u, fine, rng)[0] for _ in range(n_fine)])
         for di, dt in enumerate(dts):
             factor = int(round(dt / fine))
             n_steps = n_fine // factor
             coarse = noise[: n_steps * factor].reshape(-1, factor).sum(axis=1)
             probe_every = max(1, n_steps // n_probes)
-            v_lin = psi0.copy()
+            lin = _kernel_path(model, spec, psi0, dt, coarse[:, None])[0]
             v_non = psi0.copy()
             p_sme = projector(psi0)
             acc = dict.fromkeys(pairs, 0.0)
             probes = 0
             for step, inc in enumerate(coarse):
                 dxi = np.array([inc])
-                v_lin, _ = step_linear(model, u, v_lin, dxi, dt)
                 v_non = step_nonlinear_sse(model, v_non, dxi, dt)
                 p_sme = step_sme(model, p_sme, dxi, dt)
                 if (step + 1) % probe_every == 0:
-                    p_lin = projector(v_lin)
+                    p_lin = projector(lin[step + 1])
                     p_non = projector(v_non)
                     acc["linear/projector"] += np.abs(p_lin - p_sme).max() ** 2
                     acc["linear/nonlinear"] += np.abs(p_lin - p_non).max() ** 2
@@ -325,9 +319,10 @@ def check_stepper_equivalence(
     n_paths: int = 12,
     min_order: float = 0.35,
 ) -> CheckResult:
-    """The three steppers converge to each other under coupled noise.
+    """The kernel and the two cross-check steppers converge to each other
+    under coupled noise.
 
-    The linear-stepper pairs converge at the generic strong order 1/2 (their
+    The linear-stepper (kernel) pairs converge at the generic strong order 1/2 (their
     Euler truncations differ in O(dt) mean-zero noise products), while the
     projector and normalized nonlinear steppers share those products and
     converge to each other at order 1.  The acceptance floor sits below 1/2

@@ -9,11 +9,13 @@ import pytest
 
 from unravel import (
     AtomParams,
+    FixedU,
     Heterodyne,
     InvariantStateDep,
     SCENARIOS,
     SIGMA_X,
     SIGMA_Y,
+    TrajectoryConfig,
     bloch,
     build_atom,
     ensemble_summary,
@@ -27,19 +29,19 @@ from unravel import (
     real_embedding,
     rotate_lindblads,
     run_ensemble,
+    run_trajectory,
     sample_increments,
     scenario_spec,
     shift_lindblads,
     spectral_norm,
     steady_state,
-    step_linear,
     step_sme,
     transition_rate,
     transition_rate_operator,
-    u_state_dependent,
     z_drift_residual,
 )
 from unravel.unravelings import NORM_SLACK
+from unravel.trajectory import _kernel_path
 from unravel.verify import stepper_strong_orders
 from atom_closed_forms import sme_u1_decomposed_step
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
@@ -169,17 +171,19 @@ def test_criterion_3_representation_invariance(announce):
         t_mat = random_unitary(rng, k)
         rotated = rotate_lindblads(model, t_mat)
         for spec in (Heterodyne(), InvariantStateDep(sign=1)):
-            psi_a = random_state(rng, dim)
-            psi_b = psi_a.copy()
-            for _ in range(1000):
-                u_a = spec.resolve(model, psi_a)
-                u_b = spec.resolve(rotated, psi_b)
-                dxi = sample_increments(u_a, dt, rng)
-                psi_a, _ = step_linear(model, u_a, psi_a, dxi, dt)
-                psi_b, _ = step_linear(rotated, u_b, psi_b, t_mat @ dxi, dt)
-            path_dev = max(
-                path_dev, np.abs(projector(psi_a) - projector(psi_b)).max()
+            # the remixed model is driven by the remixed record noise
+            psi = random_state(rng, dim)
+            config = TrajectoryConfig(
+                dt=dt, steps=1000, seed=int(rng.integers(2**32)), unraveling=spec
             )
+            states_a, record = run_trajectory(model, config, psi)
+            states_b, _ = run_trajectory(
+                rotated, config, psi, increments=record.increments @ t_mat.T
+            )
+            for psi_a, psi_b in zip(states_a, states_b):
+                path_dev = max(
+                    path_dev, np.abs(projector(psi_a) - projector(psi_b)).max()
+                )
     ok = static_dev < 1e-10 and path_dev < 1e-8
     announce(
         f"criterion 3 {'PASS' if ok else 'FAIL'}: remixing and offsetting the "
@@ -312,17 +316,17 @@ def test_criterion_7_formulation_equivalence(announce):
 
     rng = np.random.default_rng(3)
     model = random_model(rng, 3, 2)
-    u = random_symmetric_u(rng, 2, 0.6)
+    spec = FixedU(random_symmetric_u(rng, 2, 0.6))
     dt = 1e-3
-    psi = random_state(rng, 3)
-    twin = psi.copy()
+    twin = random_state(rng, 3)
+    dxi = np.array([sample_increments(spec.u, dt, rng) for _ in range(1000)])
+    # the ungauged path in one kernel call, the gauged one step by step
+    path, _, _ = _kernel_path(model, spec, twin, dt, dxi)
     gauge_dev = 0.0
-    for _ in range(1000):
-        dxi = sample_increments(u, dt, rng)
+    for psi, inc in zip(path[1:], dxi):
         f = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi, _ = step_linear(model, u, psi, dxi, dt)
-        twin, _ = step_linear(model, u, twin, dxi, dt)
-        twin = gauge_transform_step(twin, f, dxi)
+        twin = _kernel_path(model, spec, twin, dt, [inc])[0][1]
+        twin = gauge_transform_step(twin, f, inc)
         gauge_dev = max(gauge_dev, np.abs(projector(psi) - projector(twin)).max())
 
     rho_a = projector(plus_x_state())

@@ -20,7 +20,6 @@ from unravel import (
     TrajectoryConfig,
     bloch,
     build_atom,
-    expected_current,
     liouvillian_apply,
     plus_x_state,
     projector,
@@ -32,7 +31,8 @@ from unravel import (
 )
 from atom_closed_forms import scenario_expected_current, sme_u1_decomposed_step
 from conftest import random_state
-from unravel.trajectory import EnsembleRun
+from linear_reference import expected_current
+from unravel.trajectory import EnsembleRun, _kernel_path
 
 
 class TestAtomParams:
@@ -232,11 +232,10 @@ class TestManifoldInvariance:
             assert abs(bloch(psi)[0]) < 1e-8
             u = spec.resolve(atom_model, psi)
             assert abs(u[0, 0] + 1.0) < 1e-10
-            from unravel import step_linear
-
-            dxi = 1j * np.sqrt(dt) * rng.standard_normal()
-            a, _ = step_linear(atom_model, u, psi, [dxi], dt)
-            b, _ = step_linear(atom_model, [[-1.0]], psi, [dxi], dt)
+            # one kernel step of each, on the same increment
+            dxi = [[1j * np.sqrt(dt) * rng.standard_normal()]]
+            a = _kernel_path(atom_model, spec, psi, dt, dxi)[0][1]
+            b = _kernel_path(atom_model, config.unraveling, psi, dt, dxi)[0][1]
             assert np.abs(projector(a) - projector(b)).max() < 1e-10
 
 

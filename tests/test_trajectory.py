@@ -21,16 +21,11 @@ from unravel import (
     SIGMA_MINUS,
     SIGMA_X,
     TrajectoryConfig,
-    VanishingLikelihoodError,
-    apply_measurement,
     bloch,
     build_atom,
-    effective_hamiltonian,
     ensemble_summary,
-    expected_current,
     gauge_transform_step,
     integrate_master,
-    measurement_operator,
     plus_x_state,
     projector,
     run_ensemble,
@@ -38,15 +33,29 @@ from unravel import (
     sample_increments,
     shift_lindblads,
     spectral_norm,
-    step_linear,
     step_nonlinear_sse,
     step_sme,
     trajectory_stream,
     u_trace,
 )
 from unravel import trajectory
-from unravel.trajectory import CHUNK, MIN_LANES, NOISE_BLOCK, _run_chunk
+from unravel.trajectory import (
+    CHUNK,
+    MIN_LANES,
+    NOISE_BLOCK,
+    _effective_hamiltonian,
+    _kernel_path,
+    _run_chunk,
+)
 from conftest import random_model, random_state, random_symmetric_u
+from linear_reference import (
+    VanishingLikelihoodError,
+    apply_measurement,
+    expected_current,
+    measurement_operator,
+    reference_u,
+    step_linear,
+)
 
 
 def colored_increment(u_scalar, dt, z1, z2):
@@ -59,20 +68,24 @@ def colored_increment(u_scalar, dt, z1, z2):
 
 
 class TestExpectedCurrent:
+    # with zero increments the kernel's current is the record mean
     def test_plus_x_full_correlation(self):
+        spec = FixedU(np.array([[1.0]]))
         for gamma in (1.0, 4.0):
             model = build_atom(AtomParams(gamma=gamma, omega=10.0))
-            got = expected_current(model, [[1.0]], plus_x_state())
-            assert got[0] == pytest.approx(np.sqrt(gamma), abs=1e-14)
+            _, got, _ = _kernel_path(model, spec, plus_x_state(), 1e-3, [[0.0]])
+            assert got[0, 0] == pytest.approx(np.sqrt(gamma), abs=1e-14)
 
     def test_uncorrelated_reduces_to_channel_mean(self, rng, atom_model):
         psi = random_state(rng, 2)
-        got = expected_current(atom_model, [[0.0]], psi)
+        _, got, _ = _kernel_path(atom_model, Heterodyne(), psi, 1e-3, [[0.0]])
         s = np.vdot(psi, atom_model.lindblads[0] @ psi)
-        assert got[0] == pytest.approx(s, abs=1e-14)
+        assert got[0, 0] == pytest.approx(s, abs=1e-14)
 
 
 class TestStepLinear:
+    """The kernel's linear step at width 1."""
+
     def test_matches_high_precision_duplicate(self, atom_model):
         # re-derive one step at 50 digits from the update rule itself
         mp.dps = 50
@@ -80,7 +93,8 @@ class TestStepLinear:
         u = 0.3 + 0.4j
         psi = plus_x_state()
         dxi = colored_increment(u, dt, 0.7, -0.3)
-        got_state, got_current = step_linear(atom_model, [[u]], psi, [dxi], dt)
+        states, currents, _ = _kernel_path(atom_model, FixedU(np.array([[u]])), psi, dt, [[dxi]])
+        got_state, got_current = states[1], currents[0]
 
         c = [[mpc(0), mpc(0)], [mpc(1), mpc(0)]]
         h = [[mpc(0), mpc(5)], [mpc(5), mpc(0)]]
@@ -105,20 +119,23 @@ class TestStepLinear:
         assert got_current[0] == pytest.approx(complex(j_dt / mp.mpf(dt)), abs=1e-12)
 
     def test_dark_state_is_exact_fixed_point(self, decay_model, rng):
-        psi = KET_GROUND
-        for _ in range(20):
-            dxi = sample_increments([[0.5]], 1e-2, rng)
-            new, current = step_linear(decay_model, [[0.5]], psi, dxi, 1e-2)
-            np.testing.assert_array_equal(new, psi)
-            assert current[0] == dxi[0] / 1e-2
+        dxi = np.array([sample_increments([[0.5]], 1e-2, rng) for _ in range(20)])
+        spec = FixedU(np.array([[0.5]]))
+        states, currents, _ = _kernel_path(decay_model, spec, KET_GROUND, 1e-2, dxi)
+        for new in states:
+            np.testing.assert_array_equal(new, KET_GROUND)
+        assert np.array_equal(currents, dxi / 1e-2)
 
     def test_norm_collapse_raises(self, decay_model):
+        config = TrajectoryConfig(dt=2.0, steps=1, seed=0, unraveling=Heterodyne())
         with pytest.raises(NormCollapseError):
-            step_linear(decay_model, [[0.0]], KET_EXCITED, [0.0], 2.0)
+            run_trajectory(decay_model, config, KET_EXCITED, increments=[[0.0]])
 
     def test_rejects_wrong_increment_count(self, atom_model):
-        with pytest.raises(ValueError, match="increments"):
-            step_linear(atom_model, [[0.0]], plus_x_state(), [0.1, 0.2], 1e-3)
+        config = TrajectoryConfig(dt=1e-3, steps=3, seed=0, unraveling=Heterodyne())
+        for shape in ((3, 2), (2, 1), (3,), (1, 3, 1)):
+            with pytest.raises(ValueError, match=r"increments must have shape \(3, 1\)"):
+                run_trajectory(atom_model, config, plus_x_state(), increments=np.zeros(shape))
 
 
 class TestStepperConsistency:
@@ -130,7 +147,7 @@ class TestStepperConsistency:
         d_lin, d_non = [], []
         for dt in dts:
             dxi = [colored_increment(u, dt, 0.7, -0.3)]
-            lin, _ = step_linear(atom_model, [[u]], psi, dxi, dt)
+            lin = _kernel_path(atom_model, FixedU(np.array([[u]])), psi, dt, [dxi])[0][1]
             non = step_nonlinear_sse(atom_model, psi, dxi, dt)
             sme = step_sme(atom_model, projector(psi), dxi, dt)
             d_lin.append(np.abs(projector(lin) - sme).max())
@@ -149,8 +166,8 @@ class TestStepperConsistency:
         model = random_model(rng, 3, 2)
         psi = random_state(rng, 3)
         chi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        diff = effective_hamiltonian(shift_lindblads(model, chi), psi)
-        diff = diff - effective_hamiltonian(model, psi)
+        diff = _effective_hamiltonian(shift_lindblads(model, chi), psi)
+        diff = diff - _effective_hamiltonian(model, psi)
         diff = diff - (np.trace(diff) / 3) * np.eye(3)
         assert np.abs(diff).max() < 1e-10
 
@@ -161,10 +178,10 @@ class TestMeasurementOperator:
         u = random_symmetric_u(rng, 1, 0.6)
         dt = 1e-3
         dxi = sample_increments(u, dt, rng)
-        new_state, current = step_linear(atom_model, u, psi, dxi, dt)
-        omega = measurement_operator(atom_model, current, dt)
+        states, currents, _ = _kernel_path(atom_model, FixedU(u), psi, dt, [dxi])
+        omega = measurement_operator(atom_model, currents[0], dt)
         conditioned = apply_measurement(omega, projector(psi))
-        np.testing.assert_allclose(conditioned, projector(new_state), atol=1e-10)
+        np.testing.assert_allclose(conditioned, projector(states[1]), atol=1e-10)
 
     def test_zero_mean_records_resolve_identity(self, rng):
         # E[Omega^dag Omega] = 1 + dt^2 G^dag G under the raw noise measure
@@ -192,15 +209,15 @@ class TestMeasurementOperator:
 
 class TestGaugeStep:
     def test_phase_leaves_ray_unchanged(self, rng, atom_model):
-        psi = plus_x_state()
-        twin = psi.copy()
-        u = np.array([[0.4 - 0.2j]])
-        for _ in range(200):
-            dxi = sample_increments(u, 1e-3, rng)
+        # the ungauged path in one kernel call, the gauged one step by step
+        spec = FixedU(np.array([[0.4 - 0.2j]]))
+        dxi = np.array([sample_increments(spec.u, 1e-3, rng) for _ in range(200)])
+        psi = _kernel_path(atom_model, spec, plus_x_state(), 1e-3, dxi)[0][-1]
+        twin = plus_x_state()
+        for inc in dxi:
             f = rng.normal(size=1) + 1j * rng.normal(size=1)
-            psi, _ = step_linear(atom_model, u, psi, dxi, 1e-3)
-            twin, _ = step_linear(atom_model, u, twin, dxi, 1e-3)
-            twin = gauge_transform_step(twin, f, dxi)
+            twin = _kernel_path(atom_model, spec, twin, 1e-3, [inc])[0][1]
+            twin = gauge_transform_step(twin, f, inc)
         assert np.abs(projector(psi) - projector(twin)).max() < 1e-12
 
     def test_phase_is_unimodular(self, rng):
@@ -516,7 +533,7 @@ def kernel_specs(model, rng):
         FixedU(random_symmetric_u(rng, k, 0.7)),
         InvariantStateDep(sign=1),
         InvariantStateDep(sign=-1),
-        InvariantTrace(weight=0.9 / trace_norm),
+        InvariantTrace(weight=0.9 / trace_norm if trace_norm else 0.0),
     ]
     if k == 1:
         specs.append(Homodyne(eta=0.3, theta1=0.4, theta2=-1.1))
@@ -524,9 +541,10 @@ def kernel_specs(model, rng):
 
 
 def assert_rows_follow_reference_stepper(model, spec, states, currents, increments, dt):
-    """Each recorded step is one ``step_linear`` step from the row before."""
+    """Each recorded step is one reference ``step_linear`` step from the row
+    before, with the reference's own state-dependent ``u``."""
     for i in range(states.shape[0] - 1):
-        u = spec.resolve(model, states[i])
+        u = reference_u(model, spec, states[i])
         new, current = step_linear(model, u, states[i], increments[i], dt)
         np.testing.assert_allclose(new, states[i + 1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(current, currents[i], rtol=0, atol=1e-12)
@@ -554,7 +572,7 @@ class TestKernelAgainstReference:
         initial = random_state(rng, 3)
         specs = kernel_specs(model, rng)
         dt = 1e-3
-        _, states, currents, increments = _run_chunk(
+        _, states, currents, increments, _ = _run_chunk(
             model, specs, initial, dt, 30, 6, 0, 1
         )
         for m, spec in enumerate(specs):
@@ -583,7 +601,7 @@ class TestKernelAgainstReference:
                 if lane < 5:
                     assert np.array_equal(five.states[lane], states)
                     assert np.array_equal(five.currents[lane], record.currents)
-            _, states, currents, _ = _run_chunk(model, specs, initial, 1e-3, 40, 12, 0, 3)
+            _, states, currents, _, _ = _run_chunk(model, specs, initial, 1e-3, 40, 12, 0, 3)
             assert np.array_equal(states, wide.states)
             assert np.array_equal(currents, wide.currents)
 
@@ -650,6 +668,42 @@ class TestKernelAgainstReference:
         assert np.array_equal(draws, record.increments)
 
 
+class TestSuppliedIncrements:
+    @pytest.mark.parametrize("channels", [0, 1, 2, 3])
+    def test_recorded_increments_reproduce_the_run(self, channels):
+        rng = np.random.default_rng(60 + channels)
+        model = random_model(rng, 3, channels)
+        initial = random_state(rng, 3)
+        for index, spec in enumerate(kernel_specs(model, rng)):
+            config = TrajectoryConfig(
+                dt=1e-3, steps=NOISE_BLOCK + 9, seed=8, unraveling=spec, trajectory_index=index
+            )
+            states, record = run_trajectory(model, config, initial)
+            again, replay = run_trajectory(model, config, initial, increments=record.increments)
+            assert np.array_equal(again, states), spec
+            assert np.array_equal(replay.currents, record.currents), spec
+            assert np.array_equal(replay.increments, record.increments), spec
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_supplied_increments_reproduce_a_mixed_batch(self, channels):
+        # the state-dependent lanes run after the constant ones inside the
+        # kernel, so the supplied rows must follow their lanes there
+        rng = np.random.default_rng(70 + channels)
+        model = random_model(rng, 3, channels)
+        initial = random_state(rng, 3)
+        pool = kernel_specs(model, rng)
+        specs = [pool[(3 * i) % len(pool)] for i in range(11)]
+        args = (model, specs, initial, 1e-3, NOISE_BLOCK + 3, 4, 2, 1)
+        drawn = _run_chunk(*args)
+        replay = _run_chunk(*args, supplied=drawn[3])
+        for got, want in zip(replay, drawn):
+            assert np.array_equal(got, want)
+        # the states after the last step come back in the order of specs
+        for lane in (0, 4, 10):
+            path, _, _ = _kernel_path(model, specs[lane], initial, 1e-3, drawn[3][lane])
+            assert np.array_equal(path[-1], drawn[4][lane])
+
+
 def range_records(first, times, states, currents):
     """A per-range function for run_ensemble: the records it was handed."""
     return first, times, states, currents
@@ -675,7 +729,7 @@ class TestPerRange:
 
     def test_ensemble_ranges_keep_no_increments(self, atom_model):
         args = (atom_model, [Heterodyne()] * 3, plus_x_state(), 1e-3, 10, 1, 0, 1)
-        times, states, currents, increments = _run_chunk(*args)
+        times, states, currents, increments, _ = _run_chunk(*args)
         lean = _run_chunk(*args, increments=False)
         assert lean[3] is None and increments.shape == (3, 10, 1)
         assert np.array_equal(lean[0], times)

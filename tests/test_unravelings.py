@@ -15,7 +15,7 @@ from unravel import (
     LindbladModel,
     NormExceededError,
     SIGMA_X,
-    extremal_R,
+    SIGMA_Z,
     homodyne_u,
     is_valid_u,
     plus_x_state,
@@ -24,7 +24,6 @@ from unravel import (
     sample_increments,
     spec_from_dict,
     spectral_norm,
-    u_state_dependent,
     u_trace,
     validate_u,
 )
@@ -32,11 +31,22 @@ from unravel.unravelings import (
     MOMENT_FLOOR,
     WIDE_STACK,
     apply_color,
+    centered_moments,
     color_factors,
     color_increments,
-    extremal_factors,
+    extremal_u,
+    moment_pairs,
 )
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
+from linear_reference import state_moments
+
+
+def package_moments(model, states):
+    """``centered_moments`` of the given states, lane-first."""
+    psi = np.stack(states, axis=1)
+    cs = np.array(model.lindblads, dtype=complex)
+    means = np.einsum("am,kam->km", psi.conj(), np.einsum("kab,bm->kam", cs, psi))
+    return centered_moments(moment_pairs(cs), psi, means).transpose(2, 0, 1)
 
 
 def one_shot_increments(u, z, dt):
@@ -213,38 +223,42 @@ class TestExtremalFactors:
         model = random_model(rng, 4, 3)
         dt = 1e-3
         states = [random_state(rng, 4) for _ in range(5)]
-        moments = np.stack([u_state_dependent(model, psi, 1.0) for psi in states])
-        weight, factors = extremal_factors(moments, np.full(5, float(sign)), dt)
-        unit = np.eye(6)[:, None]
-        for i, psi in enumerate(states):
-            u = InvariantStateDep(sign).resolve(model, psi)
-            np.testing.assert_allclose(weight[i] * moments[i], u, rtol=0, atol=1e-14)
-            lane = (factors[0][i : i + 1], factors[1][i : i + 1])
-            got = apply_color(lane, unit)[:, 0]
-            want = color_increments(u[None], unit, dt)[:, 0]
+        unit = np.eye(6)
+        for psi in states:
+            # six lanes of one state's moments, one unit normal each
+            lanes = np.repeat(state_moments(model, psi)[..., None], 6, axis=-1)
+            u, got = extremal_u(lanes, np.full(6, float(sign)), unit, dt)
+            want_u = InvariantStateDep(sign).resolve(model, psi)
+            np.testing.assert_allclose(u[..., 0], want_u, rtol=0, atol=1e-14)
+            want = color_increments(want_u[None], unit, dt)
             gram = [np.concatenate([x.real, x.imag], axis=1) for x in (got, want)]
             np.testing.assert_allclose(
                 gram[0].T @ gram[0], gram[1].T @ gram[1], rtol=0, atol=1e-14
             )
             np.testing.assert_allclose(
-                gram[0].T @ gram[0], real_embedding(u, dt), rtol=0, atol=1e-14
+                gram[0].T @ gram[0], real_embedding(want_u, dt), rtol=0, atol=1e-14
             )
 
     def test_below_the_moment_floor_the_factors_are_those_of_zero(self):
-        moments = np.zeros((2, 3, 3), dtype=complex)
-        moments[1, 0, 0] = 0.5 * MOMENT_FLOOR
-        weight, (evecs, roots) = extremal_factors(moments, np.array([1.0, -1.0]), 1e-3)
+        moments = np.zeros((3, 3, 2), dtype=complex)
+        moments[0, 0, 1] = 0.5 * MOMENT_FLOOR
+        z = np.random.default_rng(5).standard_normal((2, 6))
+        u, dxi = extremal_u(moments, np.array([1.0, -1.0]), z, 1e-3)
+        assert np.array_equal(u, np.zeros((3, 3, 2)))
         zero_evecs, zero_roots = color_factors(np.zeros((3, 3)), 1e-3)
-        assert np.array_equal(weight, [0.0, 0.0])
         for lane in range(2):
-            assert np.array_equal(evecs[lane], zero_evecs)
-            assert np.array_equal(roots[lane], zero_roots)
+            want = apply_color((zero_evecs[None], zero_roots[None]), z[lane][None])[0]
+            assert np.array_equal(dxi[lane], want)
 
     def test_frozen_quadrature_is_exactly_silent(self):
-        # ||u|| = 1, so one covariance eigenvalue is zero
-        moments = np.diag([1.0, 0.5, 0.2]).astype(complex)[None]
-        _, (_, roots) = extremal_factors(moments, np.array([-1.0]), 1e-3)
-        assert roots.min() == 0.0
+        # ||u|| = 1, so one covariance eigenvalue is zero: u_00 = -1 freezes
+        # the real part of the first increment
+        moments = np.repeat(np.diag([1.0, 0.5, 0.2]).astype(complex)[..., None], 20, axis=-1)
+        z = np.random.default_rng(6).standard_normal((20, 6))
+        u, dxi = extremal_u(moments, np.full(20, -1.0), z, 1e-3)
+        assert u[0, 0, 0] == -1.0
+        assert np.array_equal(dxi.real[:, 0], np.zeros(20))
+        assert np.abs(dxi.imag[:, 0]).min() > 0.0
 
 
 class TestHomodyneU:
@@ -273,8 +287,16 @@ class TestHomodyneU:
 
 class TestStateDependentU:
     def test_plus_x_moment(self, atom_model):
-        got = u_state_dependent(atom_model, plus_x_state(), 1.0)
+        got = package_moments(atom_model, [plus_x_state()])[0]
         np.testing.assert_allclose(got, [[-0.25]], atol=1e-14)
+        np.testing.assert_allclose(state_moments(atom_model, plus_x_state()), got, atol=1e-14)
+
+    def test_moments_match_the_per_state_reference(self, rng):
+        model = random_model(rng, 4, 3)
+        states = [random_state(rng, 4) for _ in range(6)]
+        got = package_moments(model, states)
+        for m, psi in zip(got, states):
+            np.testing.assert_allclose(m, state_moments(model, psi), rtol=0, atol=1e-14)
 
     def test_transforms_congruently_under_remixing(self, rng):
         model = random_model(rng, 3, 2)
@@ -282,33 +304,75 @@ class TestStateDependentU:
         t_mat = random_unitary(rng, 2)
         rotated = rotate_lindblads(model, t_mat)
         np.testing.assert_allclose(
-            u_state_dependent(rotated, psi, 0.7),
-            t_mat @ u_state_dependent(model, psi, 0.7) @ t_mat.T,
+            package_moments(rotated, [psi])[0],
+            t_mat @ package_moments(model, [psi])[0] @ t_mat.T,
             atol=1e-12,
         )
+        # ||T M T^T|| = ||M||, so the extremal u transforms the same way
+        for sign in (1, -1):
+            spec = InvariantStateDep(sign)
+            np.testing.assert_allclose(
+                spec.resolve(rotated, psi),
+                t_mat @ spec.resolve(model, psi) @ t_mat.T,
+                atol=1e-12,
+            )
 
     def test_result_is_symmetric(self, rng):
         model = random_model(rng, 4, 3)
         psi = random_state(rng, 4)
-        m = u_state_dependent(model, psi, 1.0)
+        m = package_moments(model, [psi])[0]
         np.testing.assert_allclose(m, m.T, atol=1e-14)
+        u = InvariantStateDep(1).resolve(model, psi)
+        np.testing.assert_allclose(u, u.T, atol=1e-14)
 
     def test_trace_variant_on_x_channel(self):
         model = LindbladModel(hamiltonian=np.zeros((2, 2)), lindblads=(SIGMA_X,))
         np.testing.assert_allclose(u_trace(model, 0.3), [[0.6]], atol=1e-14)
 
 
+def z_channel_model(scale):
+    """One channel ``scale * sigma_z``, whose +x moment is ``scale**2``."""
+    return LindbladModel(hamiltonian=np.zeros((2, 2)), lindblads=(scale * SIGMA_Z,))
+
+
 class TestExtremalWeight:
-    def test_inverse_norm(self):
-        assert extremal_R([[2.0]], 1) == pytest.approx(0.5)
-        assert extremal_R([[2.0]], -1) == pytest.approx(-0.5)
+    def test_inverse_norm(self, rng):
+        # u / M is sign / ||M||: for K = 1 in closed form, for K = 2 from the
+        # eigh, in the batched form and at width 1 in resolve
+        for sign in (1, -1):
+            signs = np.array([float(sign)])
+            u, dxi = extremal_u(np.full((1, 1, 1), 2.0 + 0j), signs)
+            assert dxi is None
+            assert u[0, 0, 0] / 2.0 == pytest.approx(sign * 0.5)
+            u = InvariantStateDep(sign).resolve(z_channel_model(np.sqrt(2.0)), plus_x_state())
+            assert u[0, 0] / 2.0 == pytest.approx(sign * 0.5)
+            model = random_model(rng, 3, 2)
+            psi = random_state(rng, 3)
+            m = package_moments(model, [psi])[0]
+            want = sign / np.linalg.norm(m, 2) * m
+            u, _ = extremal_u(m[..., None], signs)
+            np.testing.assert_allclose(u[..., 0], want, rtol=0, atol=1e-14)
+            got = InvariantStateDep(sign).resolve(model, psi)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_vanishing_moment_falls_back_to_zero(self):
-        assert extremal_R([[0.0]], 1) == 0.0
+        # at the excited state, an eigenstate of sigma_z, the moment is 0
+        for sign in (1, -1):
+            u = InvariantStateDep(sign).resolve(z_channel_model(1.0), np.array([1.0, 0.0]))
+            assert np.array_equal(u, np.zeros((1, 1)))
+        # at +x the moment of scale * sigma_z is scale**2: 9e-10 is below
+        # the floor, 1.024e-9 above it (too small a channel for a model)
+        assert 9e-10 < MOMENT_FLOOR < 1.024e-9
+        psi = plus_x_state()[:, None]
+        for scale, want in ((3e-5, 0.0), (3.2e-5, 1.0)):
+            pairs = moment_pairs((scale * SIGMA_Z)[None])
+            u, _ = extremal_u(centered_moments(pairs, psi, np.zeros((1, 1))), np.array([1.0]))
+            np.testing.assert_allclose(u, [[[want]]], rtol=0, atol=1e-9)
 
     def test_rejects_other_signs(self):
-        with pytest.raises(ValueError, match="sign"):
-            extremal_R([[1.0]], 2)
+        for sign in (2, 0, -2):
+            with pytest.raises(ValueError, match="sign"):
+                InvariantStateDep(sign)
 
 
 class TestSpecs:
@@ -330,6 +394,12 @@ class TestSpecs:
     def test_invariant_resolves_to_extremal_multiple(self, atom_model):
         got = InvariantStateDep(sign=1).resolve(atom_model, plus_x_state())
         np.testing.assert_allclose(got, [[-1.0]], atol=1e-12)
+
+    def test_invariant_without_channels_resolves_to_empty(self):
+        model = LindbladModel(hamiltonian=SIGMA_X, lindblads=())
+        for sign in (1, -1):
+            u = InvariantStateDep(sign).resolve(model, plus_x_state())
+            assert u.shape == (0, 0)
 
     def test_invariant_opposite_sign_flips(self, atom_model):
         got = InvariantStateDep(sign=-1).resolve(atom_model, plus_x_state())
