@@ -448,20 +448,17 @@ def _write_trajectories(config: RunConfig) -> int:
             record_stride=config.record_stride,
             per_range=write,
         )
-        written = run.range_results
-        if written is None:  # the records came back whole: one range
-            written = [write(0, run.times, run.states, run.currents)]
         if config.combined:
             files = ["trajectories.csv"]
             with (staging / files[0]).open("wb") as fh:
                 fh.write(_csv_line(["trajectory_index"] + columns).encode())
-                for names in written:
+                for names in run.range_results:
                     part = staging / names[0]
                     with part.open("rb") as src:
                         shutil.copyfileobj(src, fh)
                     part.unlink()
         else:
-            files = [name for names in written for name in names]
+            files = [name for names in run.range_results for name in names]
         for name in files:
             os.replace(staging / name, config.output_dir / name)
     finally:

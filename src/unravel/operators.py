@@ -114,6 +114,8 @@ class LindbladModel:
                 raise ValueError(f"lindblads[{k}] has shape {c.shape}, expected {h.shape}")
         n = h.shape[0]
         vecs = np.stack([np.eye(n, dtype=complex).ravel()] + [c.ravel() for c in cs])
+        # Unit Frobenius norms, so that a weak channel is not taken for a dependent one.
+        vecs /= np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), np.finfo(float).tiny)
         gram = vecs.conj() @ vecs.T
         rank = int(np.sum(np.linalg.eigvalsh(gram) > GRAM_RANK_TOL))
         if rank != len(cs) + 1:
@@ -241,8 +243,4 @@ def transition_rate_operator(model: LindbladModel, state) -> np.ndarray:
 
 def transition_rate(model: LindbladModel, state) -> float:
     """Trace of the transition rate operator, sum_k (<c_k^dag c_k> - |<c_k>|^2)."""
-    psi = check_pure_state(state, model.dim)
-    total = 0.0
-    for c in model.lindblads:
-        total += expectation(c.conj().T @ c, psi).real - abs(expectation(c, psi)) ** 2
-    return float(total)
+    return float(np.trace(transition_rate_operator(model, state)).real)

@@ -309,7 +309,7 @@ def _run_chunk(
     moments, increments and currents), so each einsum streams over the
     lanes.  Each distinct constant spec object is resolved, validated and
     its colouring factored once; each block of normals is coloured for all
-    constant lanes as it is drawn, for K > 1 lanes-last by ``apply_color``'s
+    constant lanes as it is drawn, lanes last, by ``apply_color``'s
     term-by-term sum, with one shared factor broadcast over the lanes when
     a single spec object drives them all.
 
@@ -360,9 +360,7 @@ def _run_chunk(
     u = np.zeros((k, k, m), dtype=complex)
     u[:, :, :m_c] = u_distinct[which].transpose(1, 2, 0)
     draw = supplied is None
-    if draw and m_c and k == 1:
-        const_factors = tuple(f[which] for f in color_factors(u_distinct[:, None], dt))
-    elif draw and m_c and k > 1:
+    if draw and m_c and k:
         # Stored lanes last and viewed lanes first, as apply_color takes
         # them; a factor shared by every lane broadcasts over the lanes.
         lanes = which if len(distinct) > 1 else which[:1]
@@ -387,7 +385,7 @@ def _run_chunk(
         # The normals stay lane-first: each stream fills its own contiguous rows.
         z_buf = np.empty((m, min(NOISE_BLOCK, steps), 2 * k))
         dxi_buf = np.empty((z_buf.shape[1], k, m), dtype=complex)
-        if m_c and k > 1:  # the constant lanes' normals, lanes last
+        if m_c and k:  # the constant lanes' normals, lanes last
             z_lanes = np.empty((2 * k, z_buf.shape[1], m_c))
     else:  # the supplied increments, in kernel lane order and lanes last
         dxi_all = np.asarray(supplied, dtype=complex)[order].transpose(1, 2, 0).copy()
@@ -398,9 +396,7 @@ def _run_chunk(
             # Each stream is drawn in order, so the block size changes no value.
             for stream, out in zip(streams, z):
                 stream.standard_normal(out=out)
-            if m_c and k == 1:
-                dxi_block[:, :, :m_c] = apply_color(const_factors, z[:m_c]).transpose(1, 2, 0)
-            elif m_c and k > 1:
+            if m_c and k:
                 z_const = z_lanes[:, :nb]
                 np.copyto(z_const, z[:m_c].transpose(2, 1, 0))
                 apply_color(

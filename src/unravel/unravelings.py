@@ -9,9 +9,13 @@ Wiener increments driving the record:
 The increments have a real Gaussian description on the 2K-dimensional
 vector (Re dxi, Im dxi) with covariance ``real_embedding(u, dt)``, which is
 positive semi-definite exactly when the spectral norm of ``u`` is at most 1.
-On the boundary the covariance is singular and some noise quadratures are
-deterministically frozen; sampling goes through an eigendecomposition so
-that frozen directions come out exactly zero.
+
+Each ``u`` is a way of monitoring the outputs: its Takagi form
+``u = V diag(sigma) V^T`` remixes the K output channels by the unitary V
+and splits channel j between two quadrature phases with efficiency
+``(1 + sigma_j) / 2``.  Sampling is that measurement for every K,
+``dxi = V (a z_a + i b z_b)`` with ``a, b = sqrt(dt (1 +- sigma) / 2)``, so
+quadratures frozen on the boundary (``b = 0``) come out exactly zero.
 
 The module also provides the state- and model-derived ``u`` choices built
 from second moments of the centered Lindblad operators, which produce
@@ -35,11 +39,6 @@ NORM_SLACK = 1e-10
 CLAMP_TOL = 1e-10
 # Extremal correlation weights fall back to zero below this moment norm.
 MOMENT_FLOOR = 1e-9
-# apply_color sums stacks of at least this many normals one component at a
-# time, smaller ones all components at once; the result is the same either
-# way.  On a 2-core VM the first was 3.3x faster on a lanes-last block of
-# 64 steps x 256 lanes x 6 normals and 1.2x slower on 1024 lanes x 6.
-WIDE_STACK = 8192
 
 
 class UMatrixError(ValueError):
@@ -118,78 +117,82 @@ def real_embedding(u, dt: float) -> np.ndarray:
     )
 
 
-def color_factors(u, dt: float):
-    """Factor the real covariance of ``u`` for ``apply_color``.
+def takagi(m):
+    """Takagi factors ``(V, sigma)`` of complex symmetric ``m`` ``(..., K, K)``:
+    ``m = V diag(sigma) V^T``, V unitary, singular values ``sigma`` largest first.
 
-    ``u`` of shape ``(..., K, K)`` must already satisfy ``validate_u``.  For
-    K = 1 the factors are, in closed form, the phase ``exp(i angle(u) / 2)``
-    and the square roots of the covariance eigenvalues ``dt (1 + |u|) / 2``
-    and ``dt (1 - |u|) / 2``; for K > 1 they are the eigenvectors of
-    ``real_embedding(u, dt)`` and the square roots of its eigenvalues.
-    Eigenvalues in ``[-CLAMP_TOL, 0]`` are clamped to zero, so frozen
-    quadratures on the boundary ``||u|| = 1`` come out exactly zero.
+    K = 1 has the closed form ``V = exp(i angle(m) / 2)``, ``sigma = |m|``.
+    For K > 1 the eigenvalues of ``B = [[Re m, Im m], [Im m, -Re m]]`` are
+    the ``sigma_j`` and their negatives, and an eigenvector ``(x, y)`` of
+    ``sigma_j`` gives a column ``x + i y``.  A QR whose R has a non-negative
+    diagonal completes the columns to a unitary: where two or more
+    ``sigma_j`` vanish, the eigenvectors of 0 may repeat a column times i.
+    """
+    k = m.shape[-1]
+    if k == 1:
+        return np.exp(1j * (0.5 * np.arctan2(m.imag, m.real))), np.abs(m[..., 0])
+    b = np.empty(m.shape[:-2] + (2 * k, 2 * k))
+    b[..., :k, :k] = m.real
+    b[..., :k, k:] = m.imag
+    b[..., k:, :k] = m.imag
+    b[..., k:, k:] = -m.real
+    evals, evecs = np.linalg.eigh(b)
+    top = evecs[..., ::-1][..., :k]
+    q, r = np.linalg.qr(top[..., :k, :] + 1j * top[..., k:, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (np.sign(d) + (d == 0))[..., None, :]  # the phase d / |d|, or 1 at d = 0
+    return q, evals[..., ::-1][..., :k]
+
+
+def _roots(v, s, dt: float):
+    """``(V, a, b)`` with ``a, b = sqrt(dt (1 +- s) / 2)`` for ``u = V diag(s) V^T``,
+    ``s`` of either sign; ``a**2`` or ``b**2`` below ``-CLAMP_TOL`` raises
+    ``CovarianceError``, and smaller excursions are clamped to zero."""
+    # dt (1 + s) / 2 and dt (1 - s) / 2; halving dt first rounds the same
+    lam = (dt / 2.0) * (1.0 + np.multiply.outer((1.0, -1.0), s))
+    if lam.min(initial=0.0) < -CLAMP_TOL:
+        raise CovarianceError(f"covariance eigenvalue {lam.min()} below clamp tolerance")
+    a, b = np.sqrt(np.maximum(lam, 0.0))
+    return v, a, b
+
+
+def color_factors(u, dt: float):
+    """Factor ``u`` ``(..., K, K)``, which must satisfy ``validate_u``, for
+    ``apply_color``: the unitary V ``(..., K, K)`` of ``takagi(u)`` and the
+    roots ``a, b = sqrt(dt (1 +- sigma) / 2)`` ``(..., K)`` of the
+    eigenvalues of ``real_embedding(u, dt)``.  Eigenvalues in
+    ``[-CLAMP_TOL, 0]`` are clamped to zero, so frozen quadratures on the
+    boundary ``||u|| = 1`` come out exactly zero.
 
     Raises
     ------
     CovarianceError
         If an eigenvalue lies below ``-CLAMP_TOL``.
     """
-    a = np.asarray(u, dtype=complex)
-    if a.shape[-1] == 1:
-        # Closed-form eigendecomposition of the 2x2 covariance.
-        r = np.abs(a[..., 0, 0])
-        phi = 0.5 * np.angle(a[..., 0, 0])
-        lam_plus = dt * (1.0 + r) / 2.0
-        lam_minus = dt * (1.0 - r) / 2.0
-        if lam_minus.min() < -CLAMP_TOL:
-            raise CovarianceError(f"covariance eigenvalue {lam_minus.min()} below clamp tolerance")
-        return np.exp(1j * phi), np.sqrt(lam_plus), np.sqrt(np.maximum(lam_minus, 0.0))
-    evals, evecs = np.linalg.eigh(real_embedding(a, dt))
-    if evals.size and evals.min() < -CLAMP_TOL:
-        raise CovarianceError(f"covariance eigenvalue {evals.min()} below clamp tolerance")
-    return evecs, np.sqrt(np.clip(evals, 0.0, None))
+    return _roots(*takagi(np.asarray(u, dtype=complex)), dt)
 
 
 def apply_color(factors, z, out=None) -> np.ndarray:
-    """Colour standard normals ``z`` of shape ``(..., 2K)`` with the factors
-    from ``color_factors``, broadcast against them; returns the complex
-    increments of shape ``(..., K)``, written into ``out`` if it is given.
+    """Colour standard normals ``z`` ``(..., 2K)`` with the factors
+    ``(V, a, b)`` from ``color_factors``, broadcast against them, into
+    complex increments ``(..., K)``, written into ``out`` if it is given.
 
-    For K > 1 the real vector ``x = E (sqrt(lambda) z)`` is summed term by
-    term, ``x_i = sum_j E_ij (sqrt(lambda_j) z_j)`` with j rising, from
-    elementwise products and sums over the stack.  Every entry of the
-    result therefore depends only on its own factors and ``z``, not on the
-    size, order or memory layout of the stack.  A wide stack is summed one
-    component at a time, which streams when each component's slice of
-    ``z`` runs along memory (lanes last).
+    This is the measurement of ``u = V diag(sigma) V^T``: channel j is split
+    between two quadrature phases, ``w_j = a_j z_j + i b_j z_{K+j}``, and the
+    channels are remixed by V, ``dxi_i = sum_j V_ij w_j`` with j rising, from
+    elementwise products over the stack, the later terms one component at
+    a time.  So each entry of the result depends only on its own factors
+    and ``z``, not on the size or layout of the stack, and each component
+    streams when its slice of ``z`` runs along memory (lanes last).
     """
+    v, a, b = factors
     k = z.shape[-1] // 2
-    if k == 1:
-        phase, root_plus, root_minus = factors
-        val = phase * (root_plus * z[..., 0] + 1j * root_minus * z[..., 1])
-        if out is None:
-            return val[..., None]
-        out[..., 0] = val
-        return out
-    evecs, roots = factors
-    batch = np.broadcast_shapes(evecs.shape[:-2], roots.shape[:-1], z.shape[:-1])
-    if out is None:
-        out = np.moveaxis(np.empty((k,) + batch, dtype=complex), 0, -1)
-    if k == 0:
-        return out
-    scaled = roots * z
-    if scaled.size < WIDE_STACK:
-        x = evecs[..., :, 0] * scaled[..., 0, None]
-        for j in range(1, 2 * k):
-            x += evecs[..., :, j] * scaled[..., j, None]
-        out.real, out.imag = x[..., :k], x[..., k:]
-        return out
-    x, term = np.empty(batch), np.empty(batch)
-    for i in range(2 * k):
-        np.multiply(evecs[..., i, 0], scaled[..., 0], out=x)
-        for j in range(1, 2 * k):
-            x += np.multiply(evecs[..., i, j], scaled[..., j], out=term)
-        (out.real if i < k else out.imag)[..., i % k] = x
+    w = (a * z[..., :k]).astype(complex)
+    np.multiply(b, z[..., k:], out=w.imag)
+    out = np.multiply(v[..., 0], w[..., :1], out=out)
+    for i in range(k):
+        for j in range(1, k):
+            out[..., i] += v[..., i, j] * w[..., j]
     return out
 
 
@@ -235,16 +238,12 @@ def extremal_u(moment, signs, z=None, dt=None):
     ``(m, 2K)`` and the step ``dt``, increments ``(m, K)`` with
     correlations ``u`` (else None).
 
-    For K = 1, ``||M|| = |M|`` and the colouring has a closed form.  For
-    K > 1 one ``eigh`` of the real symmetric
-    ``B = [[Re M, Im M], [Im M, -Re M]]`` does the work: its eigenvalues are
-    the singular values of ``M`` and their negatives, so its top eigenvalue
-    is ``||M||``, and since ``real_embedding(w M, dt) = dt (I + w B) / 2``
-    its eigenvectors with the roots of ``dt (1 + w lambda) / 2`` factor the
-    covariance of ``u`` for ``apply_color``, like ``color_factors(u, dt)``
-    up to the sign and order of the eigenvectors.  Below the floor the
-    factors are those of ``u = 0``, exactly.  A lane's values depend only
-    on its own columns.
+    For K = 1, ``||M|| = |M|`` and the increments are coloured by
+    ``color_factors(u, dt)``.  For K > 1 one ``takagi(M)`` does the work:
+    its largest singular value is ``||M||``, and ``u = V diag(w sigma) V^T``
+    is coloured by its V with the signed ``s = w sigma`` (for ``s < 0``,
+    ``b > a``).  Below the floor the factors are those of ``u = 0``,
+    exactly.  A lane's values depend only on its own columns.
 
     Raises
     ------
@@ -255,48 +254,19 @@ def extremal_u(moment, signs, z=None, dt=None):
     if k == 1:
         norm = np.abs(moment[0, 0])
     else:
-        m = moment.transpose(2, 0, 1)
-        b = np.empty(m.shape[:-2] + (2 * k, 2 * k))
-        b[..., :k, :k] = m.real
-        b[..., :k, k:] = m.imag
-        b[..., k:, :k] = m.imag
-        b[..., k:, k:] = -m.real
-        evals, evecs = np.linalg.eigh(b)
-        norm = evals[..., -1]
+        v, sigma = takagi(moment.transpose(2, 0, 1))
+        norm = sigma[..., 0]
     live = norm > MOMENT_FLOOR
     weight = np.where(live, signs / np.where(live, norm, 1.0), 0.0)
     u = weight * moment
     if z is None:
         return u, None
     if k == 1:
-        return u, color_increments(u.transpose(2, 0, 1), z, dt)
-    lam = (dt / 2.0) * (1.0 + weight[..., None] * evals)
-    if lam.size and lam.min() < -CLAMP_TOL:
-        raise CovarianceError(f"covariance eigenvalue {lam.min()} below clamp tolerance")
-    roots = np.sqrt(np.clip(lam, 0.0, None))
-    if not live.all():
-        zero_evecs, zero_roots = color_factors(np.zeros((k, k)), dt)
-        evecs = np.where(live[..., None, None], evecs, zero_evecs)
-        roots = np.where(live[..., None], roots, zero_roots)
-    return u, apply_color((evecs, roots), z)
-
-
-def color_increments(u, z, dt: float) -> np.ndarray:
-    """Map standard normals to complex increments dxi with correlations ``u``.
-
-    ``u`` of shape ``(..., K, K)`` must already satisfy ``validate_u``; ``z``
-    of shape ``(..., 2K)`` holds the standard normals, broadcast against
-    ``u``.  This is ``apply_color(color_factors(u, dt), z)``: the normals
-    are coloured by the eigendecomposition of the real covariance, in
-    closed form for K = 1.  A constant ``u`` may be factored once and its
-    factors applied to many blocks of normals with the same result.
-
-    Returns
-    -------
-    ndarray
-        Complex increments of shape ``(..., K)``.
-    """
-    return apply_color(color_factors(u, dt), z)
+        return u, apply_color(color_factors(u.transpose(2, 0, 1), dt), z)
+    v, a, b = _roots(v, weight[..., None] * sigma, dt)
+    if not live.all():  # there s = 0, so only V differs from u = 0's factors
+        v = np.where(live[:, None, None], v, color_factors(np.zeros((k, k)), dt)[0])
+    return u, apply_color((v, a, b), z)
 
 
 def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
@@ -305,8 +275,8 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
     ``u`` must already satisfy ``validate_u``.  Consumes exactly 2K standard
     normal variates from ``rng``, so a fixed generator state yields a fixed
     sample regardless of surrounding calls; the normals are mapped by
-    ``color_increments``, exactly as the trajectory kernel maps them for a
-    constant ``u``.
+    ``apply_color(color_factors(u, dt), z)``, exactly as the trajectory
+    kernel maps them for a constant ``u``.
 
     Parameters
     ----------
@@ -324,8 +294,10 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
     """
     a = np.asarray(u, dtype=complex)
     z = rng.standard_normal(2 * a.shape[0])
+    if not a.size:  # without channels there is nothing to colour
+        return np.zeros(0, dtype=complex)
     # A stack of one: numpy's scalar complex arithmetic rounds differently.
-    return color_increments(a[None], z[None], dt)[0]
+    return apply_color(color_factors(a[None], dt), z[None])[0]
 
 
 def u_trace(model: LindbladModel, weight: float) -> np.ndarray:

@@ -3,9 +3,10 @@
 Each check exercises one property the implementation is supposed to
 satisfy up to floating point and discretization error: the eigenvalue
 identity of the real noise covariance, invariance of the physics under
-unitary remixing and shifts of the Lindblad operators, gauge invariance
-of the conditioned projector, and mutual strong convergence of the
-trajectory kernel and the two cross-check steppers under coupled noise.
+unitary remixing and shifts of the Lindblad operators (with the
+measurement realisation of ``u`` as a remixing), gauge invariance of the
+conditioned projector, and mutual strong convergence of the trajectory
+kernel and the two cross-check steppers under coupled noise.
 The remixing, gauge and convergence checks drive the kernel that every
 run goes through, with supplied increments where two paths must share
 their noise.  All randomness comes from counter-based streams keyed by
@@ -40,10 +41,12 @@ from .unravelings import (
     Heterodyne,
     InvariantStateDep,
     NORM_SLACK,
+    homodyne_u,
     is_valid_u,
     real_embedding,
     sample_increments,
     spectral_norm,
+    takagi,
     validate_u,
 )
 
@@ -167,6 +170,12 @@ def check_rotation_invariance(
     increments transformed as dxi' = T dxi (and the correlation matrix as
     T u T^T, automatic for the state-derived choice), the conditioned
     projectors and the transformed currents coincide step by step.
+
+    A third path gates the measurement realisation of a random ``u``, with
+    ``(V, sigma) = takagi(u)``: from the same normals, ``FixedU(u)`` and
+    ``FixedU(diag sigma)`` on the channels remixed by ``V^dag`` give the same
+    projectors and currents ``J' = V^dag J``, and channel j's two-phase
+    split has ``homodyne_u((1 + sigma_j) / 2, 0, pi/2) = sigma_j``.
     """
     rng = trajectory_stream(seed, 1)
     model = _random_model(rng, 3, 2)
@@ -184,6 +193,18 @@ def check_rotation_invariance(
             *(np.abs(projector(x) - projector(y)).max() for x, y in zip(a, b)),
             np.abs(j_a @ t_mat.T - j_b).max() * dt,
         )
+    u = _random_symmetric(rng, 2, rng.uniform(0.0, 1.0))
+    v, sigma = takagi(u)
+    split = rotate_lindblads(model, v.conj().T)
+    psi, noise_seed = _random_state(rng, 3), int(rng.integers(2**32))
+    a, j_a, _ = _kernel_path(model, FixedU(u), psi, dt, steps=steps, seed=noise_seed)
+    b, j_b, _ = _kernel_path(split, FixedU(np.diag(sigma)), psi, dt, steps=steps, seed=noise_seed)
+    path_dev = max(
+        path_dev,
+        *(np.abs(projector(x) - projector(y)).max() for x, y in zip(a, b)),
+        np.abs(j_a @ v.conj() - j_b).max() * dt,
+        *(abs(homodyne_u((1.0 + s) / 2.0, 0.0, np.pi / 2)[0, 0] - s) for s in sigma),
+    )
     passed = static_dev <= 1e-10 and path_dev <= 1e-8
     return CheckResult(
         name="rotation-invariance",
@@ -192,7 +213,8 @@ def check_rotation_invariance(
         threshold=1e-8,
         detail=(
             f"static deviation {static_dev:.3e} (bound 1e-10), pathwise projector/"
-            f"current deviation over {2 * steps} remixed-noise steps"
+            f"current deviation over {2 * steps} remixed-noise steps and {steps} "
+            "steps of u against its measurement realisation"
         ),
     )
 

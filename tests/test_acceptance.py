@@ -21,6 +21,7 @@ from unravel import (
     ensemble_summary,
     expectation,
     gauge_transform_step,
+    homodyne_u,
     integrate_master,
     is_valid_u,
     liouvillian_apply,
@@ -40,7 +41,7 @@ from unravel import (
     transition_rate_operator,
     z_drift_residual,
 )
-from unravel.unravelings import NORM_SLACK
+from unravel.unravelings import NORM_SLACK, takagi
 from unravel.trajectory import _kernel_path
 from unravel.verify import stepper_strong_orders
 from atom_closed_forms import sme_u1_decomposed_step
@@ -368,5 +369,45 @@ def test_criterion_8_expected_currents(scenario_runs, oracle_states, announce):
         f"criterion 8 {'PASS' if ok else 'FAIL'}: mean currents vs closed forms "
         f"at t in (0.5, 1, 2), worst at {worst:.2f} of the 3 s.e. gate; "
         f"adapted-scheme mean current consistent with zero at {null_worst:.2f}"
+    )
+    assert ok
+
+
+def test_criterion_9_measurement_realisation(announce):
+    # (V, sigma) = takagi(u): u is measured by remixing the channels by V^dag
+    # and splitting channel j between two quadratures with efficiency
+    # (1 + sigma_j) / 2, so from the same normals FixedU(u) on the model and
+    # FixedU(diag sigma) on the remixed model run the same path
+    rng = np.random.default_rng(13)
+    dt = 1e-3
+    path_dev = split_dev = 0.0
+    for trial in range(12):
+        dim = 3 + trial % 2
+        k = 1 + trial // 3
+        model = random_model(rng, dim, k)
+        u = random_symmetric_u(rng, k, float(rng.uniform(0.0, 1.0)))
+        v, sigma = takagi(u)
+        psi = random_state(rng, dim)
+        seed = int(rng.integers(2**32))
+        (states_a, record_a), (states_b, record_b) = (
+            run_trajectory(
+                m, TrajectoryConfig(dt=dt, steps=500, seed=seed, unraveling=FixedU(x)), psi
+            )
+            for m, x in ((model, u), (rotate_lindblads(model, v.conj().T), np.diag(sigma)))
+        )
+        path_dev = max(
+            path_dev,
+            *(np.abs(projector(a) - projector(b)).max() for a, b in zip(states_a, states_b)),
+            np.abs(record_a.currents @ v.conj() - record_b.currents).max() * dt,
+        )
+        split_dev = max(
+            split_dev,
+            *(abs(homodyne_u((1.0 + s) / 2.0, 0.0, np.pi / 2)[0, 0] - s) for s in sigma),
+        )
+    ok = path_dev < 1e-8 and split_dev < 1e-8
+    announce(
+        f"criterion 9 {'PASS' if ok else 'FAIL'}: u against its measurement "
+        f"realisation (remixed channels, two-phase splits) on 12 models, pathwise "
+        f"deviation {path_dev:.1e}, split identity off by {split_dev:.1e}"
     )
     assert ok

@@ -138,8 +138,13 @@ class TestTrajectoriesMode:
         states = parts[0, :, :, :2] + 1j * parts[1, :, :, :2]
         currents = parts[0, :, :, 2:] + 1j * parts[1, :, :, 2:]
         times = np.arange(n_rec) * (1.0 / 3.0)
-        run = EnsembleRun(times=times, states=states, currents=currents)
-        monkeypatch.setattr(cli, "run_ensemble", lambda *args, **kwargs: run)
+
+        def run_ensemble(*args, per_range, **kwargs):
+            # as run_ensemble does: the records go to per_range, range by range
+            results = [per_range(0, times, states, currents)]
+            return EnsembleRun(times=times, states=None, currents=None, range_results=results)
+
+        monkeypatch.setattr(cli, "run_ensemble", run_ensemble)
         flags = ["--combined"] if combined else []
         code, _, _ = run_cli(
             capsys,

@@ -90,6 +90,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             LindbladModel(hamiltonian=np.zeros((2, 2)), lindblads=(np.eye(2),))
 
+    def test_model_accepts_weak_channels(self):
+        # rates near 1e-9 and 1e-8: weak, but independent of the identity
+        for c in (3e-5 * SIGMA_Z, 1e-4 * SIGMA_MINUS):
+            assert LindbladModel(hamiltonian=np.zeros((2, 2)), lindblads=(c,)).num_lindblads == 1
+
+    @pytest.mark.parametrize(
+        "lindblads",
+        [(SIGMA_MINUS, 2.0 * SIGMA_MINUS), (np.zeros((2, 2)),), (0.3j * np.eye(2),)],
+        ids=["double", "zero", "multiple-of-identity"],
+    )
+    def test_model_rejects_dependent_channels_at_any_scale(self, lindblads):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            LindbladModel(hamiltonian=np.zeros((2, 2)), lindblads=lindblads)
+
     def test_model_allows_zero_channels(self):
         model = LindbladModel(hamiltonian=SIGMA_Z, lindblads=())
         assert model.num_lindblads == 0
@@ -222,7 +236,9 @@ class TestTransitionRate:
         rng = np.random.default_rng(seed)
         model = random_model(rng, 4, 2)
         psi = random_state(rng, 4)
-        w_op = transition_rate_operator(model, psi)
-        assert transition_rate(model, psi) == pytest.approx(
-            np.trace(w_op).real, abs=1e-12
+        # the rate is the trace of W, a sum of variances of the channels
+        rate = sum(
+            expectation(c.conj().T @ c, psi).real - abs(expectation(c, psi)) ** 2
+            for c in model.lindblads
         )
+        assert transition_rate(model, psi) == pytest.approx(rate, abs=1e-12)

@@ -1,9 +1,10 @@
-"""Property tests: malformed configurations and short random ensembles."""
+"""Property tests: malformed configurations, short random ensembles and the
+colouring of degenerate correlation matrices."""
 
 import json
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from unravel import (
     FixedU,
@@ -11,11 +12,13 @@ from unravel import (
     Homodyne,
     InvariantStateDep,
     InvariantTrace,
+    real_embedding,
     run_ensemble,
     u_trace,
 )
 from unravel.cli import EXIT_CONFIG, main
-from conftest import random_model, random_state, random_symmetric_u
+from unravel.unravelings import apply_color, color_factors, extremal_u, takagi
+from conftest import random_model, random_state, random_symmetric_u, random_unitary
 
 # Text that no float() or int() parses: no digit, and no letter of inf or nan.
 WORDS = st.text(alphabet="abcxyz _-", max_size=4)
@@ -89,6 +92,55 @@ def test_malformed_figures_config_exits_2(tmp_path, capsys, bad):
     path.write_text(json.dumps(config))
     assert main(["--config", str(path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def _colour_covariance(dxi):
+    """Covariance of (Re dxi, Im dxi) over the colourings of the 2K unit
+    normals, one per row of ``dxi``."""
+    x = np.concatenate([dxi.real, dxi.imag], axis=1)
+    return x.T @ x
+
+
+# Singular values with zeros, repeats and ones among them.
+SINGULAR = st.sampled_from([0.0, 0.0, 1.0, 0.5, 0.25]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigma=st.lists(SINGULAR, min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+@example(sigma=[0.0], seed=0)
+@example(sigma=[0.0, 0.0, 0.0], seed=1)
+@example(sigma=[1.0, 0.0, 0.0, 0.0, 0.0], seed=2)
+@example(sigma=[0.5, 0.5, 0.0, 0.0], seed=3)
+def test_degenerate_u_colours_exactly(sigma, seed):
+    # u = W diag(sigma) W^T for Haar W; u = 0 when every sigma is 0
+    k, dt = len(sigma), 1e-3
+    w = random_unitary(np.random.default_rng(seed), k)
+    u = w @ np.diag(sigma) @ w.T
+    v, s = takagi(u)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(k), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v @ np.diag(s) @ v.T, u, rtol=0, atol=1e-12)
+    dxi = apply_color(color_factors(u, dt), np.eye(2 * k))
+    np.testing.assert_allclose(
+        _colour_covariance(dxi), real_embedding(u, dt), rtol=0, atol=1e-14
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    scale=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1), sign=st.sampled_from([1.0, -1.0])
+)
+def test_rank_one_extremal_moments_colour_exactly(scale, seed, sign):
+    # a rank-1 K = 3 moment has two zero singular values
+    dt = 1e-3
+    w = random_unitary(np.random.default_rng(seed), 3)
+    moment = scale * np.outer(w[:, 0], w[:, 0])
+    lanes = np.repeat(moment[..., None], 6, axis=-1)
+    u, dxi = extremal_u(lanes, np.full(6, sign), np.eye(6), dt)
+    np.testing.assert_allclose(u[..., 0], sign * moment / scale, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        _colour_covariance(dxi), real_embedding(u[..., 0], dt), rtol=0, atol=1e-14
+    )
+
 
 def _spec(kind, model, rng, norm):
     k = model.num_lindblads

@@ -29,13 +29,12 @@ from unravel import (
 )
 from unravel.unravelings import (
     MOMENT_FLOOR,
-    WIDE_STACK,
     apply_color,
     centered_moments,
     color_factors,
-    color_increments,
     extremal_u,
     moment_pairs,
+    takagi,
 )
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
 from linear_reference import state_moments
@@ -61,10 +60,11 @@ def one_shot_increments(u, z, dt):
             np.sqrt(dt * (1.0 + r) / 2.0) * z[..., 0] + 1j * np.sqrt(lam_minus) * z[..., 1]
         )
         return val[..., None]
-    evals, evecs = np.linalg.eigh(real_embedding(a, dt))
-    scaled = np.sqrt(np.clip(evals, 0.0, None)) * z
-    x = np.matmul(evecs, scaled[..., None])[..., 0]
-    return x[..., :k] + 1j * x[..., k:]
+    v, sigma = takagi(a)
+    w = np.sqrt(dt * (1.0 + sigma) / 2.0) * z[..., :k] + 1j * np.sqrt(
+        np.maximum(dt * (1.0 - sigma) / 2.0, 0.0)
+    ) * z[..., k:]
+    return (v @ w[..., None])[..., 0]
 
 
 class TestValidation:
@@ -153,6 +153,10 @@ class TestSampling:
         g2.standard_normal(6)
         assert g1.standard_normal() == g2.standard_normal()
 
+    def test_zero_channels_give_no_increments(self, rng):
+        dxi = sample_increments(np.zeros((0, 0)), 1e-3, rng)
+        assert dxi.shape == (0,) and dxi.dtype == complex
+
     def test_rejects_invalid_covariance(self, rng):
         with pytest.raises(CovarianceError):
             sample_increments([[1.5]], 1e-3, rng)
@@ -179,32 +183,40 @@ class TestFactoredColoring:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
         assert_matches_reference(factored, one_shot_increments(us[:, None], z, dt))
-        assert np.array_equal(factored, color_increments(us[:, None], z, dt))
         for j in range(5):
             want = one_shot_increments(us, z[:, j], dt)
             assert_matches_reference(factored[:, j], want)
-            assert_matches_reference(color_increments(us, z[:, j], dt), want)
-            assert_matches_reference(color_increments(us[1:2], z[1:2, j], dt), want[1:2])
+            assert_matches_reference(apply_color(color_factors(us, dt), z[:, j]), want)
+            assert_matches_reference(
+                apply_color(color_factors(us[1:2], dt), z[1:2, j]), want[1:2]
+            )
 
     def test_wide_and_narrow_stacks_colour_alike(self, rng):
-        # a wide stack is summed one component at a time, a narrow one all
-        # components at once; a lane's bits depend on neither, nor on layout
+        # a lane's bits depend neither on the size of the stack nor on its
+        # layout
         dt = 1e-3
         us = np.stack([random_symmetric_u(rng, 3, 0.9) for _ in range(4)])
-        evecs, roots = color_factors(us, dt)
-        rows = WIDE_STACK // 24 + 1
+        factors = color_factors(us, dt)
+        rows = 342
         z = rng.standard_normal((rows, 4, 6))
-        assert z.size >= WIDE_STACK > z[0].size
-        wide = apply_color((evecs, roots), z)
+        wide = apply_color(factors, z)
         lanes_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(z, -1, 0)), 0, -1)
         out = np.empty((3, rows, 4), dtype=complex)
-        apply_color((evecs, roots), lanes_last, out=np.moveaxis(out, 0, -1))
+        apply_color(factors, lanes_last, out=np.moveaxis(out, 0, -1))
         assert np.array_equal(np.moveaxis(out, 0, -1), wide)
         for row in (0, 17, rows - 1):
-            assert np.array_equal(apply_color((evecs, roots), z[row]), wide[row])
+            assert np.array_equal(apply_color(factors, z[row]), wide[row])
             for lane in range(4):
-                one = (evecs[lane : lane + 1], roots[lane : lane + 1])
+                one = tuple(f[lane : lane + 1] for f in factors)
                 assert np.array_equal(apply_color(one, z[row, lane][None])[0], wide[row, lane])
+
+    @pytest.mark.parametrize("sigma", [[0.3], [1.0, 0.5], [0.9, 0.5, 0.1], [0.7, 0.6, 0.3, 0.2]])
+    def test_takagi_of_descending_diagonal_is_the_identity(self, sigma):
+        # distinct positive singular values, largest first: V = I exactly, so
+        # a diagonal u colours channel j by its own pair of normals
+        v, s = takagi(np.diag(sigma).astype(complex))
+        assert np.array_equal(v, np.eye(len(sigma)))
+        assert np.array_equal(s, sigma)
 
     def test_clamp_check_runs_at_factor_time(self):
         with pytest.raises(CovarianceError):
@@ -230,7 +242,7 @@ class TestExtremalFactors:
             u, got = extremal_u(lanes, np.full(6, float(sign)), unit, dt)
             want_u = InvariantStateDep(sign).resolve(model, psi)
             np.testing.assert_allclose(u[..., 0], want_u, rtol=0, atol=1e-14)
-            want = color_increments(want_u[None], unit, dt)
+            want = apply_color(color_factors(want_u[None], dt), unit)
             gram = [np.concatenate([x.real, x.imag], axis=1) for x in (got, want)]
             np.testing.assert_allclose(
                 gram[0].T @ gram[0], gram[1].T @ gram[1], rtol=0, atol=1e-14
@@ -245,9 +257,9 @@ class TestExtremalFactors:
         z = np.random.default_rng(5).standard_normal((2, 6))
         u, dxi = extremal_u(moments, np.array([1.0, -1.0]), z, 1e-3)
         assert np.array_equal(u, np.zeros((3, 3, 2)))
-        zero_evecs, zero_roots = color_factors(np.zeros((3, 3)), 1e-3)
+        zero_v, zero_a, zero_b = color_factors(np.zeros((3, 3)), 1e-3)
         for lane in range(2):
-            want = apply_color((zero_evecs[None], zero_roots[None]), z[lane][None])[0]
+            want = apply_color((zero_v[None], zero_a[None], zero_b[None]), z[lane][None])[0]
             assert np.array_equal(dxi[lane], want)
 
     def test_frozen_quadrature_is_exactly_silent(self):
