@@ -16,13 +16,15 @@ verify
 
 Options come from an optional JSON config file (``--config``), overridden
 field by field by command-line flags.  Exit codes: 0 success, 1 gate or
-property failure, 2 configuration error.  Ensembles fan out over the CPUs
-available, with at least ``trajectory.MIN_LANES`` trajectories per worker
-process, so one narrower than twice that runs in-process.  The environment
-variable ``UNRAVEL_THREADS`` sets the CPU count instead, and
-``UNRAVEL_THREADS=1`` runs every ensemble in-process.  Output is
-byte-identical for any worker count; ``trajectories`` mode records the
-worker processes and index ranges used in its manifest.
+property failure, 2 configuration error, which includes a step count
+``t_max / dt`` too large to index an array and an output directory that
+cannot be created.  Ensembles fan out over the CPUs available, with at
+least ``trajectory.MIN_LANES`` trajectories per worker process, so one
+narrower than twice that runs in-process.  The environment variable
+``UNRAVEL_THREADS`` sets the CPU count instead, and ``UNRAVEL_THREADS=1``
+runs every ensemble in-process.  Output is byte-identical for any worker
+count; ``trajectories`` mode records the worker processes and index ranges
+used in its manifest.
 
 In ``trajectories`` mode each worker formats and writes the CSV rows of
 the index range it computed (``run_ensemble``'s ``per_range``), one
@@ -57,19 +59,16 @@ from .fluorescence import (
     scenario_spec,
     write_figure_csvs,
 )
-from .operators import LindbladModel, matrix_from_pairs, projector
-from .oracle import ensemble_summary, integrate_master
+from .operators import LindbladModel, projector
+from .oracle import GATE_STANDARD_ERRORS, ensemble_summary, integrate_master
 from .trajectory import (
     NormCollapseError,
+    _linear_generator,
     default_workers,
     run_ensemble,
 )
 from .unravelings import (
     CovarianceError,
-    FixedU,
-    Homodyne,
-    InvariantStateDep,
-    InvariantTrace,
     UMatrixError,
     UnravelingSpec,
     spec_from_dict,
@@ -108,6 +107,12 @@ _DEFAULTS = {
     "output_dir": ".",
     "initial": None,
     "combined": False,
+}
+
+
+# The unraveling flags and the fields of the unraveling object they set.
+_UNRAVELING_FIELDS = {
+    "eta": "eta", "theta1": "theta1", "theta2": "theta2", "sign": "sign", "trace_r": "R",
 }
 
 
@@ -268,25 +273,18 @@ def _build_unraveling(opts: dict) -> UnravelingSpec:
     name = str(raw)
     if name in SCENARIOS:
         return scenario_spec(name)
+    data = {"type": name}
     if name == "fixed":
         if opts["u_json"] is None:
             raise ConfigError("unraveling 'fixed' requires --u-json")
         try:
-            rows = json.loads(opts["u_json"])
+            data["u"] = json.loads(opts["u_json"])
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--u-json is not valid JSON: {exc}") from exc
-        return FixedU(u=matrix_from_pairs(rows))
-    if name == "homodyne":
-        eta = 1.0 if opts["eta"] is None else float(opts["eta"])
-        theta1 = 0.0 if opts["theta1"] is None else float(opts["theta1"])
-        theta2 = 0.0 if opts["theta2"] is None else float(opts["theta2"])
-        return Homodyne(eta=eta, theta1=theta1, theta2=theta2)
-    if name == "invariant":
-        return InvariantStateDep(sign=1 if opts["sign"] is None else int(opts["sign"]))
-    if name == "invariant_trace":
-        weight = 0.0 if opts["trace_r"] is None else float(opts["trace_r"])
-        return InvariantTrace(weight=weight)
-    raise ConfigError(f"unknown unraveling {name!r}")
+    for key, field in _UNRAVELING_FIELDS.items():
+        if opts[key] is not None:
+            data[field] = opts[key]
+    return spec_from_dict(data)
 
 
 def _initial_state(opts: dict, model: LindbladModel) -> np.ndarray:
@@ -312,11 +310,11 @@ def _initial_state(opts: dict, model: LindbladModel) -> np.ndarray:
 
 
 def _step_rate(model: LindbladModel) -> float:
-    """Largest rate one linear step must resolve: the spectral norm of
-    ``H - (i/2) sum_k c_k^dag c_k`` or the largest ``||c_k||^2``."""
-    drift = model.hamiltonian - 0.5j * sum(c.conj().T @ c for c in model.lindblads)
+    """Largest rate one linear step must resolve: the spectral norm of the
+    drift generator ``-i (H - (i/2) sum_k c_k^dag c_k)`` or the largest
+    ``||c_k||^2``."""
     jumps = [np.linalg.norm(c, 2) ** 2 for c in model.lindblads]
-    return max([np.linalg.norm(drift, 2)] + jumps)
+    return max([np.linalg.norm(_linear_generator(model), 2)] + jumps)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -328,7 +326,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
     dt = _as_positive_float(opts["dt"], "dt")
     t_max = _as_positive_float(opts["t_max"], "t_max")
-    steps = int(round(t_max / dt))
+    ratio = t_max / dt
+    # Beyond this (or at an overflow to inf) no array can index the steps.
+    if not ratio <= np.iinfo(np.intp).max:
+        raise ConfigError(f"t_max / dt = {ratio:g} steps is more than any run can take")
+    steps = int(round(ratio))
     if steps < 1:
         raise ConfigError(f"t_max {t_max} is below one step of dt {dt}")
     # The ensemble-check standard errors are jackknife estimates.
@@ -426,7 +428,6 @@ def _write_range(folder: Path, header: str, combined: bool, first, times, states
 
 
 def _write_trajectories(config: RunConfig) -> int:
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     columns = (
         ["t"]
         + _complex_columns("psi", config.model.dim)
@@ -487,7 +488,6 @@ def _write_trajectories(config: RunConfig) -> int:
 
 
 def _run_ensemble_check(config: RunConfig) -> int:
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     run = run_ensemble(
         config.model,
         config.unraveling,
@@ -505,17 +505,18 @@ def _run_ensemble_check(config: RunConfig) -> int:
         json.dump(summary.to_dict(), fh, indent=2)
     if summary.passed():
         print(
-            f"ensemble-check: mean of {config.n_traj} trajectories within 3 s.e. of the "
-            f"master equation at all {run.times.shape[0]} recorded times"
+            f"ensemble-check: mean of {config.n_traj} trajectories within {GATE_STANDARD_ERRORS:g}"
+            f" s.e. of the master equation at all {run.times.shape[0]} recorded times"
         )
         return EXIT_OK
-    ratios = summary.trace_distances / np.maximum(3.0 * summary.standard_errors, 1e-300)
+    bounds = GATE_STANDARD_ERRORS * summary.standard_errors
+    ratios = summary.trace_distances / np.maximum(bounds, 1e-300)
     worst = int(np.argmax(ratios))
     print(
         "ensemble-check failed: ensemble mean deviates from the master equation "
         f"solution at t={summary.times[worst]:g} "
         f"(distance {summary.trace_distances[worst]:.3e}, "
-        f"3 s.e. = {3.0 * summary.standard_errors[worst]:.3e})",
+        f"{GATE_STANDARD_ERRORS:g} s.e. = {bounds[worst]:.3e})",
         file=sys.stderr,
     )
     return EXIT_GATE
@@ -544,7 +545,13 @@ def _run_verify(config: RunConfig) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one resolved configuration and return the exit code."""
+    """Execute one resolved configuration and return the exit code.  An
+    output directory that cannot be created raises ``ConfigError``."""
+    if config.mode != "verify":
+        try:
+            config.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
     handlers = {
         "trajectories": _write_trajectories,
         "ensemble-check": _run_ensemble_check,
@@ -561,11 +568,10 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = build_config(args)
+        return run(build_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -25,14 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import LindbladModel, expectation, projector
+from .operators import LindbladModel, check_pure_state, expectation
 from .trajectory import run_ensemble
-from .unravelings import (
-    FixedU,
-    Heterodyne,
-    InvariantStateDep,
-    UnravelingSpec,
-)
+from .unravelings import UnravelingSpec, spec_from_dict
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,13 +39,15 @@ KET_GROUND = np.array([0, 1], dtype=complex)
 
 FIGURE_HEADER = ("t", "x", "y", "z", "re_J", "im_J")
 
-SCENARIOS = (
-    "homodyne_x",
-    "homodyne_y",
-    "heterodyne",
-    "invariant_plus",
-    "invariant_minus",
-)
+# The named scenarios as unraveling objects in their JSON form.
+_SCENARIO_SPECS = {
+    "homodyne_x": {"type": "fixed", "u": [[[1.0, 0.0]]]},
+    "homodyne_y": {"type": "fixed", "u": [[[-1.0, 0.0]]]},
+    "heterodyne": {"type": "heterodyne"},
+    "invariant_plus": {"type": "invariant", "sign": 1},
+    "invariant_minus": {"type": "invariant", "sign": -1},
+}
+SCENARIOS = tuple(_SCENARIO_SPECS)
 
 
 @dataclass(frozen=True)
@@ -80,28 +77,33 @@ def plus_x_state() -> np.ndarray:
     return (KET_EXCITED + KET_GROUND) / np.sqrt(2.0)
 
 
+def _bloch_xyz(psi) -> np.ndarray:
+    """Bloch components of two-level amplitudes ``psi = (a, b)`` of shape
+    ``(..., 2)``, stacked as ``(..., 3)``: ``x = 2 Re(a b*)``,
+    ``y = -2 Im(a b*)`` and ``z = |a|^2 - |b|^2``."""
+    a, b = psi[..., 0], psi[..., 1]
+    coherence = a * b.conj()
+    return np.stack(
+        [2.0 * coherence.real, -2.0 * coherence.imag, np.abs(a) ** 2 - np.abs(b) ** 2],
+        axis=-1,
+    )
+
+
 def bloch(state) -> np.ndarray:
     """Bloch components (x, y, z) of a state vector or density matrix."""
     s = np.asarray(state, dtype=complex)
-    rho = projector(s) if s.ndim == 1 else s
+    if s.ndim == 1:
+        return _bloch_xyz(check_pure_state(s, 2))
     return np.array(
-        [expectation(p, rho).real for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+        [expectation(p, s).real for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
     )
 
 
 def scenario_spec(name: str) -> UnravelingSpec:
     """Unraveling specification for one of the named scenarios."""
-    if name == "homodyne_x":
-        return FixedU(u=np.array([[1.0]], dtype=complex))
-    if name == "homodyne_y":
-        return FixedU(u=np.array([[-1.0]], dtype=complex))
-    if name == "heterodyne":
-        return Heterodyne()
-    if name == "invariant_plus":
-        return InvariantStateDep(sign=1)
-    if name == "invariant_minus":
-        return InvariantStateDep(sign=-1)
-    raise ValueError(f"unknown scenario {name!r}; choose one of {SCENARIOS}")
+    if name not in _SCENARIO_SPECS:
+        raise ValueError(f"unknown scenario {name!r}; choose one of {SCENARIOS}")
+    return spec_from_dict(_SCENARIO_SPECS[name])
 
 
 def z_drift_residual(states, dt: float, params: AtomParams) -> np.ndarray:
@@ -116,8 +118,7 @@ def z_drift_residual(states, dt: float, params: AtomParams) -> np.ndarray:
     psi = np.asarray(states, dtype=complex)
     if psi.ndim != 2 or psi.shape[0] < 2:
         raise ValueError("need at least two consecutive states")
-    z = (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2).real
-    y = 2.0 * (psi[:, 0].conj() * psi[:, 1]).imag
+    _, y, z = _bloch_xyz(psi).T
     drift = params.omega * y[:-1] - params.gamma * (z[:-1] + 1.0)
     return z[1:] - z[:-1] - dt * drift
 
@@ -161,14 +162,7 @@ def write_figure_csvs(
         seed=seed,
         record_stride=record_stride,
     )
-    # Bloch components of psi = (a, b): x = 2 Re(a b*), y = -2 Im(a b*),
-    # z = |a|^2 - |b|^2.
-    a, b = run.states[:, :, 0], run.states[:, :, 1]
-    coherence = a * b.conj()
-    xyz = np.stack(
-        [2.0 * coherence.real, -2.0 * coherence.imag, np.abs(a) ** 2 - np.abs(b) ** 2],
-        axis=-1,
-    )
+    xyz = _bloch_xyz(run.states)
     # The format csv.writer gives these values as strings, rows ended by CRLF.
     template = "%.10g" + ",%.12g" * 5 + "\r\n"
     for index, name in enumerate(SCENARIOS):

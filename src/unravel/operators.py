@@ -15,7 +15,6 @@ same changes is a useful consistency probe.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,13 +148,6 @@ class LindbladModel:
         if h.shape[0] != dim:
             raise ValueError(f"declared dim {dim} does not match hamiltonian shape {h.shape}")
         return cls(hamiltonian=h, lindblads=cs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "LindbladModel":
-        return cls.from_dict(json.loads(text))
 
 
 def expectation(op, state) -> complex:

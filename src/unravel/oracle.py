@@ -21,6 +21,10 @@ from .operators import LindbladModel, check_density_matrix, liouvillian_apply
 KERNEL_TOL = 1e-8
 # A stationary state must satisfy the generator to this accuracy.
 RESIDUAL_TOL = 1e-10
+# The ensemble gate: every trace distance within this many standard errors,
+# plus an absolute slack for rounding where all trajectories agree (error 0).
+GATE_STANDARD_ERRORS = 3.0
+GATE_ATOL = 1e-12
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -109,19 +113,19 @@ class EnsembleSummary:
     standard_errors: np.ndarray
     n_trajectories: int
 
-    def passed(self, threshold: float = 3.0, atol: float = 1e-12) -> bool:
-        """True when every distance is within threshold standard errors."""
-        return bool(
-            np.all(self.trace_distances <= threshold * self.standard_errors + atol)
-        )
+    def passed(self) -> bool:
+        """True when every distance is within ``GATE_STANDARD_ERRORS``
+        standard errors, up to ``GATE_ATOL``."""
+        bound = GATE_STANDARD_ERRORS * self.standard_errors + GATE_ATOL
+        return bool(np.all(self.trace_distances <= bound))
 
-    def to_dict(self, threshold: float = 3.0) -> dict:
+    def to_dict(self) -> dict:
         return {
             "times": [float(t) for t in self.times],
             "trace_distance": [float(d) for d in self.trace_distances],
             "stderr": [float(s) for s in self.standard_errors],
             "n_trajectories": int(self.n_trajectories),
-            "passed": self.passed(threshold),
+            "passed": self.passed(),
         }
 
 

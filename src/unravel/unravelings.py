@@ -127,6 +127,14 @@ def takagi(m):
     ``sigma_j`` gives a column ``x + i y``.  A QR whose R has a non-negative
     diagonal completes the columns to a unitary: where two or more
     ``sigma_j`` vanish, the eigenvectors of 0 may repeat a column times i.
+
+    At K = 1 the negative real axis is the branch cut of the phase: there
+    the sign of a zero ``Im m`` chooses ``V = i`` (``+0``) or ``V = -i``
+    (``-0``).  Both factor ``m``, but they colour the same normals into
+    increments of opposite sign.  From the atom's ``+x`` state
+    ``M = -gamma/4`` exactly, so ``invariant_plus`` starts at ``u = -1`` and
+    its sample paths follow the sign of that zero: any regrouping of the
+    arithmetic of M that flips it moves them macroscopically.
     """
     k = m.shape[-1]
     if k == 1:
@@ -439,7 +447,9 @@ UnravelingSpec = FixedU | Homodyne | Heterodyne | InvariantStateDep | InvariantT
 
 
 def spec_from_dict(data: dict) -> UnravelingSpec:
-    """Rebuild an unraveling specification from its JSON object form."""
+    """Rebuild an unraveling specification from its JSON object form, the
+    one map from a ``type`` name to a class.  Missing fields default to
+    ``eta = 1``, ``theta1 = theta2 = 0``, ``sign = 1`` and ``R = 0``."""
     from .operators import matrix_from_pairs
 
     try:
@@ -450,8 +460,8 @@ def spec_from_dict(data: dict) -> UnravelingSpec:
         return FixedU(u=matrix_from_pairs(data["u"]))
     if kind == "homodyne":
         return Homodyne(
-            eta=float(data["eta"]),
-            theta1=float(data["theta1"]),
+            eta=float(data.get("eta", 1.0)),
+            theta1=float(data.get("theta1", 0.0)),
             theta2=float(data.get("theta2", 0.0)),
         )
     if kind == "heterodyne":

@@ -50,6 +50,9 @@ from .unravelings import (
     validate_u,
 )
 
+# Evenly spaced times at which ``stepper_strong_orders`` compares the steppers.
+STRONG_ORDER_PROBES = 10
+
 CHECK_NAMES = (
     "eigenvalue-identity",
     "rotation-invariance",
@@ -281,7 +284,6 @@ def stepper_strong_orders(
     t_final: float,
     dt_values: tuple[float, ...],
     n_paths: int,
-    n_probes: int = 10,
 ) -> dict[str, float]:
     """Fitted pairwise strong orders of the trajectory kernel and the two
     cross-check steppers under coupled noise.
@@ -289,9 +291,9 @@ def stepper_strong_orders(
     Increments are drawn once per path on the finest grid and aggregated
     for the coarser ones, so every resolution sees the same underlying
     noise.  For each step size the mean squared projector difference over
-    ``n_probes`` evenly spaced probe times is averaged over ``n_paths``
-    independent paths; the fitted log-log slope of the resulting RMS
-    against dt is the measured strong order for each stepper pair.
+    ``STRONG_ORDER_PROBES`` evenly spaced probe times is averaged over
+    ``n_paths`` independent paths; the fitted log-log slope of the resulting
+    RMS against dt is the measured strong order for each stepper pair.
     """
     model = build_atom(AtomParams(gamma=1.0, omega=10.0))
     spec = FixedU(np.array([[0.3 + 0.4j]]))
@@ -308,7 +310,7 @@ def stepper_strong_orders(
             factor = int(round(dt / fine))
             n_steps = n_fine // factor
             coarse = noise[: n_steps * factor].reshape(-1, factor).sum(axis=1)
-            probe_every = max(1, n_steps // n_probes)
+            probe_every = max(1, n_steps // STRONG_ORDER_PROBES)
             lin = _kernel_path(model, spec, psi0, dt, coarse[:, None])[0]
             v_non = psi0.copy()
             p_sme = projector(psi0)

@@ -1,46 +1,16 @@
-"""Shared fixtures and random-instance helpers for the test suite."""
+"""Shared fixtures for the test suite, and the random instances it draws,
+which are the self-checks' own (``unravel.verify``)."""
 
 import numpy as np
 import pytest
 
-from unravel import AtomParams, LindbladModel, build_atom
-
-
-def random_state(rng, dim):
-    """Draw a Haar-ish random pure state of dimension `dim`."""
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return psi / np.linalg.norm(psi)
-
-
-def random_model(rng, dim, num_lindblads):
-    """Draw a random model: Gaussian Hermitian H and scaled Gaussian lindblads."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    hamiltonian = 0.5 * (a + a.conj().T)
-    lindblads = []
-    for _ in range(num_lindblads):
-        c = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        lindblads.append(c / np.sqrt(2.0 * dim))
-    return LindbladModel(hamiltonian=hamiltonian, lindblads=tuple(lindblads))
-
-
-def random_unitary(rng, dim):
-    """Draw a Haar-distributed unitary via phase-fixed QR."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
-
-
-def random_symmetric_u(rng, num_channels, norm):
-    """Draw a complex symmetric matrix rescaled to the given spectral norm."""
-    a = rng.normal(size=(num_channels, num_channels))
-    b = rng.normal(size=(num_channels, num_channels))
-    u = (a + a.T) + 1j * (b + b.T)
-    scale = np.linalg.norm(u, ord=2)
-    if scale == 0.0:
-        return u
-    return u * (norm / scale)
+from unravel import AtomParams, build_atom
+from unravel.verify import (  # noqa: F401  (the random instances the tests draw)
+    _random_model as random_model,
+    _random_state as random_state,
+    _random_symmetric as random_symmetric_u,
+    _random_unitary as random_unitary,
+)
 
 
 @pytest.fixture

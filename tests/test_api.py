@@ -1,5 +1,6 @@
 """Guard on the public API: every exported name is used by the package or
-a demo, so code that only the tests call stays out of ``unravel.__all__``."""
+a demo, so code that only the tests call stays out of ``unravel.__all__``,
+and the list of names may shrink but not grow."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,7 @@ def test_every_public_name_is_used_outside_the_tests():
     used = set().union(*(used_names(p) for p in package + demos))
     unused = sorted(set(unravel.__all__) - used)
     assert unused == [], f"exported but used only by the tests: {unused}"
+
+
+def test_public_api_does_not_grow():
+    assert len(unravel.__all__) <= 65

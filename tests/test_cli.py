@@ -201,7 +201,7 @@ class TestWorkersWriteTheRows:
         rng = np.random.default_rng(8)
         model = random_model(rng, 4, 3)
         model_path = tmp_path / "model.json"
-        model_path.write_text(model.to_json())
+        model_path.write_text(json.dumps(model.to_dict()))
         u = random_symmetric_u(rng, 3, 0.8)
         scheme = ["--unraveling", unraveling]
         scheme += ["--u-json", json.dumps(pairs(u))] if unraveling == "fixed" else []
@@ -318,7 +318,7 @@ class TestFiguresMode:
 
     def test_model_other_than_atom_is_config_error(self, tmp_path, capsys):
         model_path = tmp_path / "decay.json"
-        model_path.write_text(build_atom(AtomParams(gamma=2.0, omega=0.0)).to_json())
+        model_path.write_text(json.dumps(build_atom(AtomParams(gamma=2.0, omega=0.0)).to_dict()))
         code, _, err = run_cli(
             capsys,
             "--mode", "figures", "--model", str(model_path),
@@ -486,7 +486,7 @@ class TestConfigHandling:
 
     def test_model_from_json_file(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
-        model_path.write_text(build_atom(AtomParams(gamma=2.0, omega=0.0)).to_json())
+        model_path.write_text(json.dumps(build_atom(AtomParams(gamma=2.0, omega=0.0)).to_dict()))
         code, _, _ = run_cli(
             capsys,
             "--mode", "trajectories", "--model", str(model_path),
@@ -519,3 +519,119 @@ class TestConfigHandling:
             tmp_path / "trajectory_00000.csv", delimiter=",", skip_header=1
         )
         np.testing.assert_allclose(body[0, 1:5], [0.0, 0.0, 1.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "text, message", [(None, "cannot read config file"), ("[1, 2]", "JSON object")]
+    )
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys, text, message):
+        config_path = tmp_path / "run.json"
+        if text is not None:
+            config_path.write_text(text)
+        code, _, err = run_cli(capsys, "--config", str(config_path))
+        assert code == EXIT_CONFIG
+        assert message in err
+
+    def test_unraveling_object_from_config(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "mode": "trajectories",
+            "unraveling": {"type": "homodyne", "eta": 0.5, "theta1": 0.25},
+            "n_traj": 1, "dt": 1e-3, "t_max": 0.01, "output_dir": str(tmp_path),
+        }))
+        code, _, _ = run_cli(capsys, "--config", str(config_path))
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["unraveling"] == {
+            "type": "homodyne", "eta": 0.5, "theta1": 0.25, "theta2": 0.0
+        }
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["invariant_trace", "--trace-r", "0.3"], {"type": "invariant_trace", "R": 0.3}),
+            (["invariant_trace"], {"type": "invariant_trace", "R": 0.0}),
+            (["homodyne"], {"type": "homodyne", "eta": 1.0, "theta1": 0.0, "theta2": 0.0}),
+            (
+                ["homodyne", "--eta", "0.5", "--theta2", "0.2"],
+                {"type": "homodyne", "eta": 0.5, "theta1": 0.0, "theta2": 0.2},
+            ),
+            (["invariant"], {"type": "invariant", "sign": 1}),
+            (["invariant", "--sign", "-1"], {"type": "invariant", "sign": -1}),
+            (["homodyne_y"], {"type": "fixed", "u": [[[-1.0, 0.0]]]}),
+            (["heterodyne", "--eta", "0.5", "--sign", "-1"], {"type": "heterodyne"}),
+        ],
+    )
+    def test_unraveling_flags_reach_manifest(self, tmp_path, capsys, flags, expected):
+        code, _, _ = run_cli(
+            capsys,
+            "--mode", "trajectories", "--n-traj", "1", "--dt", "1e-3", "--t-max", "0.01",
+            "--output-dir", str(tmp_path), "--unraveling", *flags,
+        )
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["unraveling"] == expected
+
+    @pytest.mark.parametrize(
+        "flags, messages",
+        [
+            (["fixed", "--u-json", "[[[1.0, 0.0]"], ["--u-json is not valid JSON"]),
+            (["squeezed"], ["unknown unraveling", "'squeezed'"]),
+        ],
+    )
+    def test_bad_unraveling_flag_is_config_error(self, capsys, flags, messages):
+        code, _, err = run_cli(capsys, "--mode", "verify", "--unraveling", *flags)
+        assert code == EXIT_CONFIG
+        assert all(message in err for message in messages)
+
+    @pytest.mark.parametrize(
+        "initial, message",
+        [
+            ([[1.0, 0.0]], "initial must be 2 rows of [re, im]"),
+            ([[0.0, 0.0], [0.0, 0.0]], "initial state must have a nonzero, finite norm"),
+        ],
+    )
+    def test_bad_initial_state_is_config_error(self, tmp_path, capsys, initial, message):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "mode": "trajectories", "initial": initial,
+            "n_traj": 1, "dt": 1e-3, "t_max": 0.01, "output_dir": str(tmp_path),
+        }))
+        code, _, err = run_cli(capsys, "--config", str(config_path))
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "verify", "--dt", "1e-300", "--t-max", "1e300"],
+            ["--mode", "trajectories", "--dt", "1e-300", "--t-max", "0.01", "--n-traj", "2"],
+        ],
+        ids=["infinite", "beyond-intp"],
+    )
+    def test_step_count_that_cannot_run_is_config_error(self, tmp_path, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
+        assert code == EXIT_CONFIG
+        assert "t_max / dt" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["trajectories", "ensemble-check", "figures"])
+    def test_output_dir_that_cannot_be_created_is_config_error(self, tmp_path, capsys, mode):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file, not a directory")
+        code, _, err = run_cli(
+            capsys,
+            "--mode", mode, "--dt", "1e-3", "--t-max", "0.01",
+            *([] if mode == "figures" else ["--n-traj", "2"]),
+            "--output-dir", str(blocker),
+        )
+        assert code == EXIT_CONFIG
+        assert "output directory" in err
+        assert blocker.read_text() == "a file, not a directory"
+
+    def test_verify_creates_no_output_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_all", lambda seed: [])
+        code, out, _ = run_cli(capsys, "--mode", "verify", "--output-dir", str(tmp_path / "new"))
+        assert code == EXIT_OK
+        assert "all 0 checks passed" in out
+        assert not (tmp_path / "new").exists()

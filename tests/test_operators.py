@@ -1,5 +1,7 @@
 """Tests for model containers, validation, and channel transformations."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,7 +124,7 @@ class TestSerialization:
 
     def test_model_json_round_trip(self, rng):
         model = random_model(rng, 3, 2)
-        back = LindbladModel.from_json(model.to_json())
+        back = LindbladModel.from_dict(json.loads(json.dumps(model.to_dict())))
         np.testing.assert_allclose(back.hamiltonian, model.hamiltonian, atol=1e-15)
         assert back.num_lindblads == model.num_lindblads
         for c_back, c_orig in zip(back.lindblads, model.lindblads):

@@ -446,3 +446,14 @@ class TestSpecs:
     def test_spec_from_dict_rejects_unknown_type(self):
         with pytest.raises(ValueError, match="type"):
             spec_from_dict({"type": "something-else"})
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            ("homodyne", Homodyne(eta=1.0, theta1=0.0, theta2=0.0)),
+            ("invariant", InvariantStateDep(sign=1)),
+            ("invariant_trace", InvariantTrace(weight=0.0)),
+        ],
+    )
+    def test_spec_from_dict_defaults_are_the_cli_defaults(self, kind, expected):
+        assert spec_from_dict({"type": kind}) == expected
