@@ -17,7 +17,8 @@ verify
 Options come from an optional JSON config file (``--config``), overridden
 field by field by command-line flags.  Exit codes: 0 success, 1 gate or
 property failure, 2 configuration error, which includes a step count
-``t_max / dt`` too large to index an array and an output directory that
+``t_max / dt`` too large to index an array, a run that does not fit in
+memory, a config value of the wrong JSON type and an output directory that
 cannot be created.  Ensembles fan out over the CPUs available, with at
 least ``trajectory.MIN_LANES`` trajectories per worker process, so one
 narrower than twice that runs in-process.  The environment variable
@@ -60,7 +61,7 @@ from .fluorescence import (
     write_figure_csvs,
 )
 from .operators import LindbladModel, projector
-from .oracle import GATE_STANDARD_ERRORS, ensemble_summary, integrate_master
+from .oracle import GATE_ATOL, GATE_STANDARD_ERRORS, ensemble_summary, integrate_master
 from .trajectory import (
     NormCollapseError,
     _linear_generator,
@@ -226,6 +227,8 @@ def _merged_options(args: argparse.Namespace) -> tuple[dict, set]:
 
 
 def _as_positive_float(value, name: str) -> float:
+    if isinstance(value, bool):  # float(true) would read as 1
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -236,6 +239,8 @@ def _as_positive_float(value, name: str) -> float:
 
 
 def _as_count(value, name: str, minimum: int = 1) -> int:
+    if isinstance(value, bool):  # int(true) would read as 1
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -345,6 +350,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             flags = ", ".join("--" + key.replace("_", "-") for key in ignored)
             raise ConfigError(f"figures runs its own five scenarios, one trajectory each; "
                               f"it takes no {flags}")
+    if not isinstance(opts["combined"], bool):
+        raise ConfigError(f"combined must be true or false, got {opts['combined']!r}")
     if opts["record_stride"] is None:
         stride = max(1, steps // 20) if mode == "ensemble-check" else 1
     else:
@@ -380,7 +387,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         seed=seed,
         record_stride=stride,
         output_dir=Path(str(opts["output_dir"])),
-        combined=bool(opts["combined"]),
+        combined=opts["combined"],
     )
 
 
@@ -509,14 +516,12 @@ def _run_ensemble_check(config: RunConfig) -> int:
             f" s.e. of the master equation at all {run.times.shape[0]} recorded times"
         )
         return EXIT_OK
-    bounds = GATE_STANDARD_ERRORS * summary.standard_errors
-    ratios = summary.trace_distances / np.maximum(bounds, 1e-300)
-    worst = int(np.argmax(ratios))
+    worst = int(np.argmax(summary.trace_distances / summary.bounds))
     print(
         "ensemble-check failed: ensemble mean deviates from the master equation "
         f"solution at t={summary.times[worst]:g} "
         f"(distance {summary.trace_distances[worst]:.3e}, "
-        f"{GATE_STANDARD_ERRORS:g} s.e. = {bounds[worst]:.3e})",
+        f"{GATE_STANDARD_ERRORS:g} s.e. + {GATE_ATOL:g} = {summary.bounds[worst]:.3e})",
         file=sys.stderr,
     )
     return EXIT_GATE
@@ -546,7 +551,8 @@ def _run_verify(config: RunConfig) -> int:
 
 def run(config: RunConfig) -> int:
     """Execute one resolved configuration and return the exit code.  An
-    output directory that cannot be created raises ``ConfigError``."""
+    output directory that cannot be created, or a run whose arrays cannot
+    be allocated, raises ``ConfigError``."""
     if config.mode != "verify":
         try:
             config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -563,6 +569,8 @@ def run(config: RunConfig) -> int:
     except (NormCollapseError, CovarianceError, UMatrixError) as exc:
         print(f"property failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_GATE
+    except MemoryError as exc:
+        raise ConfigError(f"the run does not fit in memory: {exc}") from exc
 
 
 def main(argv=None) -> int:

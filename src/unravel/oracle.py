@@ -113,11 +113,15 @@ class EnsembleSummary:
     standard_errors: np.ndarray
     n_trajectories: int
 
+    @property
+    def bounds(self) -> np.ndarray:
+        """The gate's limit at each time: ``GATE_STANDARD_ERRORS`` standard
+        errors plus ``GATE_ATOL``."""
+        return GATE_STANDARD_ERRORS * self.standard_errors + GATE_ATOL
+
     def passed(self) -> bool:
-        """True when every distance is within ``GATE_STANDARD_ERRORS``
-        standard errors, up to ``GATE_ATOL``."""
-        bound = GATE_STANDARD_ERRORS * self.standard_errors + GATE_ATOL
-        return bool(np.all(self.trace_distances <= bound))
+        """True when every distance is within its ``bounds``."""
+        return bool(np.all(self.trace_distances <= self.bounds))
 
     def to_dict(self) -> dict:
         return {

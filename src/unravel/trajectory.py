@@ -306,12 +306,12 @@ def _run_chunk(
     the state-dependent ones, each group in index order, so that each kind
     is a slice.  The lane index is the last, contiguous axis of every
     per-lane array (the state ``(N, m)``, ``u`` ``(K, K, m)``, the means,
-    moments, increments and currents), so each einsum streams over the
-    lanes.  Each distinct constant spec object is resolved, validated and
-    its colouring factored once; each block of normals is coloured for all
-    constant lanes as it is drawn, lanes last, by ``apply_color``'s
-    term-by-term sum, with one shared factor broadcast over the lanes when
-    a single spec object drives them all.
+    moments, normals, increments and currents), so each einsum streams over
+    the lanes, and ``unravelings`` colours in this layout.  Each distinct
+    constant spec object is resolved, validated and its colouring factored
+    once; each block of normals is coloured for all constant lanes as it is
+    drawn, by ``apply_color``'s term-by-term sum, with one shared factor
+    broadcast over the lanes when a single spec object drives them all.
 
     Each step applies the linear generator and the K channel operators as
     one stacked ``(K+1, N, N)`` product, and forms the means
@@ -356,18 +356,14 @@ def _run_chunk(
         [np.zeros((0, 0)) if spec.state_dependent else validate_u(spec.resolve(model))
          for spec in distinct],
         dtype=complex,
-    ).reshape(len(distinct), k, k)
+    ).reshape(len(distinct), k, k).transpose(1, 2, 0)
     u = np.zeros((k, k, m), dtype=complex)
-    u[:, :, :m_c] = u_distinct[which].transpose(1, 2, 0)
+    u[:, :, :m_c] = u_distinct[..., which]
     draw = supplied is None
     if draw and m_c and k:
-        # Stored lanes last and viewed lanes first, as apply_color takes
-        # them; a factor shared by every lane broadcasts over the lanes.
+        # One factor per lane, or one shared factor broadcast over them.
         lanes = which if len(distinct) > 1 else which[:1]
-        const_factors = tuple(
-            np.moveaxis(np.moveaxis(f[lanes], 0, -1).copy(), -1, 0)
-            for f in color_factors(u_distinct, dt)
-        )
+        const_factors = tuple(f[..., None, lanes] for f in color_factors(u_distinct, dt))
     signs = np.array([float(specs[i].sign) for i in order[m_c:]])
     pairs = moment_pairs(cs)
 
@@ -382,11 +378,10 @@ def _run_chunk(
         increments = None
     if draw:
         streams = [trajectory_stream(seed, index) for index in indices]
-        # The normals stay lane-first: each stream fills its own contiguous rows.
-        z_buf = np.empty((m, min(NOISE_BLOCK, steps), 2 * k))
-        dxi_buf = np.empty((z_buf.shape[1], k, m), dtype=complex)
-        if m_c and k:  # the constant lanes' normals, lanes last
-            z_lanes = np.empty((2 * k, z_buf.shape[1], m_c))
+        # Each stream fills its own rows; one copy per block puts them lanes last.
+        draws = np.empty((m, min(NOISE_BLOCK, steps), 2 * k))
+        z_buf = np.empty((2 * k, draws.shape[1], m))
+        dxi_buf = np.empty((draws.shape[1], k, m), dtype=complex)
     else:  # the supplied increments, in kernel lane order and lanes last
         dxi_all = np.asarray(supplied, dtype=complex)[order].transpose(1, 2, 0).copy()
     for start in range(0, steps, NOISE_BLOCK):
@@ -394,16 +389,12 @@ def _run_chunk(
         if draw:
             z, dxi_block = z_buf[:, :nb], dxi_buf[:nb]
             # Each stream is drawn in order, so the block size changes no value.
-            for stream, out in zip(streams, z):
+            for stream, out in zip(streams, draws[:, :nb]):
                 stream.standard_normal(out=out)
+            np.copyto(z, draws[:, :nb].transpose(2, 1, 0))
             if m_c and k:
-                z_const = z_lanes[:, :nb]
-                np.copyto(z_const, z[:m_c].transpose(2, 1, 0))
-                apply_color(
-                    const_factors,
-                    np.moveaxis(z_const, 0, -1),
-                    out=dxi_block[:, :, :m_c].transpose(0, 2, 1),
-                )
+                dxi_const = dxi_block[..., :m_c].transpose(1, 0, 2)
+                apply_color(const_factors, z[..., :m_c], out=dxi_const)
         else:
             dxi_block = dxi_all[start : start + nb]
         for j in range(nb):
@@ -413,9 +404,9 @@ def _run_chunk(
             dxi = dxi_block[j]
             if m_c < m:
                 moment = centered_moments(pairs, psi[:, m_c:], s[:, m_c:])
-                u[:, :, m_c:], dep_dxi = extremal_u(moment, signs, z[m_c:, j] if draw else None, dt)
-                if draw:
-                    dxi[:, m_c:] = dep_dxi.T
+                u[:, :, m_c:] = extremal_u(
+                    moment, signs, z[:, j, m_c:] if draw else None, dt, out=dxi[:, m_c:]
+                )[0]
             j_dt = (np.einsum("klm,lm->km", u, s.conj()) + s) * dt + dxi
             step = start + j
             if step % stride == 0:

@@ -17,6 +17,11 @@ and splits channel j between two quadrature phases with efficiency
 ``dxi = V (a z_a + i b z_b)`` with ``a, b = sqrt(dt (1 +- sigma) / 2)``, so
 quadratures frozen on the boundary (``b = 0``) come out exactly zero.
 
+The colouring functions take the trajectory kernel's layout, component
+axes first and stack (lane) axes last: ``u``, ``M`` and ``V`` are
+``(K, K, ...)``, ``sigma``, ``a`` and ``b`` ``(K, ...)``, standard normals
+``(2K, ...)`` and increments ``(K, ...)``.
+
 The module also provides the state- and model-derived ``u`` choices built
 from second moments of the centered Lindblad operators, which produce
 conditioned dynamics independent of the operator representation, plus the
@@ -118,8 +123,8 @@ def real_embedding(u, dt: float) -> np.ndarray:
 
 
 def takagi(m):
-    """Takagi factors ``(V, sigma)`` of complex symmetric ``m`` ``(..., K, K)``:
-    ``m = V diag(sigma) V^T``, V unitary, singular values ``sigma`` largest first.
+    """Takagi factors ``(V, sigma)`` of complex symmetric ``m`` ``(K, K, ...)``:
+    ``m = V diag(sigma) V^T`` with V unitary and ``sigma`` ``(K, ...)`` largest first.
 
     K = 1 has the closed form ``V = exp(i angle(m) / 2)``, ``sigma = |m|``.
     For K > 1 the eigenvalues of ``B = [[Re m, Im m], [Im m, -Re m]]`` are
@@ -136,26 +141,25 @@ def takagi(m):
     its sample paths follow the sign of that zero: any regrouping of the
     arithmetic of M that flips it moves them macroscopically.
     """
-    k = m.shape[-1]
+    k = m.shape[0]
     if k == 1:
-        return np.exp(1j * (0.5 * np.arctan2(m.imag, m.real))), np.abs(m[..., 0])
-    b = np.empty(m.shape[:-2] + (2 * k, 2 * k))
-    b[..., :k, :k] = m.real
-    b[..., :k, k:] = m.imag
-    b[..., k:, :k] = m.imag
-    b[..., k:, k:] = -m.real
-    evals, evecs = np.linalg.eigh(b)
+        return np.exp(1j * (0.5 * np.arctan2(m.imag, m.real))), np.abs(m[0])
+    b = np.concatenate([np.concatenate([m.real, m.imag], 1), np.concatenate([m.imag, -m.real], 1)])
+    # numpy.linalg takes the matrix axes last: move them there, and back
+    lanes = tuple(range(m.ndim - 2))
+    evals, evecs = np.linalg.eigh(b.transpose(tuple(i + 2 for i in lanes) + (0, 1)))
     top = evecs[..., ::-1][..., :k]
     q, r = np.linalg.qr(top[..., :k, :] + 1j * top[..., k:, :])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (np.sign(d) + (d == 0))[..., None, :]  # the phase d / |d|, or 1 at d = 0
-    return q, evals[..., ::-1][..., :k]
+    sigma = evals[..., ::-1][..., :k].transpose((-1,) + lanes)
+    return q.transpose((-2, -1) + lanes), np.ascontiguousarray(sigma)
 
 
 def _roots(v, s, dt: float):
     """``(V, a, b)`` with ``a, b = sqrt(dt (1 +- s) / 2)`` for ``u = V diag(s) V^T``,
-    ``s`` of either sign; ``a**2`` or ``b**2`` below ``-CLAMP_TOL`` raises
-    ``CovarianceError``, and smaller excursions are clamped to zero."""
+    ``s`` ``(K, ...)`` of either sign; ``a**2`` or ``b**2`` below ``-CLAMP_TOL``
+    raises ``CovarianceError``, and smaller excursions are clamped to zero."""
     # dt (1 + s) / 2 and dt (1 - s) / 2; halving dt first rounds the same
     lam = (dt / 2.0) * (1.0 + np.multiply.outer((1.0, -1.0), s))
     if lam.min(initial=0.0) < -CLAMP_TOL:
@@ -165,9 +169,9 @@ def _roots(v, s, dt: float):
 
 
 def color_factors(u, dt: float):
-    """Factor ``u`` ``(..., K, K)``, which must satisfy ``validate_u``, for
-    ``apply_color``: the unitary V ``(..., K, K)`` of ``takagi(u)`` and the
-    roots ``a, b = sqrt(dt (1 +- sigma) / 2)`` ``(..., K)`` of the
+    """Factor ``u`` ``(K, K, ...)``, which must satisfy ``validate_u``, for
+    ``apply_color``: the unitary V ``(K, K, ...)`` of ``takagi(u)`` and the
+    roots ``a, b = sqrt(dt (1 +- sigma) / 2)`` ``(K, ...)`` of the
     eigenvalues of ``real_embedding(u, dt)``.  Eigenvalues in
     ``[-CLAMP_TOL, 0]`` are clamped to zero, so frozen quadratures on the
     boundary ``||u|| = 1`` come out exactly zero.
@@ -181,9 +185,9 @@ def color_factors(u, dt: float):
 
 
 def apply_color(factors, z, out=None) -> np.ndarray:
-    """Colour standard normals ``z`` ``(..., 2K)`` with the factors
+    """Colour standard normals ``z`` ``(2K, ...)`` with the factors
     ``(V, a, b)`` from ``color_factors``, broadcast against them, into
-    complex increments ``(..., K)``, written into ``out`` if it is given.
+    complex increments ``(K, ...)``, written into ``out`` if it is given.
 
     This is the measurement of ``u = V diag(sigma) V^T``: channel j is split
     between two quadrature phases, ``w_j = a_j z_j + i b_j z_{K+j}``, and the
@@ -191,16 +195,16 @@ def apply_color(factors, z, out=None) -> np.ndarray:
     elementwise products over the stack, the later terms one component at
     a time.  So each entry of the result depends only on its own factors
     and ``z``, not on the size or layout of the stack, and each component
-    streams when its slice of ``z`` runs along memory (lanes last).
+    streams along the lanes.
     """
     v, a, b = factors
-    k = z.shape[-1] // 2
-    w = (a * z[..., :k]).astype(complex)
-    np.multiply(b, z[..., k:], out=w.imag)
-    out = np.multiply(v[..., 0], w[..., :1], out=out)
+    k = z.shape[0] // 2
+    w = (a * z[:k]).astype(complex)
+    np.multiply(b, z[k:], out=w.imag)
+    out = np.multiply(v[:, 0], w[:1], out=out)
     for i in range(k):
         for j in range(1, k):
-            out[..., i] += v[..., i, j] * w[..., j]
+            out[i] += v[i, j] * w[j]
     return out
 
 
@@ -235,16 +239,16 @@ def centered_moments(pairs, psi, means) -> np.ndarray:
     return moment
 
 
-def extremal_u(moment, signs, z=None, dt=None):
-    """Extremal state-dependent correlations ``u = w M``, lanes last, and
-    optionally increments coloured by them.
+def extremal_u(moment, signs, z=None, dt=None, out=None):
+    """Extremal state-dependent correlations ``u = w M`` and optionally
+    increments coloured by them.
 
     ``moment`` ``(K, K, m)`` holds ``centered_moments`` and ``signs``
     ``(m,)`` each lane's ``+1`` or ``-1``.  The weight ``w = sign / ||M||``
     makes ``||u|| = 1``; where ``||M||`` is at most ``MOMENT_FLOOR`` it is
     0, so ``u = 0``.  Returns ``u`` and, given standard normals ``z``
-    ``(m, 2K)`` and the step ``dt``, increments ``(m, K)`` with
-    correlations ``u`` (else None).
+    ``(2K, m)`` and the step ``dt``, increments ``(K, m)`` with
+    correlations ``u``, written into ``out`` if it is given (else None).
 
     For K = 1, ``||M|| = |M|`` and the increments are coloured by
     ``color_factors(u, dt)``.  For K > 1 one ``takagi(M)`` does the work:
@@ -262,19 +266,19 @@ def extremal_u(moment, signs, z=None, dt=None):
     if k == 1:
         norm = np.abs(moment[0, 0])
     else:
-        v, sigma = takagi(moment.transpose(2, 0, 1))
-        norm = sigma[..., 0]
+        v, sigma = takagi(moment)
+        norm = sigma[0]
     live = norm > MOMENT_FLOOR
     weight = np.where(live, signs / np.where(live, norm, 1.0), 0.0)
     u = weight * moment
     if z is None:
         return u, None
     if k == 1:
-        return u, apply_color(color_factors(u.transpose(2, 0, 1), dt), z)
-    v, a, b = _roots(v, weight[..., None] * sigma, dt)
+        return u, apply_color(color_factors(u, dt), z, out)
+    v, a, b = _roots(v, weight * sigma, dt)
     if not live.all():  # there s = 0, so only V differs from u = 0's factors
-        v = np.where(live[:, None, None], v, color_factors(np.zeros((k, k)), dt)[0])
-    return u, apply_color((v, a, b), z)
+        v = np.where(live, v, color_factors(np.zeros((k, k, 1)), dt)[0])
+    return u, apply_color((v, a, b), z, out)
 
 
 def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
@@ -305,7 +309,7 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
     if not a.size:  # without channels there is nothing to colour
         return np.zeros(0, dtype=complex)
     # A stack of one: numpy's scalar complex arithmetic rounds differently.
-    return apply_color(color_factors(a[None], dt), z[None])[0]
+    return apply_color(color_factors(a[..., None], dt), z[:, None])[:, 0]
 
 
 def u_trace(model: LindbladModel, weight: float) -> np.ndarray:

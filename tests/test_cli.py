@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from unravel import build_atom, AtomParams
 from conftest import random_model, random_symmetric_u
 from unravel import cli
 from unravel.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, MODES, build_config, build_parser, main
+from unravel.oracle import EnsembleSummary
 from unravel.trajectory import MIN_LANES, EnsembleRun, NormCollapseError
 
 
@@ -290,6 +295,25 @@ class TestEnsembleCheckMode:
         assert "deviates from the master equation" in err
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["passed"] is False
+
+    def test_failure_names_a_time_that_failed(self, tmp_path, capsys, monkeypatch):
+        # t=0 has no spread (error 0) and a rounding-level distance: it
+        # passes through the gate's absolute slack, so only t=0.2 fails
+        summary = EnsembleSummary(
+            times=np.array([0.0, 0.1, 0.2]),
+            mean_states=np.zeros((3, 2, 2), dtype=complex),
+            trace_distances=np.array([9.2e-15, 0.01, 0.05]),
+            standard_errors=np.array([0.0, 0.01, 0.001]),
+            n_trajectories=4,
+        )
+        monkeypatch.setattr(cli, "ensemble_summary", lambda *args: summary)
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "ensemble-check", "--n-traj", "4",
+            "--dt", "1e-3", "--t-max", "0.01", "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_GATE
+        assert "at t=0.2 (distance 5.000e-02, 3 s.e. + 1e-12 = 3.000e-03)" in err
 
 
 class TestFiguresMode:
@@ -628,6 +652,47 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "output directory" in err
         assert blocker.read_text() == "a file, not a directory"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("combined", "false"),
+            ("combined", 1),
+            ("n_traj", True),
+            ("record_stride", True),
+            ("seed", False),
+            ("t_max", True),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_config_error(self, tmp_path, capsys, key, value):
+        config = {"mode": "trajectories", "n_traj": 1, "dt": 1e-3, "t_max": 0.01,
+                  "output_dir": str(tmp_path)}
+        config[key] = value
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "--config", str(config_path))
+        assert code == EXIT_CONFIG
+        assert key in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_run_that_does_not_fit_in_memory_is_config_error(self, tmp_path):
+        # 1e12 steps index an array, but their times alone need 8 TB; the
+        # address-space cap makes the allocation fail on any host
+        resource = pytest.importorskip("resource")
+        cap = 2 * 1024**3
+        env = dict(os.environ, UNRAVEL_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "unravel.cli", "--mode", "trajectories", "--dt", "1e-12",
+             "--t-max", "1", "--n-traj", "1", "--output-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert done.returncode == EXIT_CONFIG, done.stderr
+        assert "config error: the run does not fit in memory" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_creates_no_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_all", lambda seed: [])

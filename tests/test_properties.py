@@ -17,7 +17,7 @@ from unravel import (
     u_trace,
 )
 from unravel.cli import EXIT_CONFIG, main
-from unravel.unravelings import apply_color, color_factors, extremal_u, takagi
+from unravel.unravelings import MOMENT_FLOOR, apply_color, color_factors, extremal_u, takagi
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
 
 # Text that no float() or int() parses: no digit, and no letter of inf or nan.
@@ -96,8 +96,8 @@ def test_malformed_figures_config_exits_2(tmp_path, capsys, bad):
 
 def _colour_covariance(dxi):
     """Covariance of (Re dxi, Im dxi) over the colourings of the 2K unit
-    normals, one per row of ``dxi``."""
-    x = np.concatenate([dxi.real, dxi.imag], axis=1)
+    normals, one per column of ``dxi``."""
+    x = np.concatenate([dxi.real, dxi.imag]).T
     return x.T @ x
 
 
@@ -119,7 +119,7 @@ def test_degenerate_u_colours_exactly(sigma, seed):
     v, s = takagi(u)
     np.testing.assert_allclose(v.conj().T @ v, np.eye(k), rtol=0, atol=1e-12)
     np.testing.assert_allclose(v @ np.diag(s) @ v.T, u, rtol=0, atol=1e-12)
-    dxi = apply_color(color_factors(u, dt), np.eye(2 * k))
+    dxi = apply_color(color_factors(u[..., None], dt), np.eye(2 * k))
     np.testing.assert_allclose(
         _colour_covariance(dxi), real_embedding(u, dt), rtol=0, atol=1e-14
     )
@@ -140,6 +140,41 @@ def test_rank_one_extremal_moments_colour_exactly(scale, seed, sign):
     np.testing.assert_allclose(
         _colour_covariance(dxi), real_embedding(u[..., 0], dt), rtol=0, atol=1e-14
     )
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), width=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(k=1, width=40, seed=0)
+@example(k=3, width=1, seed=1)
+def test_each_lane_colours_as_a_stack_of_one(k, width, seed):
+    # lanes last: each lane of a stack, live or below the moment floor,
+    # gets the bits of its own width-1 call, u and increments alike
+    rng = np.random.default_rng(seed)
+    dt = 1e-3
+    live = rng.random(width) < 0.5
+    scale = np.where(
+        live, rng.uniform(0.01, 2.0, width), rng.uniform(0.0, 0.9, width) * MOMENT_FLOOR
+    )
+    moment = np.stack([c * random_symmetric_u(rng, k, 1.0) for c in scale], axis=-1)
+    # some lanes real, with either sign of zero: the K = 1 branch cut
+    real = rng.random(width) < 0.25
+    moment.imag[..., real] = np.copysign(0.0, rng.choice([1.0, -1.0], real.sum()))
+    signs = rng.choice([1.0, -1.0], width)
+    z = rng.standard_normal((2 * k, width))
+    u, dxi = extremal_u(moment, signs, z, dt)
+    coloured = apply_color(color_factors(u, dt), z)
+    assert u.shape == (k, k, width) and dxi.shape == coloured.shape == (k, width)
+    for lane in range(width):
+        one = slice(lane, lane + 1)
+        u_one, dxi_one = extremal_u(moment[..., one], signs[one], z[:, one], dt)
+        assert _bits(u_one[..., 0]) == _bits(u[..., lane])
+        assert _bits(dxi_one[:, 0]) == _bits(dxi[:, lane])
+        alone = apply_color(color_factors(u[..., one], dt), z[:, one])
+        assert _bits(alone[:, 0]) == _bits(coloured[:, lane])
 
 
 def _spec(kind, model, rng, norm):

@@ -49,22 +49,25 @@ def package_moments(model, states):
 
 
 def one_shot_increments(u, z, dt):
-    """The colouring written as one expression, refactoring u at each call."""
+    """The colouring written as one expression, refactoring u at each call:
+    ``u`` ``(K, K, ...)`` and ``z`` ``(2K, ...)`` give ``(K, ...)``."""
     a = np.asarray(u, dtype=complex)
-    k = a.shape[-1]
+    k = a.shape[0]
     if k == 1:
-        r = np.abs(a[..., 0, 0])
-        phi = 0.5 * np.angle(a[..., 0, 0])
+        r = np.abs(a[0, 0])
+        phi = 0.5 * np.angle(a[0, 0])
         lam_minus = np.maximum(dt * (1.0 - r) / 2.0, 0.0)
         val = np.exp(1j * phi) * (
-            np.sqrt(dt * (1.0 + r) / 2.0) * z[..., 0] + 1j * np.sqrt(lam_minus) * z[..., 1]
+            np.sqrt(dt * (1.0 + r) / 2.0) * z[0] + 1j * np.sqrt(lam_minus) * z[1]
         )
-        return val[..., None]
+        return val[None]
     v, sigma = takagi(a)
-    w = np.sqrt(dt * (1.0 + sigma) / 2.0) * z[..., :k] + 1j * np.sqrt(
+    w = np.sqrt(dt * (1.0 + sigma) / 2.0) * z[:k] + 1j * np.sqrt(
         np.maximum(dt * (1.0 - sigma) / 2.0, 0.0)
-    ) * z[..., k:]
-    return (v @ w[..., None])[..., 0]
+    ) * z[k:]
+    # the matrix product over the stack, matrix axes last
+    v, w = np.moveaxis(v, (0, 1), (-2, -1)), np.moveaxis(w, 0, -1)
+    return np.moveaxis((v @ w[..., None])[..., 0], -1, 0)
 
 
 class TestValidation:
@@ -171,10 +174,10 @@ class TestFactoredColoring:
         rng = np.random.default_rng(31 + channels)
         dt = 1e-3
         # three u, each colouring a block of five steps of normals
-        us = np.stack([random_symmetric_u(rng, channels, norm) for _ in range(3)])
-        z = rng.standard_normal((3, 5, 2 * channels))
-        factored = apply_color(color_factors(us[:, None], dt), z)
-        assert factored.shape == (3, 5, channels)
+        us = np.stack([random_symmetric_u(rng, channels, norm) for _ in range(3)], axis=-1)
+        z = np.moveaxis(rng.standard_normal((3, 5, 2 * channels)), -1, 0)
+        factored = apply_color(color_factors(us[..., None], dt), z)
+        assert factored.shape == (channels, 3, 5)
 
         def assert_matches_reference(got, want):
             if channels == 1:
@@ -182,33 +185,37 @@ class TestFactoredColoring:
             else:  # apply_color sums in another order than the matrix product
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
-        assert_matches_reference(factored, one_shot_increments(us[:, None], z, dt))
+        assert_matches_reference(factored, one_shot_increments(us[..., None], z, dt))
         for j in range(5):
-            want = one_shot_increments(us, z[:, j], dt)
-            assert_matches_reference(factored[:, j], want)
-            assert_matches_reference(apply_color(color_factors(us, dt), z[:, j]), want)
+            want = one_shot_increments(us, z[..., j], dt)
+            assert_matches_reference(factored[..., j], want)
+            assert_matches_reference(apply_color(color_factors(us, dt), z[..., j]), want)
             assert_matches_reference(
-                apply_color(color_factors(us[1:2], dt), z[1:2, j]), want[1:2]
+                apply_color(color_factors(us[..., 1:2], dt), z[:, 1:2, j]), want[:, 1:2]
             )
 
     def test_wide_and_narrow_stacks_colour_alike(self, rng):
         # a lane's bits depend neither on the size of the stack nor on its
         # layout
         dt = 1e-3
-        us = np.stack([random_symmetric_u(rng, 3, 0.9) for _ in range(4)])
+        us = np.stack([random_symmetric_u(rng, 3, 0.9) for _ in range(4)], axis=-1)
         factors = color_factors(us, dt)
+        per_row = tuple(f[..., None, :] for f in factors)
         rows = 342
-        z = rng.standard_normal((rows, 4, 6))
-        wide = apply_color(factors, z)
-        lanes_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(z, -1, 0)), 0, -1)
-        out = np.empty((3, rows, 4), dtype=complex)
-        apply_color(factors, lanes_last, out=np.moveaxis(out, 0, -1))
-        assert np.array_equal(np.moveaxis(out, 0, -1), wide)
+        # components last in memory, the layout the stream draws come in
+        z = np.moveaxis(rng.standard_normal((rows, 4, 6)), -1, 0)
+        wide = apply_color(per_row, z)
+        lanes_last = np.ascontiguousarray(z)
+        out = np.empty((rows, 4, 3), dtype=complex)
+        apply_color(per_row, lanes_last, out=np.moveaxis(out, -1, 0))
+        assert np.array_equal(np.moveaxis(out, -1, 0), wide)
         for row in (0, 17, rows - 1):
-            assert np.array_equal(apply_color(factors, z[row]), wide[row])
+            assert np.array_equal(apply_color(factors, z[:, row]), wide[:, row])
             for lane in range(4):
-                one = tuple(f[lane : lane + 1] for f in factors)
-                assert np.array_equal(apply_color(one, z[row, lane][None])[0], wide[row, lane])
+                one = tuple(f[..., lane : lane + 1] for f in factors)
+                assert np.array_equal(
+                    apply_color(one, z[:, row, lane][:, None])[:, 0], wide[:, row, lane]
+                )
 
     @pytest.mark.parametrize("sigma", [[0.3], [1.0, 0.5], [0.9, 0.5, 0.1], [0.7, 0.6, 0.3, 0.2]])
     def test_takagi_of_descending_diagonal_is_the_identity(self, sigma):
@@ -242,8 +249,8 @@ class TestExtremalFactors:
             u, got = extremal_u(lanes, np.full(6, float(sign)), unit, dt)
             want_u = InvariantStateDep(sign).resolve(model, psi)
             np.testing.assert_allclose(u[..., 0], want_u, rtol=0, atol=1e-14)
-            want = apply_color(color_factors(want_u[None], dt), unit)
-            gram = [np.concatenate([x.real, x.imag], axis=1) for x in (got, want)]
+            want = apply_color(color_factors(want_u[..., None], dt), unit)
+            gram = [np.concatenate([x.real, x.imag]).T for x in (got, want)]
             np.testing.assert_allclose(
                 gram[0].T @ gram[0], gram[1].T @ gram[1], rtol=0, atol=1e-14
             )
@@ -254,23 +261,23 @@ class TestExtremalFactors:
     def test_below_the_moment_floor_the_factors_are_those_of_zero(self):
         moments = np.zeros((3, 3, 2), dtype=complex)
         moments[0, 0, 1] = 0.5 * MOMENT_FLOOR
-        z = np.random.default_rng(5).standard_normal((2, 6))
+        z = np.random.default_rng(5).standard_normal((2, 6)).T
         u, dxi = extremal_u(moments, np.array([1.0, -1.0]), z, 1e-3)
         assert np.array_equal(u, np.zeros((3, 3, 2)))
-        zero_v, zero_a, zero_b = color_factors(np.zeros((3, 3)), 1e-3)
+        zero = tuple(f[..., None] for f in color_factors(np.zeros((3, 3)), 1e-3))
         for lane in range(2):
-            want = apply_color((zero_v[None], zero_a[None], zero_b[None]), z[lane][None])[0]
-            assert np.array_equal(dxi[lane], want)
+            want = apply_color(zero, z[:, lane][:, None])[:, 0]
+            assert np.array_equal(dxi[:, lane], want)
 
     def test_frozen_quadrature_is_exactly_silent(self):
         # ||u|| = 1, so one covariance eigenvalue is zero: u_00 = -1 freezes
         # the real part of the first increment
         moments = np.repeat(np.diag([1.0, 0.5, 0.2]).astype(complex)[..., None], 20, axis=-1)
-        z = np.random.default_rng(6).standard_normal((20, 6))
+        z = np.random.default_rng(6).standard_normal((20, 6)).T
         u, dxi = extremal_u(moments, np.full(20, -1.0), z, 1e-3)
         assert u[0, 0, 0] == -1.0
-        assert np.array_equal(dxi.real[:, 0], np.zeros(20))
-        assert np.abs(dxi.imag[:, 0]).min() > 0.0
+        assert np.array_equal(dxi.real[0], np.zeros(20))
+        assert np.abs(dxi.imag[0]).min() > 0.0
 
 
 class TestHomodyneU:
