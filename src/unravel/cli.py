@@ -15,13 +15,20 @@ verify
     Run the deterministic self-check suite and report per-check lines.
 
 Options come from an optional JSON config file (``--config``), overridden
-field by field by command-line flags.  Exit codes: 0 success, 1 gate or
-property failure, 2 configuration error, which includes a step count
-``t_max / dt`` too large to index an array, a run that does not fit in
-memory, a config value of the wrong JSON type and an output directory that
-cannot be created.  Ensembles fan out over the CPUs available, with at
-least ``trajectory.MIN_LANES`` trajectories per worker process, so one
-narrower than twice that runs in-process.  The environment variable
+field by field by command-line flags.  Each flag is a config key, spelled
+with underscores (``--t-max`` is ``t_max``).  Only a config file can set
+``initial``, the initial state as N rows of ``[re, im]`` (normalised; the
+default is +x for N=2, else basis state 0), or give ``model`` and
+``unraveling`` as JSON objects in their ``manifest.json`` form.  Exit
+codes: 0 success, 1 gate or property failure, 2 configuration error,
+which includes a step count ``t_max / dt`` too large to index an array, a
+run that does not fit in memory, a config value of the wrong JSON type (a
+JSON true or false anywhere in a config file, a model file or
+``--u-json``, except as ``combined``), a non-finite homodyne phase, a
+non-integral ``sign`` and an output directory that cannot be created.
+Ensembles fan out over the CPUs available, with at least
+``trajectory.MIN_LANES`` trajectories per worker process, so one narrower
+than twice that runs in-process.  The environment variable
 ``UNRAVEL_THREADS`` sets the CPU count instead, and ``UNRAVEL_THREADS=1``
 runs every ensemble in-process.  Output is byte-identical for any worker
 count; ``trajectories`` mode records the worker processes and index ranges
@@ -87,27 +94,34 @@ MODES = ("trajectories", "ensemble-check", "figures", "verify")
 # a sizeable fraction of its norm, and renormalization hides the error.
 MAX_STEP_RATE = 0.1
 
-# Config-file keys, with the values used when neither file nor flag sets them.
-_DEFAULTS = {
-    "mode": None,
-    "model": "atom",
-    "gamma": 1.0,
-    "omega": 10.0,
-    "unraveling": "heterodyne",
-    "u_json": None,
-    "eta": None,
-    "theta1": None,
-    "theta2": None,
-    "sign": None,
-    "trace_r": None,
-    "dt": 1e-4,
-    "t_max": 4.0,
-    "n_traj": 2000,
-    "seed": 0,
-    "record_stride": None,
-    "output_dir": ".",
-    "initial": None,
-    "combined": False,
+# Each option once: its config key, the value used when neither file nor
+# flag sets it, and the settings of its flag ``--key-with-dashes``.  A key
+# without flag settings can be set only in a config file.
+_OPTIONS = {
+    "mode": (None, dict(choices=MODES, help="what to run")),
+    "model": ("atom", dict(help="'atom' (uses --gamma/--omega) or a path to a model JSON file")),
+    "gamma": (1.0, dict(type=float, help="atom decay rate (default 1.0)")),
+    "omega": (10.0, dict(type=float, help="atom Rabi frequency (default 10.0)")),
+    "unraveling": ("heterodyne", dict(help=(
+        "scenario name (homodyne_x, homodyne_y, heterodyne, invariant_plus, "
+        "invariant_minus) or constructor (fixed, homodyne, invariant, invariant_trace)"))),
+    "u_json": (None, dict(help="correlation matrix for 'fixed', rows of [re, im] pairs, "
+                               "e.g. [[[1.0, 0.0]]]")),
+    "eta": (None, dict(type=float, help="splitting efficiency for 'homodyne'")),
+    "theta1": (None, dict(type=float, help="first phase for 'homodyne'")),
+    "theta2": (None, dict(type=float, help="second phase for 'homodyne'")),
+    "sign": (None, dict(type=int, choices=(1, -1), help="sign for 'invariant'")),
+    "trace_r": (None, dict(type=float, help="weight for 'invariant_trace'")),
+    "dt": (1e-4, dict(type=float, help="step size (default 1e-4)")),
+    "t_max": (4.0, dict(type=float, help="total time (default 4.0)")),
+    "n_traj": (2000, dict(type=int, help="ensemble size (default 2000)")),
+    "seed": (0, dict(type=int, help="base seed for the noise streams (default 0)")),
+    "record_stride": (None, dict(type=int, help="record every n-th step (default 1; "
+                                                "ensemble-check defaults to steps//20)")),
+    "output_dir": (".", dict(help="directory for emitted files (default '.')")),
+    "initial": (None, None),
+    "combined": (False, dict(action="store_true", default=None,
+                             help="trajectories mode: write one CSV keyed by trajectory_index")),
 }
 
 
@@ -119,9 +133,7 @@ _UNRAVELING_FIELDS = {
 
 # Options that figures mode, which runs its own five scenarios, one
 # trajectory each, would otherwise ignore.
-_NOT_FOR_FIGURES = (
-    "unraveling", "u_json", "eta", "theta1", "theta2", "sign", "trace_r", "n_traj", "combined",
-)
+_NOT_FOR_FIGURES = ("unraveling", "u_json", *_UNRAVELING_FIELDS, "n_traj", "combined")
 
 
 class ConfigError(ValueError):
@@ -153,82 +165,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Diffusive conditioned trajectories of Markovian open systems.",
     )
     parser.add_argument("--config", type=Path, help="JSON config file; flags override its fields")
-    parser.add_argument("--mode", choices=MODES, help="what to run")
-    parser.add_argument(
-        "--model",
-        help="'atom' (uses --gamma/--omega) or a path to a model JSON file",
-    )
-    parser.add_argument("--gamma", type=float, help="atom decay rate (default 1.0)")
-    parser.add_argument("--omega", type=float, help="atom Rabi frequency (default 10.0)")
-    parser.add_argument(
-        "--unraveling",
-        help=(
-            "scenario name (homodyne_x, homodyne_y, heterodyne, invariant_plus, "
-            "invariant_minus) or constructor (fixed, homodyne, invariant, invariant_trace)"
-        ),
-    )
-    parser.add_argument(
-        "--u-json",
-        dest="u_json",
-        help="correlation matrix for 'fixed', rows of [re, im] pairs, e.g. [[[1.0, 0.0]]]",
-    )
-    parser.add_argument("--eta", type=float, help="splitting efficiency for 'homodyne'")
-    parser.add_argument("--theta1", type=float, help="first phase for 'homodyne'")
-    parser.add_argument("--theta2", type=float, help="second phase for 'homodyne'")
-    parser.add_argument("--sign", type=int, choices=(1, -1), help="sign for 'invariant'")
-    parser.add_argument(
-        "--trace-r", dest="trace_r", type=float, help="weight for 'invariant_trace'"
-    )
-    parser.add_argument("--dt", type=float, help="step size (default 1e-4)")
-    parser.add_argument("--t-max", dest="t_max", type=float, help="total time (default 4.0)")
-    parser.add_argument("--n-traj", dest="n_traj", type=int, help="ensemble size (default 2000)")
-    parser.add_argument("--seed", type=int, help="base seed for the noise streams (default 0)")
-    parser.add_argument(
-        "--record-stride",
-        dest="record_stride",
-        type=int,
-        help="record every n-th step (default 1; ensemble-check defaults to steps//20)",
-    )
-    parser.add_argument(
-        "--output-dir", dest="output_dir", help="directory for emitted files (default '.')"
-    )
-    parser.add_argument(
-        "--combined",
-        action="store_true",
-        default=None,
-        help="trajectories mode: write one CSV keyed by trajectory_index",
-    )
+    for key, (_, flag) in _OPTIONS.items():
+        if flag is not None:
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
     return parser
+
+
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``, which errors call ``what``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
+def _reject_booleans(value, key: str) -> None:
+    """Raise ``ConfigError`` for a JSON true or false anywhere in ``value``,
+    the JSON under config key ``key``: ``float()``, ``int()`` and numpy
+    would read it as the number 1 or 0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must not hold true or false, got {json.dumps(value)}")
+    if isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _reject_booleans(item, key)
 
 
 def _merged_options(args: argparse.Namespace) -> tuple[dict, set]:
     """The options with defaults filled in, and the keys a file or flag set."""
-    opts = dict(_DEFAULTS)
-    given = set()
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(data) - set(_DEFAULTS))
-        if unknown:
-            raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-        opts.update(data)
-        given.update(data)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            opts[key] = value
-            given.add(key)
-    return opts, given
+    given = {} if args.config is None else _read_json(args.config, "config file")
+    if not isinstance(given, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(given) - set(_OPTIONS))
+    if unknown:
+        raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
+    for key, value in given.items():
+        if key != "combined":  # which has its own true-or-false rule
+            _reject_booleans(value, key)
+    given.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
+    return {key: default for key, (default, _) in _OPTIONS.items()} | given, set(given)
 
 
 def _as_positive_float(value, name: str) -> float:
-    if isinstance(value, bool):  # float(true) would read as 1
-        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -239,8 +217,6 @@ def _as_positive_float(value, name: str) -> float:
 
 
 def _as_count(value, name: str, minimum: int = 1) -> int:
-    if isinstance(value, bool):  # int(true) would read as 1
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -263,11 +239,8 @@ def _build_model(opts: dict) -> tuple[LindbladModel, AtomParams]:
     name = str(raw)
     if name == "atom":
         return build_atom(atom), atom
-    try:
-        with open(name) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read model file {name!r}: {exc}") from exc
+    data = _read_json(name, f"model file {name!r}")
+    _reject_booleans(data, "model")
     return LindbladModel.from_dict(data), atom
 
 
@@ -286,6 +259,7 @@ def _build_unraveling(opts: dict) -> UnravelingSpec:
             data["u"] = json.loads(opts["u_json"])
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--u-json is not valid JSON: {exc}") from exc
+        _reject_booleans(data["u"], "u_json")
     for key, field in _UNRAVELING_FIELDS.items():
         if opts[key] is not None:
             data[field] = opts[key]

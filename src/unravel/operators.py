@@ -140,7 +140,7 @@ class LindbladModel:
     @classmethod
     def from_dict(cls, data: dict) -> "LindbladModel":
         try:
-            dim = int(data["dim"])
+            dim = data["dim"]  # int() would read 2.7 as 2; the shape check rejects it
             h = matrix_from_pairs(data["hamiltonian"])
             cs = tuple(matrix_from_pairs(c) for c in data.get("lindblads", []))
         except (KeyError, TypeError) as exc:

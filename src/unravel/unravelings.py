@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LindbladModel, check_pure_state
+from .operators import LindbladModel, check_pure_state, matrix_from_pairs, matrix_to_pairs
 
 # Deviation from complex symmetry tolerated in a u matrix.
 SYMMETRY_TOL = 1e-12
@@ -333,6 +333,8 @@ def homodyne_u(eta: float, theta1: float, theta2: float) -> np.ndarray:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    if not np.isfinite(theta1) or not np.isfinite(theta2):
+        raise ValueError(f"phases must be finite, got theta1={theta1}, theta2={theta2}")
     val = eta * np.exp(2j * theta1) + (1.0 - eta) * np.exp(2j * theta2)
     return np.array([[val]], dtype=complex)
 
@@ -356,8 +358,6 @@ class FixedU:
         return self.u
 
     def to_dict(self) -> dict:
-        from .operators import matrix_to_pairs
-
         return {"type": "fixed", "u": matrix_to_pairs(self.u)}
 
 
@@ -454,8 +454,6 @@ def spec_from_dict(data: dict) -> UnravelingSpec:
     """Rebuild an unraveling specification from its JSON object form, the
     one map from a ``type`` name to a class.  Missing fields default to
     ``eta = 1``, ``theta1 = theta2 = 0``, ``sign = 1`` and ``R = 0``."""
-    from .operators import matrix_from_pairs
-
     try:
         kind = data["type"]
     except (KeyError, TypeError) as exc:
@@ -471,7 +469,7 @@ def spec_from_dict(data: dict) -> UnravelingSpec:
     if kind == "heterodyne":
         return Heterodyne()
     if kind == "invariant":
-        return InvariantStateDep(sign=int(data.get("sign", 1)))
+        return InvariantStateDep(sign=data.get("sign", 1))  # int() would read 1.5 as 1
     if kind == "invariant_trace":
         return InvariantTrace(weight=float(data.get("R", 0.0)))
     raise ValueError(f"unknown unraveling type {kind!r}")

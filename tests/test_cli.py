@@ -675,6 +675,50 @@ class TestConfigHandling:
         assert key in err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "fields, flags, key",
+        [
+            ('"omega": true', [], "omega"),
+            ('"unraveling": "invariant", "sign": true', [], "sign"),
+            ('"unraveling": "homodyne", "eta": true', [], "eta"),
+            ('"initial": [[true, false], [0.0, 0.0]]', [], "initial"),
+            ('"unraveling": {"type": "fixed", "u": [[[true, 0.0]]]}', [], "unraveling"),
+            ('"model": {"dim": 2, "hamiltonian": [[[0, 0], [true, 0]], [[1, 0], [0, 0]]], '
+             '"lindblads": [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]]}', [], "model"),
+            ('"unraveling": "fixed"', ["--u-json", "[[[true, 0.0]]]"], "u_json"),
+            ('"unraveling": "homodyne"', ["--theta1", "inf"], "theta1"),
+            ('"unraveling": "homodyne"', ["--theta2", "nan"], "theta2"),
+            ('"unraveling": "homodyne", "theta1": 1e309', [], "theta1"),
+            ('"unraveling": "invariant", "sign": 1.5', [], "sign"),
+            ('"unraveling": {"type": "invariant", "sign": 1.5}', [], "sign"),
+            ('"model": {"dim": 2.7, "hamiltonian": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], '
+             '"lindblads": [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]]}', [], "dim"),
+        ],
+        ids=["omega", "sign", "eta", "initial", "unraveling-u", "model-hamiltonian", "u-json",
+             "theta1-inf", "theta2-nan", "theta1-overflow", "sign-fraction",
+             "invariant-sign-fraction", "model-dim-fraction"],
+    )
+    def test_value_a_run_would_misread_is_config_error(self, tmp_path, capsys, fields, flags, key):
+        # each of these once ran with true read as 1, 1.5 as 1, 2.7 as 2,
+        # or failed only inside the run as a property failure
+        config_path = tmp_path / "run.json"
+        config_path.write_text(
+            '{"mode": "trajectories", "n_traj": 1, "dt": 1e-3, "t_max": 0.01, '
+            f'"output_dir": {json.dumps(str(tmp_path / "out"))}, {fields}}}'
+        )
+        code, _, err = run_cli(capsys, "--config", str(config_path), *flags)
+        assert code == EXIT_CONFIG
+        assert "config error" in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_flag_is_a_config_key(self):
+        # the README's promise: every flag can be set from a config file,
+        # under its own name with underscores, and only initial has no flag
+        actions = [a for a in build_parser()._actions if a.dest not in ("help", "config")]
+        assert {a.dest for a in actions} == set(cli._OPTIONS) - {"initial"}
+        for action in actions:
+            assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+
     def test_run_that_does_not_fit_in_memory_is_config_error(self, tmp_path):
         # 1e12 steps index an array, but their times alone need 8 TB; the
         # address-space cap makes the allocation fail on any host

@@ -135,6 +135,10 @@ class TestSerialization:
         assert data["dim"] == 2
         assert len(data["lindblads"]) == 1
 
+    def test_model_dict_rejects_non_integral_dimension(self, atom_model):
+        with pytest.raises(ValueError, match="declared dim 2.7"):
+            LindbladModel.from_dict({**atom_model.to_dict(), "dim": 2.7})
+
 
 class TestExpectation:
     def test_vector_and_projector_agree(self, rng):

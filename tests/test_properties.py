@@ -36,6 +36,18 @@ BAD_COUNT = st.one_of(
     st.just(float("inf")),
     JUNK,
 )
+NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+
+
+def atom_model(dim=2, coupling=1.0) -> dict:
+    """A driven-atom model object, for one of its numbers to be replaced."""
+    return {
+        "dim": dim,
+        "hamiltonian": [[[0.0, 0.0], [coupling, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+        "lindblads": [[[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]],
+    }
+
+
 BAD_FIELDS = st.one_of(
     st.tuples(st.sampled_from(["dt", "t_max", "gamma"]), BAD_POSITIVE),
     st.tuples(st.sampled_from(["n_traj", "record_stride"]), BAD_COUNT),
@@ -61,6 +73,33 @@ BAD_FIELDS = st.one_of(
     ),
     st.tuples(st.just("mode"), st.one_of(WORDS, st.none())),
     st.tuples(WORDS.map(lambda w: "unknown_" + w), st.integers()),
+    # a JSON true or false, which float() and int() would read as 1 or 0
+    st.tuples(
+        st.sampled_from(["omega", "eta", "theta1", "theta2", "sign", "trace_r", "u_json"]),
+        st.booleans(),
+    ),
+    st.tuples(st.just("initial"), st.booleans().map(lambda b: [[b, 0.0], [1.0, 0.0]])),
+    st.tuples(
+        st.just("unraveling"),
+        st.one_of(
+            st.booleans().map(lambda b: {"type": "fixed", "u": [[[b, 0.0]]]}),
+            st.booleans().map(lambda b: {"type": "homodyne", "eta": b}),
+            st.booleans().map(lambda b: {"type": "invariant", "sign": b}),
+            st.tuples(st.sampled_from(["theta1", "theta2"]), NON_FINITE).map(
+                lambda field: {"type": "homodyne", field[0]: field[1]}
+            ),
+            st.floats(-10, 10).filter(lambda x: x != int(x)).map(
+                lambda sign: {"type": "invariant", "sign": sign}
+            ),
+        ),
+    ),
+    st.tuples(
+        st.just("model"),
+        st.one_of(
+            st.booleans().map(lambda b: atom_model(coupling=b)),
+            st.booleans().map(lambda b: atom_model(dim=b)),
+        ),
+    ),
 )
 MODES = st.sampled_from(["trajectories", "ensemble-check", "figures", "verify"])
 

@@ -294,6 +294,11 @@ class TestHomodyneU:
         with pytest.raises(ValueError, match="eta"):
             homodyne_u(1.2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("theta1, theta2", [(np.inf, 0.0), (0.0, np.nan), (-np.inf, 0.0)])
+    def test_rejects_non_finite_phase(self, theta1, theta2):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            homodyne_u(0.5, theta1, theta2)
+
     @given(
         eta=st.floats(min_value=0.0, max_value=1.0),
         theta1=st.floats(min_value=-10.0, max_value=10.0),
@@ -453,6 +458,10 @@ class TestSpecs:
     def test_spec_from_dict_rejects_unknown_type(self):
         with pytest.raises(ValueError, match="type"):
             spec_from_dict({"type": "something-else"})
+
+    def test_spec_from_dict_rejects_non_integral_sign(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            spec_from_dict({"type": "invariant", "sign": 1.5})
 
     @pytest.mark.parametrize(
         "kind, expected",
