@@ -24,8 +24,11 @@ codes: 0 success, 1 gate or property failure, 2 configuration error,
 which includes a step count ``t_max / dt`` too large to index an array, a
 run that does not fit in memory, a config value of the wrong JSON type (a
 JSON true or false anywhere in a config file, a model file or
-``--u-json``, except as ``combined``), a non-finite homodyne phase, a
-non-integral ``sign`` and an output directory that cannot be created.
+``--u-json``, except as ``combined``, or a string where a number belongs:
+only ``mode``, ``model``, ``unraveling``, ``u_json`` and ``output_dir``
+hold strings, and an unraveling object's ``type``), a non-finite homodyne
+phase, a non-integral ``sign`` and an output directory that cannot be
+created.
 Ensembles fan out over the CPUs available, with at least
 ``trajectory.MIN_LANES`` trajectories per worker process, so one narrower
 than twice that runs in-process.  The environment variable
@@ -131,6 +134,19 @@ _UNRAVELING_FIELDS = {
 }
 
 
+# The config keys whose JSON holds numbers only, and the fields of a model
+# or unraveling object that do: a string anywhere in them is of the wrong
+# JSON type, though float(), int() and numpy would read "3" as 3.
+_NUMBER_KEYS = (
+    "gamma", "omega", *_UNRAVELING_FIELDS, "dt", "t_max", "n_traj", "seed", "record_stride",
+    "initial",
+)
+_NUMBER_FIELDS = {
+    "model": ("dim", "hamiltonian", "lindblads"),
+    "unraveling": ("u", *_UNRAVELING_FIELDS.values()),
+}
+
+
 # Options that figures mode, which runs its own five scenarios, one
 # trajectory each, would otherwise ignore.
 _NOT_FOR_FIGURES = ("unraveling", "u_json", *_UNRAVELING_FIELDS, "n_traj", "combined")
@@ -180,15 +196,29 @@ def _read_json(path, what: str):
         raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
-def _reject_booleans(value, key: str) -> None:
+def _reject_wrong_types(value, key: str, numbers: bool) -> None:
     """Raise ``ConfigError`` for a JSON true or false anywhere in ``value``,
-    the JSON under config key ``key``: ``float()``, ``int()`` and numpy
-    would read it as the number 1 or 0."""
+    the JSON under config key ``key``, and, if it must hold ``numbers``, for
+    a string anywhere in it: ``float()``, ``int()`` and numpy would read
+    true as 1 and "3" as 3."""
     if isinstance(value, bool):
         raise ConfigError(f"{key} must not hold true or false, got {json.dumps(value)}")
+    if numbers and isinstance(value, str):
+        raise ConfigError(f"{key} must hold numbers, not strings, got {json.dumps(value)}")
     if isinstance(value, (dict, list)):
         for item in value.values() if isinstance(value, dict) else value:
-            _reject_booleans(item, key)
+            _reject_wrong_types(item, key, numbers)
+
+
+def _check_json_types(value, key: str) -> None:
+    """The one type check of the JSON under config key ``key``: no true or
+    false anywhere, and numbers only under the number keys and in the
+    number fields of a model or unraveling object."""
+    if isinstance(value, dict) and key in _NUMBER_FIELDS:
+        for field, item in value.items():
+            _reject_wrong_types(item, key, field in _NUMBER_FIELDS[key])
+    else:
+        _reject_wrong_types(value, key, key in _NUMBER_KEYS)
 
 
 def _merged_options(args: argparse.Namespace) -> tuple[dict, set]:
@@ -201,7 +231,7 @@ def _merged_options(args: argparse.Namespace) -> tuple[dict, set]:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     for key, value in given.items():
         if key != "combined":  # which has its own true-or-false rule
-            _reject_booleans(value, key)
+            _check_json_types(value, key)
     given.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
     return {key: default for key, (default, _) in _OPTIONS.items()} | given, set(given)
 
@@ -240,7 +270,7 @@ def _build_model(opts: dict) -> tuple[LindbladModel, AtomParams]:
     if name == "atom":
         return build_atom(atom), atom
     data = _read_json(name, f"model file {name!r}")
-    _reject_booleans(data, "model")
+    _check_json_types(data, "model")
     return LindbladModel.from_dict(data), atom
 
 
@@ -259,7 +289,7 @@ def _build_unraveling(opts: dict) -> UnravelingSpec:
             data["u"] = json.loads(opts["u_json"])
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--u-json is not valid JSON: {exc}") from exc
-        _reject_booleans(data["u"], "u_json")
+        _reject_wrong_types(data["u"], "u_json", numbers=True)
     for key, field in _UNRAVELING_FIELDS.items():
         if opts[key] is not None:
             data[field] = opts[key]

@@ -24,7 +24,14 @@ batch.  Each trajectory owns a
 counter-based pseudorandom stream derived from ``(seed, trajectory_index)``
 and the kernel's arithmetic on one trajectory never mixes in another, so a
 trajectory is a bit-exact function of its seed and index, whatever the
-batch width or worker count.  Inside the kernel the trajectories (lanes)
+batch width or worker count.  The two products that grow as N squared, the
+operator stack applied to the states and the symmetrised channel pairs of
+the state-dependent ``u``, go through ``operators._stack_apply``: an einsum
+below ``operators.BLAS_MIN_DIM``, and from it up one BLAS ``zgemm``
+against a block of lanes zero-padded to a multiple of 8.  That a padded
+``zgemm`` rounds each lane alike at any width is a property of the BLAS
+build, not of numpy; the tier-1 lane-width tests pin it on whatever host
+runs them.  Inside the kernel the trajectories (lanes)
 run constant-``u`` first, then state-dependent, so each kind is a slice,
 and the lane index is the last, contiguous axis of every per-lane array,
 so each per-lane product streams over the lanes; the records come back
@@ -39,7 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LindbladModel, check_density_matrix, check_pure_state, liouvillian_apply
+from .operators import (
+    LindbladModel,
+    _stack_apply,
+    check_density_matrix,
+    check_pure_state,
+    liouvillian_apply,
+)
 from .unravelings import (
     UnravelingSpec,
     apply_color,
@@ -317,10 +330,15 @@ def _run_chunk(
     one stacked ``(K+1, N, N)`` product, and forms the means
     ``s_k = <c_k>``.  State-dependent lanes then resolve their ``u`` from
     their ``centered_moments`` and colour their normals with ``extremal_u``.
-    The record, the linear update and the renormalization follow.  Every
-    product is an einsum or a stacked matrix-column product, whose rounding
-    for one lane does not depend on the others or on the lane order, so lane
-    ``i`` is the same at any batch width.  A norm below ``NORM_FLOOR`` or
+    The record, the linear update and the renormalization follow.  The
+    stacked product and the ``(K^2, N, N)`` pair product inside
+    ``centered_moments`` are ``_stack_apply``: an einsum below
+    ``BLAS_MIN_DIM``, a zero-padded ``zgemm`` from it up (the atom, N=2,
+    stays on the einsum).  Every other product is an einsum or a stacked
+    matrix-column product.  None rounds one lane differently with the
+    others or with the lane order, so lane ``i`` is the same at any batch
+    width; for the ``zgemm`` that rests on the BLAS build, and the
+    lane-width tests pin it.  A norm below ``NORM_FLOOR`` or
     not finite raises ``NormCollapseError`` naming the lowest failing
     trajectory index, the step and its start time.  Working memory is a
     few arrays of ``m * NOISE_BLOCK * 2K`` doubles besides the records.
@@ -398,7 +416,7 @@ def _run_chunk(
         else:
             dxi_block = dxi_all[start : start + nb]
         for j in range(nb):
-            ops_psi = np.einsum("kab,bm->kam", ops, psi)
+            ops_psi = _stack_apply(ops, psi)
             c_psi = ops_psi[1:]
             s = np.einsum("am,kam->km", psi.conj(), c_psi)
             dxi = dxi_block[j]

@@ -34,7 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LindbladModel, check_pure_state, matrix_from_pairs, matrix_to_pairs
+from .operators import (
+    LindbladModel,
+    _stack_apply,
+    check_pure_state,
+    matrix_from_pairs,
+    matrix_to_pairs,
+)
 
 # Deviation from complex symmetry tolerated in a u matrix.
 SYMMETRY_TOL = 1e-12
@@ -122,9 +128,11 @@ def real_embedding(u, dt: float) -> np.ndarray:
     )
 
 
-def takagi(m):
+def takagi(m, unitary: bool = True):
     """Takagi factors ``(V, sigma)`` of complex symmetric ``m`` ``(K, K, ...)``:
     ``m = V diag(sigma) V^T`` with V unitary and ``sigma`` ``(K, ...)`` largest first.
+    For K > 1, ``unitary=False`` skips the QR completion below and returns
+    None for V; ``sigma`` keeps its bits.
 
     K = 1 has the closed form ``V = exp(i angle(m) / 2)``, ``sigma = |m|``.
     For K > 1 the eigenvalues of ``B = [[Re m, Im m], [Im m, -Re m]]`` are
@@ -148,12 +156,14 @@ def takagi(m):
     # numpy.linalg takes the matrix axes last: move them there, and back
     lanes = tuple(range(m.ndim - 2))
     evals, evecs = np.linalg.eigh(b.transpose(tuple(i + 2 for i in lanes) + (0, 1)))
+    sigma = np.ascontiguousarray(evals[..., ::-1][..., :k].transpose((-1,) + lanes))
+    if not unitary:
+        return None, sigma
     top = evecs[..., ::-1][..., :k]
     q, r = np.linalg.qr(top[..., :k, :] + 1j * top[..., k:, :])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (np.sign(d) + (d == 0))[..., None, :]  # the phase d / |d|, or 1 at d = 0
-    sigma = evals[..., ::-1][..., :k].transpose((-1,) + lanes)
-    return q.transpose((-2, -1) + lanes), np.ascontiguousarray(sigma)
+    return q.transpose((-2, -1) + lanes), sigma
 
 
 def _roots(v, s, dt: float):
@@ -232,8 +242,11 @@ def centered_moments(pairs, psi, means) -> np.ndarray:
     proportional to ``M`` give conditioned dynamics independent of the
     operator representation.
     """
-    # Two-operand einsums only: a three-operand one rounds by width.
-    pairs_psi = np.einsum("jlab,bm->jlam", pairs, psi)
+    # The kernel's lane-stable product (an einsum below BLAS_MIN_DIM, a
+    # padded zgemm from it up), then a two-operand einsum: a three-operand
+    # one rounds by width.
+    k, n = pairs.shape[0], psi.shape[0]
+    pairs_psi = _stack_apply(pairs.reshape(k * k, n, n), psi).reshape(k, k, n, -1)
     moment = np.einsum("am,jlam->jlm", psi.conj(), pairs_psi)
     moment -= means[:, None] * means[None]
     return moment
@@ -265,8 +278,8 @@ def extremal_u(moment, signs, z=None, dt=None, out=None):
     k = moment.shape[0]
     if k == 1:
         norm = np.abs(moment[0, 0])
-    else:
-        v, sigma = takagi(moment)
+    else:  # without normals only ||M|| is needed, not V
+        v, sigma = takagi(moment, unitary=z is not None)
         norm = sigma[0]
     live = norm > MOMENT_FLOOR
     weight = np.where(live, signs / np.where(live, norm, 1.0), 0.0)
@@ -418,12 +431,13 @@ class InvariantStateDep:
     state_dependent = True
 
     def resolve(self, model: LindbladModel, state) -> np.ndarray:
-        """``extremal_u`` at one state, the kernel's formula at width 1."""
+        """``extremal_u`` at one state, the kernel's formula at width 1: the
+        same ``_stack_apply`` products, so the bits of the kernel's ``u``."""
         psi = check_pure_state(state, model.dim)[:, None]
         if model.num_lindblads == 0:  # without channels u is the empty matrix
             return np.zeros((0, 0), dtype=complex)
         cs = np.array(model.lindblads, dtype=complex)
-        means = np.einsum("am,kam->km", psi.conj(), np.einsum("kab,bm->kam", cs, psi))
+        means = np.einsum("am,kam->km", psi.conj(), _stack_apply(cs, psi))
         moment = centered_moments(moment_pairs(cs), psi, means)
         return extremal_u(moment, np.array([float(self.sign)]))[0][:, :, 0]
 

@@ -693,10 +693,28 @@ class TestConfigHandling:
             ('"unraveling": {"type": "invariant", "sign": 1.5}', [], "sign"),
             ('"model": {"dim": 2.7, "hamiltonian": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], '
              '"lindblads": [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]]}', [], "dim"),
+            ('"n_traj": "3", "dt": "1e-3", "seed": "2"', [], "n_traj"),
+            ('"t_max": "0.01"', [], "t_max"),
+            ('"record_stride": "2"', [], "record_stride"),
+            ('"gamma": "2", "omega": "1"', [], "gamma"),
+            ('"unraveling": "homodyne", "eta": "0.5"', [], "eta"),
+            ('"unraveling": "homodyne", "theta2": "0.3"', [], "theta2"),
+            ('"unraveling": "invariant", "sign": "-1"', [], "sign"),
+            ('"unraveling": "invariant_trace", "trace_r": "0.1"', [], "trace_r"),
+            ('"initial": [["1", "0"], [0.0, 0.0]]', [], "initial"),
+            ('"unraveling": {"type": "homodyne", "eta": "0.5"}', [], "unraveling"),
+            ('"unraveling": {"type": "fixed", "u": [[["0.5", 0.0]]]}', [], "unraveling"),
+            ('"model": {"dim": "2", "hamiltonian": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], '
+             '"lindblads": [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]]}', [], "model"),
+            ('"unraveling": "fixed"', ["--u-json", '[[["0.5", 0.0]]]'], "u_json"),
         ],
         ids=["omega", "sign", "eta", "initial", "unraveling-u", "model-hamiltonian", "u-json",
              "theta1-inf", "theta2-nan", "theta1-overflow", "sign-fraction",
-             "invariant-sign-fraction", "model-dim-fraction"],
+             "invariant-sign-fraction", "model-dim-fraction", "counts-as-strings",
+             "t_max-string", "record_stride-string", "gamma-string", "eta-string",
+             "theta2-string", "sign-string", "trace_r-string", "initial-strings",
+             "unraveling-eta-string", "unraveling-u-string", "model-dim-string",
+             "u-json-string"],
     )
     def test_value_a_run_would_misread_is_config_error(self, tmp_path, capsys, fields, flags, key):
         # each of these once ran with true read as 1, 1.5 as 1, 2.7 as 2,
@@ -710,6 +728,38 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "config error" in err and key in err
         assert not (tmp_path / "out").exists()
+
+    def test_number_as_a_string_in_a_model_file_is_config_error(self, tmp_path, capsys):
+        model = build_atom(AtomParams(gamma=2.0, omega=1.0)).to_dict()
+        model["hamiltonian"][0][1][0] = "0.5"
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        code, _, err = run_cli(
+            capsys, "--mode", "trajectories", "--model", str(model_path), "--n-traj", "1",
+            "--dt", "1e-3", "--t-max", "0.01", "--output-dir", str(tmp_path / "out"),
+        )
+        assert code == EXIT_CONFIG
+        assert "model must hold numbers" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_string_valued_keys_are_read_from_a_config_file(self, tmp_path, capsys):
+        # mode, model as a path, unraveling as a name, u_json and output_dir
+        # hold strings, as does an unraveling object's type
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(build_atom(AtomParams(gamma=2.0, omega=1.0)).to_dict()))
+        for unraveling in ("fixed", {"type": "fixed", "u": [[[0.5, 0.0]]]}):
+            out = tmp_path / str(len(str(unraveling)))
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps({
+                "mode": "trajectories", "model": str(model_path), "unraveling": unraveling,
+                "u_json": "[[[0.5, 0.0]]]", "n_traj": 1, "dt": 1e-3, "t_max": 0.01,
+                "output_dir": str(out),
+            }))
+            code, _, _ = run_cli(capsys, "--config", str(config_path))
+            assert code == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["unraveling"] == {"type": "fixed", "u": [[[0.5, 0.0]]]}
+            assert manifest["model"]["lindblads"][0][1][0][0] == pytest.approx(np.sqrt(2.0))
 
     def test_every_flag_is_a_config_key(self):
         # the README's promise: every flag can be set from a config file,

@@ -1,5 +1,6 @@
-"""Property tests: malformed configurations, short random ensembles and the
-colouring of degenerate correlation matrices."""
+"""Property tests: malformed configurations, short random ensembles, the
+colouring of degenerate correlation matrices and the lane stability of the
+kernel's operator product."""
 
 import json
 
@@ -17,6 +18,7 @@ from unravel import (
     u_trace,
 )
 from unravel.cli import EXIT_CONFIG, main
+from unravel.operators import BLAS_MIN_DIM, _stack_apply
 from unravel.unravelings import MOMENT_FLOOR, apply_color, color_factors, extremal_u, takagi
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
 
@@ -99,6 +101,27 @@ BAD_FIELDS = st.one_of(
             st.booleans().map(lambda b: atom_model(coupling=b)),
             st.booleans().map(lambda b: atom_model(dim=b)),
         ),
+    ),
+    # a number given as a JSON string, which float() and int() would read
+    st.tuples(
+        st.sampled_from(["dt", "t_max", "gamma", "omega", "eta", "theta1", "theta2", "trace_r"]),
+        st.sampled_from(["0.001", "1e-3", "0.5", "2"]),
+    ),
+    st.tuples(st.sampled_from(["n_traj", "seed", "record_stride"]), st.sampled_from(["1", "3"])),
+    st.tuples(st.just("sign"), st.sampled_from(["1", "-1"])),
+    st.tuples(st.just("initial"), st.just([["1.0", "0.0"], [0.0, 0.0]])),
+    st.tuples(
+        st.just("unraveling"),
+        st.sampled_from([
+            {"type": "fixed", "u": [[["0.5", 0.0]]]},
+            {"type": "homodyne", "eta": "0.5"},
+            {"type": "homodyne", "theta1": "0.3"},
+            {"type": "invariant", "sign": "1"},
+            {"type": "invariant_trace", "R": "0.1"},
+        ]),
+    ),
+    st.tuples(
+        st.just("model"), st.sampled_from([atom_model(coupling="1.0"), atom_model(dim="2")])
     ),
 )
 MODES = st.sampled_from(["trajectories", "ensemble-check", "figures", "verify"])
@@ -260,3 +283,36 @@ def test_random_short_runs_stay_finite_and_normalised(
     assert run.currents.shape == (len(specs), n_rec, channels)
     assert np.all(np.isfinite(run.states)) and np.all(np.isfinite(run.currents))
     np.testing.assert_allclose(np.linalg.norm(run.states, axis=-1), 1.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(BLAS_MIN_DIM, 24),
+    height=st.integers(2, 10),
+    width=st.integers(1, 1100) | st.sampled_from([255, 256, 257, 1023, 1024, 1025]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=BLAS_MIN_DIM, height=4, width=255, seed=0)
+@example(n=BLAS_MIN_DIM + 1, height=10, width=257, seed=1)
+@example(n=8, height=3, width=1023, seed=2)
+@example(n=24, height=2, width=1025, seed=3)
+@example(n=24, height=10, width=1, seed=4)
+def test_each_lane_of_the_stack_product_has_its_width_one_bits(n, height, width, seed):
+    # from the cut-off up the product is a padded zgemm: each lane, at any
+    # width, offset and stack height, gets the bits of its own width-1 call
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((height, n, n)) + 1j * rng.standard_normal((height, n, n))
+    psi = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    out = _stack_apply(stack, psi)
+    assert out.shape == (height, n, width)
+    np.testing.assert_allclose(
+        out, np.einsum("kab,bm->kam", stack, psi), rtol=0, atol=1e-12 * n
+    )
+    # the lanes from an offset on, a strided view as the kernel's
+    # state-dependent lanes are
+    lo = int(rng.integers(width))
+    assert _bits(_stack_apply(stack, psi[:, lo:])) == _bits(out[..., lo:])
+    for lane in {0, lo, width - 1}:
+        # one lane, and a shorter stack, as resolve applies the channels alone
+        one = _stack_apply(stack[1:], psi[:, lane : lane + 1])
+        assert _bits(one[..., 0]) == _bits(out[1:, :, lane])

@@ -39,6 +39,7 @@ from unravel import (
     u_trace,
 )
 from unravel import trajectory
+from unravel.operators import BLAS_MIN_DIM
 from unravel.trajectory import (
     CHUNK,
     MIN_LANES,
@@ -47,6 +48,7 @@ from unravel.trajectory import (
     _kernel_path,
     _run_chunk,
 )
+from unravel.unravelings import extremal_u
 from conftest import random_model, random_state, random_symmetric_u
 from linear_reference import (
     VanishingLikelihoodError,
@@ -580,7 +582,7 @@ class TestKernelAgainstReference:
                 model, spec, states[m], currents[m], increments[m], dt
             )
 
-    @pytest.mark.parametrize("dim,channels", [(2, 1), (4, 3)])
+    @pytest.mark.parametrize("dim,channels", [(2, 1), (4, 3), (8, 2), (24, 1)])
     def test_lane_is_independent_of_batch_width(self, dim, channels):
         rng = np.random.default_rng(dim + channels)
         model = random_model(rng, dim, channels)
@@ -606,21 +608,48 @@ class TestKernelAgainstReference:
             assert np.array_equal(currents, wide.currents)
 
     def test_lane_is_independent_of_chunk_boundary(self):
-        # lanes CHUNK - 1 and CHUNK run in different kernel calls
-        rng = np.random.default_rng(9)
-        model = random_model(rng, 2, 1)
-        initial = random_state(rng, 2)
-        pool = kernel_specs(model, rng)
-        n_traj = CHUNK + 3
-        mixed = [pool[i % len(pool)] for i in range(n_traj)]
-        kw = dict(dt=1e-3, steps=12, seed=5, record_stride=2)
-        for specs in (mixed, [InvariantStateDep(sign=1)] * n_traj, [Heterodyne()] * n_traj):
-            run = run_ensemble(model, specs, initial, n_traj=n_traj, workers=1, **kw)
-            for lane in (CHUNK - 1, CHUNK, CHUNK + 2):
-                config = TrajectoryConfig(unraveling=specs[lane], trajectory_index=lane, **kw)
-                states, record = run_trajectory(model, config, initial)
-                assert np.array_equal(run.states[lane], states)
-                assert np.array_equal(run.currents[lane], record.currents)
+        # lanes CHUNK - 1 and CHUNK run in different kernel calls, the last
+        # of width 3, for a model below the BLAS cut-off and one above it
+        assert BLAS_MIN_DIM <= 8
+        for dim, channels in ((2, 1), (8, 2)):
+            rng = np.random.default_rng(9)
+            model = random_model(rng, dim, channels)
+            initial = random_state(rng, dim)
+            pool = kernel_specs(model, rng)
+            n_traj = CHUNK + 3
+            mixed = [pool[i % len(pool)] for i in range(n_traj)]
+            kw = dict(dt=1e-3, steps=12, seed=5, record_stride=2)
+            for specs in (mixed, [InvariantStateDep(sign=1)] * n_traj, [Heterodyne()] * n_traj):
+                run = run_ensemble(model, specs, initial, n_traj=n_traj, workers=1, **kw)
+                for lane in (CHUNK - 1, CHUNK, CHUNK + 2):
+                    config = TrajectoryConfig(unraveling=specs[lane], trajectory_index=lane, **kw)
+                    states, record = run_trajectory(model, config, initial)
+                    assert np.array_equal(run.states[lane], states)
+                    assert np.array_equal(run.currents[lane], record.currents)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_resolve_is_the_kernels_width_one_u(self, monkeypatch, sign):
+        # InvariantStateDep.resolve is the kernel's formula at width 1: above
+        # the BLAS cut-off both take the padded product, the kernel on its
+        # (K+1)-operator stack and resolve on the channels alone, and
+        # resolve's extremal_u draws no normals
+        rng = np.random.default_rng(30 + sign)
+        dim = BLAS_MIN_DIM + 1
+        model = random_model(rng, dim, 3)
+        seen = []
+
+        def kernel_u(*args, **kwargs):
+            u, dxi = extremal_u(*args, **kwargs)
+            seen.append(u[..., 0].copy())
+            return u, dxi
+
+        monkeypatch.setattr(trajectory, "extremal_u", kernel_u)
+        spec = InvariantStateDep(sign=sign)
+        config = TrajectoryConfig(dt=1e-3, steps=25, seed=2, unraveling=spec)
+        states, _ = run_trajectory(model, config, random_state(rng, dim))
+        assert len(seen) == 25
+        for psi, u in zip(states, seen):
+            assert np.array_equal(spec.resolve(model, psi), u)
 
     def test_single_channel_noise_mapping(self, atom_model):
         # the pinned-seed gates rest on this exact map from the stream's

@@ -393,6 +393,22 @@ class TestExtremalWeight:
             u, _ = extremal_u(centered_moments(pairs, psi, np.zeros((1, 1))), np.array([1.0]))
             np.testing.assert_allclose(u, [[[want]]], rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_u_without_normals_has_the_bits_of_u_with_them(self, k, width):
+        # without normals extremal_u skips takagi's QR, but keeps its eigh;
+        # in the wide stack the last lane lies below the moment floor
+        rng = np.random.default_rng(10 * k + width)
+        scale = rng.uniform(0.01, 2.0, width)
+        if width > 1:
+            scale[-1] = 0.5 * MOMENT_FLOOR
+        moment = np.stack([c * random_symmetric_u(rng, k, 1.0) for c in scale], axis=-1)
+        signs = rng.choice([1.0, -1.0], width)
+        u, dxi = extremal_u(moment, signs)
+        assert dxi is None
+        z = rng.standard_normal((2 * k, width))
+        assert np.array_equal(u, extremal_u(moment, signs, z, 1e-3)[0])
+
     def test_rejects_other_signs(self):
         for sign in (2, 0, -2):
             with pytest.raises(ValueError, match="sign"):
