@@ -134,13 +134,13 @@ _UNRAVELING_FIELDS = {
 }
 
 
-# The config keys whose JSON holds numbers only, and the fields of a model
-# or unraveling object that do: a string anywhere in them is of the wrong
-# JSON type, though float(), int() and numpy would read "3" as 3.
-_NUMBER_KEYS = (
-    "gamma", "omega", *_UNRAVELING_FIELDS, "dt", "t_max", "n_traj", "seed", "record_stride",
-    "initial",
-)
+# The config keys whose JSON holds numbers only (the options whose flag has
+# a numeric type, and the config-file-only initial state), and the fields
+# of a model or unraveling object that do: a string anywhere in them is of
+# the wrong JSON type, though float(), int() and numpy would read "3" as 3.
+_NUMBER_KEYS = {key for key, (_, flag) in _OPTIONS.items() if flag and "type" in flag} | {
+    "initial"
+}
 _NUMBER_FIELDS = {
     "model": ("dim", "hamiltonian", "lindblads"),
     "unraveling": ("u", *_UNRAVELING_FIELDS.values()),

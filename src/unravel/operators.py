@@ -184,27 +184,29 @@ def expectation(op, state) -> complex:
 
 
 def _stack_apply(stack, psi) -> np.ndarray:
-    """``stack @ psi`` for an ``(S, N, N)`` operator stack and lanes-last
-    states ``psi`` ``(N, m)``: the ``(S, N, m)`` products, each lane's
-    values a function of its own column and the stack only.
+    """``stack @ psi`` for a stack of operators ``(..., N, N)``, such as
+    ``(S, N, N)`` or ``(K, K, N, N)``, and lanes-last states ``psi``
+    ``(N, m)``: the ``(..., N, m)`` products, each lane's values a function
+    of its own column and the stack only.
 
-    Below ``BLAS_MIN_DIM`` this is an einsum.  From it up it is one 2-D BLAS
-    ``zgemm`` of the ``(S N, N)`` stack against a block whose width is a
-    multiple of 8: ``psi`` itself when it is contiguous and that wide, else
-    a zero-padded copy, whose product is cut back to m contiguous lanes.
-    Unpadded, ``zgemm`` rounds a lane differently with the batch width;
-    padded, a lane keeps its bits at any width, lane position and stack
-    height.  That is a property of the BLAS build, not a promise of numpy,
-    and the lane-width tests pin it on the host that runs them.
+    Below ``BLAS_MIN_DIM`` this is an einsum, with no reshape.  From it up it
+    is one 2-D BLAS ``zgemm`` of the stack's rows, as one matrix of N
+    columns, against a block whose width is a multiple of 8: ``psi`` itself
+    when it is contiguous and that wide, else a zero-padded copy, whose
+    product is cut back to m contiguous lanes.  Unpadded, ``zgemm`` rounds a lane differently with
+    the batch width; padded, a lane keeps its bits at any width, lane
+    position and stack height.  That is a property of the BLAS build, not a
+    promise of numpy, and the lane-width tests pin it on the host that runs
+    them.
     """
     n, m = psi.shape
     if n < BLAS_MIN_DIM:
-        return np.einsum("kab,bm->kam", stack, psi)
+        return np.einsum("...ab,bm->...am", stack, psi)
     block = psi
     if m % 8 or not psi.flags.c_contiguous:
         block = np.zeros((n, m + (-m % 8)), dtype=complex)
         block[:, :m] = psi
-    out = (stack.reshape(-1, n) @ block).reshape(-1, n, block.shape[1])
+    out = (stack.reshape(-1, n) @ block).reshape(stack.shape[:-1] + block.shape[1:])
     return out if block is psi else np.ascontiguousarray(out[..., :m])
 
 

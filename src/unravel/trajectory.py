@@ -331,7 +331,7 @@ def _run_chunk(
     ``s_k = <c_k>``.  State-dependent lanes then resolve their ``u`` from
     their ``centered_moments`` and colour their normals with ``extremal_u``.
     The record, the linear update and the renormalization follow.  The
-    stacked product and the ``(K^2, N, N)`` pair product inside
+    stacked product and the ``(K, K, N, N)`` pair product inside
     ``centered_moments`` are ``_stack_apply``: an einsum below
     ``BLAS_MIN_DIM``, a zero-padded ``zgemm`` from it up (the atom, N=2,
     stays on the einsum).  Every other product is an einsum or a stacked

@@ -245,8 +245,7 @@ def centered_moments(pairs, psi, means) -> np.ndarray:
     # The kernel's lane-stable product (an einsum below BLAS_MIN_DIM, a
     # padded zgemm from it up), then a two-operand einsum: a three-operand
     # one rounds by width.
-    k, n = pairs.shape[0], psi.shape[0]
-    pairs_psi = _stack_apply(pairs.reshape(k * k, n, n), psi).reshape(k, k, n, -1)
+    pairs_psi = _stack_apply(pairs, psi)
     moment = np.einsum("am,jlam->jlm", psi.conj(), pairs_psi)
     moment -= means[:, None] * means[None]
     return moment

@@ -316,3 +316,18 @@ def test_each_lane_of_the_stack_product_has_its_width_one_bits(n, height, width,
         # one lane, and a shorter stack, as resolve applies the channels alone
         one = _stack_apply(stack[1:], psi[:, lane : lane + 1])
         assert _bits(one[..., 0]) == _bits(out[1:, :, lane])
+    # a stack with more leading axes, as centered_moments' (K, K, N, N) pairs
+    assert _bits(_stack_apply(stack[None], psi)[0]) == _bits(out)
+
+
+def test_below_the_cut_off_the_stack_product_is_the_einsum():
+    # the atom's bits: the kernel's operator stack and centered_moments'
+    # pairs get exactly the einsums they had before the padded product
+    assert BLAS_MIN_DIM > 2
+    rng = np.random.default_rng(0)
+    ops = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    pairs = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
+    for width in (1, 5, 1024):
+        psi = rng.standard_normal((2, width)) + 1j * rng.standard_normal((2, width))
+        assert _bits(_stack_apply(ops, psi)) == _bits(np.einsum("kab,bm->kam", ops, psi))
+        assert _bits(_stack_apply(pairs, psi)) == _bits(np.einsum("jlab,bm->jlam", pairs, psi))
