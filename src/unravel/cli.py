@@ -79,6 +79,7 @@ from .trajectory import (
     run_ensemble,
 )
 from .unravelings import (
+    SPEC_FIELDS,
     CovarianceError,
     UMatrixError,
     UnravelingSpec,
@@ -290,8 +291,10 @@ def _build_unraveling(opts: dict) -> UnravelingSpec:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--u-json is not valid JSON: {exc}") from exc
         _reject_wrong_types(data["u"], "u_json", numbers=True)
+    # the scheme flags this type takes; it ignores the others
+    takes = SPEC_FIELDS.get(name, ())
     for key, field in _UNRAVELING_FIELDS.items():
-        if opts[key] is not None:
+        if opts[key] is not None and field in takes:
             data[field] = opts[key]
     return spec_from_dict(data)
 

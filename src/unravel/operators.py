@@ -159,6 +159,9 @@ class LindbladModel:
             cs = tuple(matrix_from_pairs(c) for c in data.get("lindblads", []))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed model object: {exc}") from exc
+        unknown = sorted(set(data) - {"dim", "hamiltonian", "lindblads"})
+        if unknown:
+            raise ValueError(f"model object takes no field {', '.join(unknown)}")
         if h.shape[0] != dim:
             raise ValueError(f"declared dim {dim} does not match hamiltonian shape {h.shape}")
         return cls(hamiltonian=h, lindblads=cs)

@@ -24,11 +24,12 @@ batch.  Each trajectory owns a
 counter-based pseudorandom stream derived from ``(seed, trajectory_index)``
 and the kernel's arithmetic on one trajectory never mixes in another, so a
 trajectory is a bit-exact function of its seed and index, whatever the
-batch width or worker count.  The two products that grow as N squared, the
-operator stack applied to the states and the symmetrised channel pairs of
-the state-dependent ``u``, go through ``operators._stack_apply``: an einsum
-below ``operators.BLAS_MIN_DIM``, and from it up one BLAS ``zgemm``
-against a block of lanes zero-padded to a multiple of 8.  That a padded
+batch width or worker count.  The one product that grows as N squared,
+a stack of the linear generator, the channels and, when the batch has
+state-dependent lanes, the symmetrised channel pairs whose means give
+their ``u``, goes through ``operators._stack_apply``: an einsum below
+``operators.BLAS_MIN_DIM``, and from it up one BLAS ``zgemm`` against a
+block of lanes zero-padded to a multiple of 8.  That a padded
 ``zgemm`` rounds each lane alike at any width is a property of the BLAS
 build, not of numpy; the tier-1 lane-width tests pin it on whatever host
 runs them.  Inside the kernel the trajectories (lanes)
@@ -328,14 +329,15 @@ def _run_chunk(
 
     Each step applies the linear generator and the K channel operators as
     one stacked ``(K+1, N, N)`` product, and forms the means
-    ``s_k = <c_k>``.  State-dependent lanes then resolve their ``u`` from
-    their ``centered_moments`` and colour their normals with ``extremal_u``.
-    The record, the linear update and the renormalization follow.  The
-    stacked product and the ``(K, K, N, N)`` pair product inside
-    ``centered_moments`` are ``_stack_apply``: an einsum below
-    ``BLAS_MIN_DIM``, a zero-padded ``zgemm`` from it up (the atom, N=2,
-    stays on the einsum).  Every other product is an einsum or a stacked
-    matrix-column product.  None rounds one lane differently with the
+    ``s_k = <c_k>``.  When the batch has state-dependent lanes the stack
+    also carries the K^2 rows of ``moment_pairs``, ``(K+1+K^2, N, N)``, and
+    the one expectation einsum gives their means beside ``s``; those lanes
+    then resolve their ``u`` from ``centered_moments`` and colour their
+    normals with ``extremal_u``.  The record, the linear update and the
+    renormalization follow.  The stacked product is ``_stack_apply``: an
+    einsum below ``BLAS_MIN_DIM``, a zero-padded ``zgemm`` from it up (the
+    atom, N=2, stays on the einsum).  Every other product is an einsum or
+    a stacked matrix-column product.  None rounds one lane differently with the
     others or with the lane order, so lane ``i`` is the same at any batch
     width; for the ``zgemm`` that rests on the BLAS build, and the
     lane-width tests pin it.  A norm below ``NORM_FLOOR`` or
@@ -355,10 +357,15 @@ def _run_chunk(
     """
     m, n, k = len(specs), model.dim, model.num_lindblads
     cs = np.array(model.lindblads, dtype=complex).reshape(k, n, n)
-    ops = np.concatenate([_linear_generator(model)[None], cs])
     dep_flags = [spec.state_dependent and k > 0 for spec in specs]
     order = np.argsort(dep_flags, kind="stable")
     m_c = m - sum(dep_flags)
+    # The generator, the channels and, for state-dependent lanes, the K^2
+    # channel pairs: one stack, one product and one expectation per step.
+    ops = [_linear_generator(model)[None], cs]
+    if m_c < m:
+        ops.append(moment_pairs(cs).reshape(k * k, n, n))
+    ops = np.concatenate(ops)
     indices = index0 + order
     # Records go to the lanes' own rows, by a slice when no lane moved.
     rec = slice(None) if np.array_equal(order, np.arange(m)) else order
@@ -383,7 +390,6 @@ def _run_chunk(
         lanes = which if len(distinct) > 1 else which[:1]
         const_factors = tuple(f[..., None, lanes] for f in color_factors(u_distinct, dt))
     signs = np.array([float(specs[i].sign) for i in order[m_c:]])
-    pairs = moment_pairs(cs)
 
     psi = np.tile(np.asarray(initial, dtype=complex)[:, None], (1, m))
     times = np.arange(0, steps, stride) * dt
@@ -417,11 +423,12 @@ def _run_chunk(
             dxi_block = dxi_all[start : start + nb]
         for j in range(nb):
             ops_psi = _stack_apply(ops, psi)
-            c_psi = ops_psi[1:]
-            s = np.einsum("am,kam->km", psi.conj(), c_psi)
+            c_psi = ops_psi[1 : k + 1]
+            means = np.einsum("am,sam->sm", psi.conj(), ops_psi[1:])
+            s = means[:k]
             dxi = dxi_block[j]
             if m_c < m:
-                moment = centered_moments(pairs, psi[:, m_c:], s[:, m_c:])
+                moment = centered_moments(means[k:, m_c:].reshape(k, k, -1), s[:, m_c:])
                 u[:, :, m_c:] = extremal_u(
                     moment, signs, z[:, j, m_c:] if draw else None, dt, out=dxi[:, m_c:]
                 )[0]

@@ -15,7 +15,10 @@ Each ``u`` is a way of monitoring the outputs: its Takagi form
 and splits channel j between two quadrature phases with efficiency
 ``(1 + sigma_j) / 2``.  Sampling is that measurement for every K,
 ``dxi = V (a z_a + i b z_b)`` with ``a, b = sqrt(dt (1 +- sigma) / 2)``, so
-quadratures frozen on the boundary (``b = 0``) come out exactly zero.
+quadratures frozen on the boundary (``b = 0``) come out exactly zero.  For
+K = 1, ``V = sqrt(u / |u|)``; on the boundary ``|u| = 1`` that is
+``dxi = sqrt(dt u) z_a``, the closed form of the extremal state-dependent
+correlations.
 
 The colouring functions take the trajectory kernel's layout, component
 axes first and stack (lane) axes last: ``u``, ``M`` and ``V`` are
@@ -134,24 +137,32 @@ def takagi(m, unitary: bool = True):
     For K > 1, ``unitary=False`` skips the QR completion below and returns
     None for V; ``sigma`` keeps its bits.
 
-    K = 1 has the closed form ``V = exp(i angle(m) / 2)``, ``sigma = |m|``.
+    K = 1 has the closed form ``V = sqrt(m / |m|)``, the principal square
+    root of the unit phase (``V = 1`` at ``m = 0``), and ``sigma = |m|``.
     For K > 1 the eigenvalues of ``B = [[Re m, Im m], [Im m, -Re m]]`` are
     the ``sigma_j`` and their negatives, and an eigenvector ``(x, y)`` of
     ``sigma_j`` gives a column ``x + i y``.  A QR whose R has a non-negative
     diagonal completes the columns to a unitary: where two or more
     ``sigma_j`` vanish, the eigenvectors of 0 may repeat a column times i.
 
-    At K = 1 the negative real axis is the branch cut of the phase: there
-    the sign of a zero ``Im m`` chooses ``V = i`` (``+0``) or ``V = -i``
-    (``-0``).  Both factor ``m``, but they colour the same normals into
-    increments of opposite sign.  From the atom's ``+x`` state
+    At K = 1 the negative real axis is the branch cut of the square root:
+    there the sign of a zero ``Im m`` chooses ``V = i`` (``+0``) or
+    ``V = -i`` (``-0``), as ``csqrt(-1 +- 0i) = +-i``.  The unit phase
+    divides the real and imaginary parts of m by ``|m|``, which keeps that
+    sign; a complex quotient would drop it, and ``1 / |m|`` overflows at a
+    subnormal ``|m|``.  Both roots factor ``m``, but they colour the same
+    normals into increments of opposite sign.  From the atom's ``+x`` state
     ``M = -gamma/4`` exactly, so ``invariant_plus`` starts at ``u = -1`` and
     its sample paths follow the sign of that zero: any regrouping of the
     arithmetic of M that flips it moves them macroscopically.
     """
     k = m.shape[0]
     if k == 1:
-        return np.exp(1j * (0.5 * np.arctan2(m.imag, m.real))), np.abs(m[0])
+        r = np.abs(m[0])
+        unit = np.ones_like(m)  # 1 where m = 0
+        np.divide(m.real, r, out=unit.real, where=r > 0)
+        np.divide(m.imag, r, out=unit.imag, where=r > 0)
+        return np.sqrt(unit), r
     b = np.concatenate([np.concatenate([m.real, m.imag], 1), np.concatenate([m.imag, -m.real], 1)])
     # numpy.linalg takes the matrix axes last: move them there, and back
     lanes = tuple(range(m.ndim - 2))
@@ -227,14 +238,18 @@ def moment_pairs(lindblads) -> np.ndarray:
     return 0.5 * (pairs + pairs.transpose(1, 0, 2, 3))
 
 
-def centered_moments(pairs, psi, means) -> np.ndarray:
+def centered_moments(pair_means, means) -> np.ndarray:
     """Centered second moments of a batch of states, lanes last.
 
-    ``psi`` of shape ``(N, m)`` holds m normalized states, ``means`` of
-    shape ``(K, m)`` their ``<c_k>`` and ``pairs`` is ``moment_pairs`` of
-    the channels.  Returns, of shape ``(K, K, m)``,
+    ``pair_means`` of shape ``(K, K, m)`` holds the expectations of
+    ``moment_pairs`` of the channels in m normalized states, and ``means``
+    of shape ``(K, m)`` their ``<c_k>``.  Returns, of shape ``(K, K, m)``,
 
         M_jl = <{(c_j - <c_j>), (c_l - <c_l>)}> / 2 = <{c_j, c_l}> / 2 - <c_j><c_l>
+
+    The trajectory kernel and ``InvariantStateDep.resolve`` take both
+    expectations from one product: the channels and the K^2 pair rows are
+    one ``_stack_apply`` stack, and one einsum gives every row's mean.
 
     The symmetrization makes each ``M`` complex symmetric; under a unitary
     remixing T of the channels it transforms as ``T M T^T``, which is
@@ -242,13 +257,7 @@ def centered_moments(pairs, psi, means) -> np.ndarray:
     proportional to ``M`` give conditioned dynamics independent of the
     operator representation.
     """
-    # The kernel's lane-stable product (an einsum below BLAS_MIN_DIM, a
-    # padded zgemm from it up), then a two-operand einsum: a three-operand
-    # one rounds by width.
-    pairs_psi = _stack_apply(pairs, psi)
-    moment = np.einsum("am,jlam->jlm", psi.conj(), pairs_psi)
-    moment -= means[:, None] * means[None]
-    return moment
+    return pair_means - means[:, None] * means[None]
 
 
 def extremal_u(moment, signs, z=None, dt=None, out=None):
@@ -262,12 +271,16 @@ def extremal_u(moment, signs, z=None, dt=None, out=None):
     ``(2K, m)`` and the step ``dt``, increments ``(K, m)`` with
     correlations ``u``, written into ``out`` if it is given (else None).
 
-    For K = 1, ``||M|| = |M|`` and the increments are coloured by
-    ``color_factors(u, dt)``.  For K > 1 one ``takagi(M)`` does the work:
-    its largest singular value is ``||M||``, and ``u = V diag(w sigma) V^T``
-    is coloured by its V with the signed ``s = w sigma`` (for ``s < 0``,
-    ``b > a``).  Below the floor the factors are those of ``u = 0``,
-    exactly.  A lane's values depend only on its own columns.
+    For K = 1, ``||M|| = |M|`` and ``|u| = 1``: the Takagi factors of u are
+    ``V = sqrt(u)``, ``a = sqrt(dt)`` and ``b = 0``, so the increments are
+    ``sqrt(dt u) z_a`` in closed form, the ``sigma = 1`` case of
+    ``apply_color(color_factors(u, dt), z)`` with the same branch cut, and
+    the frozen quadrature gets exactly nothing.  For K > 1 one
+    ``takagi(M)`` does the work: its largest singular value is ``||M||``,
+    and ``u = V diag(w sigma) V^T`` is coloured by its V with the signed
+    ``s = w sigma`` (for ``s < 0``, ``b > a``).  Below the floor the
+    factors are those of ``u = 0``, exactly.  A lane's values depend only
+    on its own columns.
 
     Raises
     ------
@@ -281,12 +294,19 @@ def extremal_u(moment, signs, z=None, dt=None, out=None):
         v, sigma = takagi(moment, unitary=z is not None)
         norm = sigma[0]
     live = norm > MOMENT_FLOOR
-    weight = np.where(live, signs / np.where(live, norm, 1.0), 0.0)
+    weight = np.divide(signs, norm, out=np.zeros_like(norm), where=live)
     u = weight * moment
     if z is None:
         return u, None
     if k == 1:
-        return u, apply_color(color_factors(u, dt), z, out)
+        lam = (dt / 2.0) * (1.0 - np.abs(u).max())  # the covariance's smaller eigenvalue
+        if lam < -CLAMP_TOL:
+            raise CovarianceError(f"covariance eigenvalue {lam} below clamp tolerance")
+        out = np.multiply(np.sqrt(dt * u[0]), z[:1], out=out)
+        if not live.all():
+            zero = color_factors(np.zeros((1, 1, 1)), dt)
+            out[:, ~live] = apply_color(zero, z[:, ~live])
+        return u, out
     v, a, b = _roots(v, weight * sigma, dt)
     if not live.all():  # there s = 0, so only V differs from u = 0's factors
         v = np.where(live, v, color_factors(np.zeros((k, k, 1)), dt)[0])
@@ -431,13 +451,16 @@ class InvariantStateDep:
 
     def resolve(self, model: LindbladModel, state) -> np.ndarray:
         """``extremal_u`` at one state, the kernel's formula at width 1: the
-        same ``_stack_apply`` products, so the bits of the kernel's ``u``."""
+        channels and their pairs as one ``_stack_apply`` stack and one
+        expectation einsum, so the bits of the kernel's ``u``."""
         psi = check_pure_state(state, model.dim)[:, None]
         if model.num_lindblads == 0:  # without channels u is the empty matrix
             return np.zeros((0, 0), dtype=complex)
         cs = np.array(model.lindblads, dtype=complex)
-        means = np.einsum("am,kam->km", psi.conj(), _stack_apply(cs, psi))
-        moment = centered_moments(moment_pairs(cs), psi, means)
+        k, n = cs.shape[:2]
+        rows = np.concatenate([cs, moment_pairs(cs).reshape(k * k, n, n)])
+        means = np.einsum("am,sam->sm", psi.conj(), _stack_apply(rows, psi))
+        moment = centered_moments(means[k:].reshape(k, k, 1), means[:k])
         return extremal_u(moment, np.array([float(self.sign)]))[0][:, :, 0]
 
     def to_dict(self) -> dict:
@@ -463,14 +486,31 @@ class InvariantTrace:
 UnravelingSpec = FixedU | Homodyne | Heterodyne | InvariantStateDep | InvariantTrace
 
 
+# The fields each type of unraveling object takes besides its "type".
+SPEC_FIELDS = {
+    "fixed": ("u",),
+    "homodyne": ("eta", "theta1", "theta2"),
+    "heterodyne": (),
+    "invariant": ("sign",),
+    "invariant_trace": ("R",),
+}
+
+
 def spec_from_dict(data: dict) -> UnravelingSpec:
     """Rebuild an unraveling specification from its JSON object form, the
     one map from a ``type`` name to a class.  Missing fields default to
-    ``eta = 1``, ``theta1 = theta2 = 0``, ``sign = 1`` and ``R = 0``."""
+    ``eta = 1``, ``theta1 = theta2 = 0``, ``sign = 1`` and ``R = 0``; a
+    field the type does not take (``SPEC_FIELDS``) is an error."""
     try:
         kind = data["type"]
     except (KeyError, TypeError) as exc:
         raise ValueError("unraveling object must have a 'type' field") from exc
+    fields = SPEC_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ValueError(f"unknown unraveling type {kind!r}")
+    unknown = sorted(set(data) - {"type", *fields})
+    if unknown:
+        raise ValueError(f"unraveling type {kind!r} takes no field {', '.join(unknown)}")
     if kind == "fixed":
         return FixedU(u=matrix_from_pairs(data["u"]))
     if kind == "homodyne":
@@ -483,6 +523,4 @@ def spec_from_dict(data: dict) -> UnravelingSpec:
         return Heterodyne()
     if kind == "invariant":
         return InvariantStateDep(sign=data.get("sign", 1))  # int() would read 1.5 as 1
-    if kind == "invariant_trace":
-        return InvariantTrace(weight=float(data.get("R", 0.0)))
-    raise ValueError(f"unknown unraveling type {kind!r}")
+    return InvariantTrace(weight=float(data.get("R", 0.0)))

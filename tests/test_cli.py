@@ -508,6 +508,34 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "typo_key" in err
 
+    def test_unknown_field_of_an_unraveling_object_is_config_error(self, tmp_path, capsys):
+        # a misspelt theta1 must not run on its default
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "mode": "trajectories", "n_traj": 1, "dt": 1e-3, "t_max": 0.01,
+            "unraveling": {"type": "homodyne", "eta": 0.5, "theta": 0.3},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        code, _, err = run_cli(capsys, "--config", str(config_path))
+        assert code == EXIT_CONFIG
+        assert "takes no field theta" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_field_of_a_model_file_is_config_error(self, tmp_path, capsys):
+        # a misspelt lindblads must not run as a closed system
+        data = build_atom(AtomParams()).to_dict()
+        data["lindblad"] = data.pop("lindblads")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(data))
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "trajectories", "--model", str(model_path), "--n-traj", "1",
+            "--dt", "1e-3", "--t-max", "0.01", "--output-dir", str(tmp_path / "out"),
+        )
+        assert code == EXIT_CONFIG
+        assert "takes no field lindblad" in err
+        assert not (tmp_path / "out").exists()
+
     def test_model_from_json_file(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(build_atom(AtomParams(gamma=2.0, omega=0.0)).to_dict()))

@@ -139,6 +139,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="declared dim 2.7"):
             LindbladModel.from_dict({**atom_model.to_dict(), "dim": 2.7})
 
+    def test_model_dict_rejects_unknown_fields(self, atom_model):
+        with pytest.raises(ValueError, match="takes no field lindblad, omega"):
+            LindbladModel.from_dict({**atom_model.to_dict(), "lindblad": [], "omega": 1.0})
+
 
 class TestExpectation:
     def test_vector_and_projector_agree(self, rng):

@@ -204,6 +204,31 @@ def test_rank_one_extremal_moments_colour_exactly(scale, seed, sign):
     )
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sign=st.sampled_from([1.0, -1.0]))
+def test_single_channel_extremal_moments_colour_exactly(seed, sign):
+    # K = 1: |u| = 1 on every live lane, so the quadrature of the second
+    # normal is frozen, and that normal alone moves no increment at all,
+    # on the branch cut too (real M with either sign of zero)
+    dt, width = 1e-3, 10_000
+    rng = np.random.default_rng(seed)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, width))
+    moment = (rng.uniform(0.01, 2.0, width) * phase)[None, None]
+    real = rng.random(width) < 0.1
+    moment.real[..., real] = rng.choice([1.0, -1.0], real.sum()) * np.abs(moment[..., real])
+    moment.imag[..., real] = np.copysign(0.0, rng.choice([1.0, -1.0], real.sum()))
+    frozen = np.stack([np.zeros(width), rng.standard_normal(width)])
+    u, dxi = extremal_u(moment, np.full(width, sign), frozen, dt)
+    np.testing.assert_allclose(u, sign * moment / np.abs(moment), rtol=0, atol=1e-15)
+    assert np.array_equal(dxi, np.zeros((1, width)))
+    for lane in (0, int(np.flatnonzero(real)[0])):
+        lanes = np.repeat(moment[..., lane : lane + 1], 2, axis=-1)
+        _, dxi = extremal_u(lanes, np.full(2, sign), np.eye(2), dt)
+        np.testing.assert_allclose(
+            _colour_covariance(dxi), real_embedding(u[..., lane], dt), rtol=0, atol=1e-14
+        )
+
+
 def _bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
@@ -230,6 +255,12 @@ def test_each_lane_colours_as_a_stack_of_one(k, width, seed):
     u, dxi = extremal_u(moment, signs, z, dt)
     coloured = apply_color(color_factors(u, dt), z)
     assert u.shape == (k, k, width) and dxi.shape == coloured.shape == (k, width)
+    if k == 1:
+        # the closed form is the generic colouring of its u, up to rounding:
+        # |u| = 1 - O(eps) gives the frozen quadrature sqrt(dt (1 - |u|) / 2)
+        bound = 2.0 * np.sqrt(np.finfo(float).eps * dt) * np.abs(z).max()
+        np.testing.assert_allclose(dxi, coloured, rtol=0, atol=bound)
+    unit = np.eye(2 * k)
     for lane in range(width):
         one = slice(lane, lane + 1)
         u_one, dxi_one = extremal_u(moment[..., one], signs[one], z[:, one], dt)
@@ -237,6 +268,15 @@ def test_each_lane_colours_as_a_stack_of_one(k, width, seed):
         assert _bits(dxi_one[:, 0]) == _bits(dxi[:, lane])
         alone = apply_color(color_factors(u[..., one], dt), z[:, one])
         assert _bits(alone[:, 0]) == _bits(coloured[:, lane])
+        # for K > 1 the extremal V is takagi(M)'s, which may differ from
+        # takagi(u)'s by column phases: the two colour u alike in law, so the
+        # unit normals give both the covariance of u
+        lanes = np.repeat(moment[..., one], 2 * k, axis=-1)
+        _, from_m = extremal_u(lanes, np.repeat(signs[one], 2 * k), unit, dt)
+        from_u = apply_color(color_factors(u[..., one], dt), unit)
+        np.testing.assert_allclose(
+            _colour_covariance(from_m), _colour_covariance(from_u), rtol=0, atol=1e-14
+        )
 
 
 def _spec(kind, model, rng, norm):

@@ -63,8 +63,8 @@ from linear_reference import (
 def colored_increment(u_scalar, dt, z1, z2):
     """Single-channel increment with fixed raw draws (z1, z2)."""
     r = abs(u_scalar)
-    phi = 0.5 * np.angle(u_scalar)
-    return np.exp(1j * phi) * (
+    half = np.sqrt(complex(u_scalar.real / r, u_scalar.imag / r)) if r else 1.0  # root of u / |u|
+    return half * (
         np.sqrt(dt * (1 + r) / 2) * z1 + 1j * np.sqrt(dt * (1 - r) / 2) * z2
     )
 

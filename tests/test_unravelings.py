@@ -45,7 +45,8 @@ def package_moments(model, states):
     psi = np.stack(states, axis=1)
     cs = np.array(model.lindblads, dtype=complex)
     means = np.einsum("am,kam->km", psi.conj(), np.einsum("kab,bm->kam", cs, psi))
-    return centered_moments(moment_pairs(cs), psi, means).transpose(2, 0, 1)
+    pairs = np.einsum("am,jlab,bm->jlm", psi.conj(), moment_pairs(cs), psi)
+    return centered_moments(pairs, means).transpose(2, 0, 1)
 
 
 def one_shot_increments(u, z, dt):
@@ -55,9 +56,13 @@ def one_shot_increments(u, z, dt):
     k = a.shape[0]
     if k == 1:
         r = np.abs(a[0, 0])
-        phi = 0.5 * np.angle(a[0, 0])
+        # the principal root of the unit phase u / |u|, and 1 at u = 0
+        unit = np.ones_like(a[0, 0])
+        unit.real[r > 0] = a[0, 0].real[r > 0] / r[r > 0]
+        unit.imag[r > 0] = a[0, 0].imag[r > 0] / r[r > 0]
+        half = np.sqrt(unit)
         lam_minus = np.maximum(dt * (1.0 - r) / 2.0, 0.0)
-        val = np.exp(1j * phi) * (
+        val = half * (
             np.sqrt(dt * (1.0 + r) / 2.0) * z[0] + 1j * np.sqrt(lam_minus) * z[1]
         )
         return val[None]
@@ -390,7 +395,8 @@ class TestExtremalWeight:
         psi = plus_x_state()[:, None]
         for scale, want in ((3e-5, 0.0), (3.2e-5, 1.0)):
             pairs = moment_pairs((scale * SIGMA_Z)[None])
-            u, _ = extremal_u(centered_moments(pairs, psi, np.zeros((1, 1))), np.array([1.0]))
+            pair_means = np.einsum("am,jlab,bm->jlm", psi.conj(), pairs, psi)
+            u, _ = extremal_u(centered_moments(pair_means, np.zeros((1, 1))), np.array([1.0]))
             np.testing.assert_allclose(u, [[[want]]], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -474,6 +480,18 @@ class TestSpecs:
     def test_spec_from_dict_rejects_unknown_type(self):
         with pytest.raises(ValueError, match="type"):
             spec_from_dict({"type": "something-else"})
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"type": "homodyne", "eta": 0.5, "theta": 0.3}, "theta"),
+            ({"type": "heterodyne", "eta": 0.5}, "eta"),
+            ({"type": "invariant_trace", "weight": 0.2}, "weight"),
+        ],
+    )
+    def test_spec_from_dict_rejects_fields_the_type_does_not_take(self, data, field):
+        with pytest.raises(ValueError, match=f"takes no field {field}"):
+            spec_from_dict(data)
 
     def test_spec_from_dict_rejects_non_integral_sign(self):
         with pytest.raises(ValueError, match="sign must be"):
