@@ -10,11 +10,10 @@ import numpy as np
 from unravel import (
     AtomParams,
     Heterodyne,
-    TrajectoryConfig,
     bloch,
     build_atom,
     plus_x_state,
-    run_trajectory,
+    run_ensemble,
     steady_state,
 )
 
@@ -24,18 +23,22 @@ def main():
     model = build_atom(params)
     print(f"atom: gamma={params.gamma}, omega={params.omega}, dim={model.dim}")
 
-    config = TrajectoryConfig(
+    # a batch of one: trajectory 0 of seed 42
+    run = run_ensemble(
+        model,
+        Heterodyne(),
+        plus_x_state(),
+        n_traj=1,
         dt=1e-4,
         steps=20000,
         seed=42,
-        unraveling=Heterodyne(),
         record_stride=2000,
     )
-    states, record = run_trajectory(model, config, plus_x_state())
+    states = run.states[0]
 
     print("\nconditioned state along one record (u = 0):")
     print(f"{'t':>6} {'x':>8} {'y':>8} {'z':>8} {'|J| (current)':>14}")
-    for t, psi, current in zip(record.times, states, record.currents):
+    for t, psi, current in zip(run.times, states, run.currents[0]):
         x, y, z = bloch(psi)
         print(f"{t:6.2f} {x:8.4f} {y:8.4f} {z:8.4f} {abs(current[0]):14.2f}")
 

@@ -12,13 +12,12 @@ import numpy as np
 from unravel import (
     AtomParams,
     InvariantStateDep,
-    TrajectoryConfig,
     build_atom,
     liouvillian_apply,
     plus_x_state,
     projector,
     rotate_lindblads,
-    run_trajectory,
+    run_ensemble,
     sample_increments,
     shift_lindblads,
     step_sme,
@@ -47,11 +46,11 @@ def main():
     print("\npathwise agreement with a state-adapted scheme (remix only):")
     # the remixed presentation is driven by the remixed record noise
     dt = 1e-3
-    config = TrajectoryConfig(dt=dt, steps=2000, seed=5, unraveling=InvariantStateDep(sign=1))
+    spec, kw = InvariantStateDep(sign=1), dict(n_traj=1, dt=dt, steps=2000, seed=5)
     rotated = rotate_lindblads(model, [[phase]])
-    a, rec = run_trajectory(model, config, psi)
-    b, _ = run_trajectory(rotated, config, psi, increments=phase * rec.increments)
-    dev = max(np.abs(projector(x) - projector(y)).max() for x, y in zip(a, b))
+    a = run_ensemble(model, spec, psi, **kw)
+    b = run_ensemble(rotated, spec, psi, increments=phase * a.increments, **kw)
+    dev = max(np.abs(projector(x) - projector(y)).max() for x, y in zip(a.states[0], b.states[0]))
     print(f"  projector deviation over 2000 steps: {dev:.1e}")
 
     print("\npathwise agreement under an offset (projector stepper):")

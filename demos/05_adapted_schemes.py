@@ -14,12 +14,10 @@ from unravel import (
     FixedU,
     Heterodyne,
     InvariantStateDep,
-    TrajectoryConfig,
     bloch,
     build_atom,
     plus_x_state,
     run_ensemble,
-    run_trajectory,
     z_drift_residual,
 )
 
@@ -33,11 +31,10 @@ def main():
     for dt in (1e-3, 5e-4, 2.5e-4):
         row = []
         for spec in (Heterodyne(), InvariantStateDep(sign=1)):
-            config = TrajectoryConfig(
-                dt=dt, steps=round(1.0 / dt), seed=0, unraveling=spec
+            run = run_ensemble(
+                model, spec, plus_x_state(), n_traj=1, dt=dt, steps=round(1.0 / dt), seed=0
             )
-            states, _ = run_trajectory(model, config, plus_x_state())
-            row.append(np.sqrt(np.mean(z_drift_residual(states, dt, params) ** 2)))
+            row.append(np.sqrt(np.mean(z_drift_residual(run.states[0], dt, params) ** 2)))
         print(f"{dt:8.1e} {row[0]:20.2e} {row[1]:24.2e}")
     print("  (left column shrinks like sqrt(dt), right column like dt)")
 
@@ -56,12 +53,11 @@ def main():
 
     print("\nthe u = -1 scheme pins the state to the x = 0 circle:")
     plus_y = np.array([1.0, 1.0j]) / np.sqrt(2)
-    config = TrajectoryConfig(
-        dt=1e-4, steps=10000, seed=3,
-        unraveling=FixedU(np.array([[-1.0]])), record_stride=1000,
+    run = run_ensemble(
+        model, FixedU(np.array([[-1.0]])), plus_y, n_traj=1,
+        dt=1e-4, steps=10000, seed=3, record_stride=1000,
     )
-    states, record = run_trajectory(model, config, plus_y)
-    for t, psi in zip(record.times, states):
+    for t, psi in zip(run.times, run.states[0]):
         x, y, z = bloch(psi)
         print(f"  t={t:4.2f}  x={x:+.2e}  (y, z) = ({y:+.3f}, {z:+.3f})")
 

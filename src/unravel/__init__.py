@@ -12,67 +12,30 @@ statistics are included for validating that trajectory averages
 reproduce the unconditioned state.
 """
 
-from .fluorescence import (
-    FIGURE_HEADER,
-    KET_EXCITED,
-    KET_GROUND,
-    SCENARIOS,
-    SIGMA_MINUS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    AtomParams,
-    bloch,
-    build_atom,
-    plus_x_state,
-    scenario_spec,
-    write_figure_csvs,
-    z_drift_residual,
-)
+from .fluorescence import AtomParams, bloch, build_atom, plus_x_state, z_drift_residual
 from .operators import (
     LindbladModel,
-    check_density_matrix,
-    check_pure_state,
-    expectation,
     liouvillian_apply,
-    matrix_from_pairs,
-    matrix_to_pairs,
     projector,
     rotate_lindblads,
     shift_lindblads,
     transition_rate,
-    transition_rate_operator,
 )
 from .oracle import (
     DegenerateSteadyStateError,
     EnsembleSummary,
     ensemble_summary,
     integrate_master,
-    liouvillian_matrix,
     steady_state,
-    trace_distance,
 )
-from .trajectory import (
-    EnsembleRun,
-    MeasurementRecord,
-    NormCollapseError,
-    TrajectoryConfig,
-    gauge_transform_step,
-    run_ensemble,
-    run_trajectory,
-    step_nonlinear_sse,
-    step_sme,
-    trajectory_stream,
-)
+from .trajectory import EnsembleRun, NormCollapseError, run_ensemble, step_sme
 from .unravelings import (
-    AsymmetricUMatrixError,
     CovarianceError,
     FixedU,
     Heterodyne,
     Homodyne,
     InvariantStateDep,
     InvariantTrace,
-    NormExceededError,
     UMatrixError,
     UnravelingSpec,
     homodyne_u,
@@ -81,17 +44,15 @@ from .unravelings import (
     sample_increments,
     spec_from_dict,
     spectral_norm,
-    u_trace,
     validate_u,
 )
-from .verify import CheckResult, format_report, run_all
 
 __version__ = "0.1.0"
 
+# What the README documents or a demo imports, and the errors a caller
+# catches; every other name is imported from its own module.
 __all__ = [
-    "AsymmetricUMatrixError",
     "AtomParams",
-    "CheckResult",
     "CovarianceError",
     "DegenerateSteadyStateError",
     "EnsembleRun",
@@ -102,56 +63,28 @@ __all__ = [
     "InvariantStateDep",
     "InvariantTrace",
     "LindbladModel",
-    "MeasurementRecord",
     "NormCollapseError",
-    "NormExceededError",
-    "FIGURE_HEADER",
-    "KET_EXCITED",
-    "KET_GROUND",
-    "SCENARIOS",
-    "SIGMA_MINUS",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "TrajectoryConfig",
     "UMatrixError",
     "UnravelingSpec",
     "bloch",
     "build_atom",
-    "check_density_matrix",
-    "check_pure_state",
     "ensemble_summary",
-    "expectation",
-    "format_report",
-    "gauge_transform_step",
     "homodyne_u",
     "integrate_master",
     "is_valid_u",
     "liouvillian_apply",
-    "liouvillian_matrix",
-    "matrix_from_pairs",
-    "matrix_to_pairs",
     "plus_x_state",
     "projector",
     "real_embedding",
     "rotate_lindblads",
-    "run_all",
     "run_ensemble",
-    "run_trajectory",
     "sample_increments",
-    "scenario_spec",
     "shift_lindblads",
     "spec_from_dict",
     "spectral_norm",
     "steady_state",
-    "step_nonlinear_sse",
     "step_sme",
-    "trace_distance",
-    "trajectory_stream",
     "transition_rate",
-    "transition_rate_operator",
-    "u_trace",
     "validate_u",
-    "write_figure_csvs",
     "z_drift_residual",
 ]

@@ -18,9 +18,9 @@ normalized nonlinear vector step.  Pairwise differences under a shared
 noise path, which the kernel takes as supplied increments, vanish as the
 step size shrinks.
 
-Single trajectories and ensembles run through the kernel, for any number
-of channels and any mix of constant and state-dependent ``u`` across the
-batch.  Each trajectory owns a
+Every trajectory runs through the kernel by way of ``run_ensemble``, one
+lane of a batch of any width, for any number of channels and any mix of
+constant and state-dependent ``u`` across the batch.  Each trajectory owns a
 counter-based pseudorandom stream derived from ``(seed, trajectory_index)``
 and the kernel's arithmetic on one trajectory never mixes in another, so a
 trajectory is a bit-exact function of its seed and index, whatever the
@@ -41,6 +41,7 @@ lane-first, in the caller's order.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -55,7 +56,6 @@ from .operators import (
     liouvillian_apply,
 )
 from .unravelings import (
-    UnravelingSpec,
     apply_color,
     centered_moments,
     color_factors,
@@ -94,9 +94,9 @@ class NormCollapseError(RuntimeError):
     """The propagated vector norm collapsed below the safe floor, or is not
     finite.
 
-    The batched kernel sets ``trajectory_index`` (the lowest failing one),
-    ``step`` (the step whose update failed) and ``t`` (that step's start
-    time); the single-step functions leave them None.
+    The kernel sets ``trajectory_index`` (the lowest failing one), ``step``
+    (the step whose update failed) and ``t`` (that step's start time);
+    ``step_nonlinear_sse`` leaves them None.
     """
 
     def __init__(self, message: str, trajectory_index=None, step=None, t=None):
@@ -115,42 +115,19 @@ def trajectory_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
-class TrajectoryConfig:
-    """Run parameters for a single conditioned trajectory.
-
-    ``record_stride`` controls how often the state and record are kept:
-    every ``record_stride``-th step start is recorded.
-    """
-
-    dt: float
-    steps: int
-    seed: int
-    unraveling: UnravelingSpec
-    trajectory_index: int = 0
-    record_stride: int = 1
-
-    def __post_init__(self):
-        _check_grid(self.dt, self.steps, self.record_stride)
-
-
-def _check_grid(dt, steps, record_stride) -> None:
-    """Reject time grids the runners cannot step; each test also rejects NaN."""
+def _check_run(dt, counts) -> None:
+    """Reject a step the kernel cannot take (each test also rejects NaN) and
+    any ``(name, value, least)`` count that is not an integer of at least
+    ``least``."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not steps >= 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    if not record_stride >= 1:
-        raise ValueError(f"record_stride must be at least 1, got {record_stride}")
-
-
-@dataclass
-class MeasurementRecord:
-    """Recorded times, complex currents, and raw noise increments."""
-
-    times: np.ndarray
-    currents: np.ndarray
-    increments: np.ndarray
+    for name, value, least in counts:
+        try:
+            ok = operator.index(value) >= least
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _linear_generator(model: LindbladModel) -> np.ndarray:
@@ -230,53 +207,15 @@ def gauge_transform_step(state, f, dxi) -> np.ndarray:
     return np.exp(1j * dchi) * psi
 
 
-def run_trajectory(model: LindbladModel, config: TrajectoryConfig, initial, increments=None):
-    """Propagate one conditioned trajectory with the linear stepper.
-
-    Records the state, current, and increment at every
-    ``record_stride``-th step start.  This is the batched ensemble kernel at
-    width 1, so the result equals trajectory ``trajectory_index`` of any
-    ``run_ensemble`` call with the same seed, grid and unraveling.
-
-    ``increments`` of shape ``(steps, K)``, if given, drive the steps in
-    place of the noise drawn from the trajectory's stream: the record of
-    one run fed back reproduces it exactly, and transformed increments
-    drive the same path in another presentation of the model.
-
-    Returns
-    -------
-    (ndarray, MeasurementRecord)
-        States of shape ``(n_rec, N)`` and the matching record.
-    """
-    psi = check_pure_state(initial, model.dim)
-    if increments is not None:
-        increments = np.asarray(increments, dtype=complex)
-        shape = (config.steps, model.num_lindblads)
-        if increments.shape != shape:
-            raise ValueError(f"increments must have shape {shape}, got {increments.shape}")
-        increments = increments[None]
-    times, states, currents, recorded, _ = _run_chunk(
-        model,
-        [config.unraveling],
-        psi,
-        config.dt,
-        config.steps,
-        config.seed,
-        config.trajectory_index,
-        config.record_stride,
-        supplied=increments,
-    )
-    record = MeasurementRecord(times=times, currents=currents[0], increments=recorded[0])
-    return states[0], record
-
-
 @dataclass
 class EnsembleRun:
-    """States and currents of a batch of trajectories on a shared grid,
-    with the worker processes used (1 in-process) and the number of
-    contiguous index ranges the batch was cut into.  A run given a
-    per-range function holds that function's results in index order
-    instead of the states and currents."""
+    """States, currents and increments of a batch of trajectories on a
+    shared grid, lane-first ``(n_traj, n_rec, .)``, and the states after
+    the last step ``(n_traj, N)``, with the worker processes used (1
+    in-process) and the number of contiguous index ranges the batch was cut
+    into.  A run given a per-range function holds that function's results
+    in index order instead of the states, currents, increments and final
+    states."""
 
     times: np.ndarray
     states: np.ndarray
@@ -284,6 +223,8 @@ class EnsembleRun:
     workers: int = 1
     lane_ranges: int = 1
     range_results: list | None = None
+    increments: np.ndarray | None = None
+    final: np.ndarray | None = None
 
 
 def _resolve_specs(unraveling, n_traj: int) -> list:
@@ -311,7 +252,7 @@ def _collapse(norms, indices, step: int, dt: float) -> NormCollapseError:
 
 
 def _run_chunk(
-    model, specs, initial, dt, steps, seed, index0, stride, increments=True, supplied=None
+    model, specs, initial, dt, steps, seed, index0, stride, supplied=None, keep_increments=True
 ):
     """Linear stepping of one batch of trajectories, ``specs[i]`` running on
     the stream keyed by ``(seed, index0 + i)``.
@@ -352,8 +293,8 @@ def _run_chunk(
     Returns times ``(n_rec,)``, states ``(m, n_rec, N)``, currents and
     increments ``(m, n_rec, K)``, and the states after the last step
     ``(m, N)``, lane-first in the order of ``specs``; the rows are written
-    straight into them at each record step.  With ``increments=False`` the
-    increments are neither kept nor returned (None in their place).
+    straight into them at each record step.  With ``keep_increments=False``
+    the increments are neither kept nor returned (None in their place).
     """
     m, n, k = len(specs), model.dim, model.num_lindblads
     cs = np.array(model.lindblads, dtype=complex).reshape(k, n, n)
@@ -396,10 +337,7 @@ def _run_chunk(
     n_rec = times.shape[0]
     states = np.empty((m, n_rec, n), dtype=complex)
     currents = np.empty((m, n_rec, k), dtype=complex)
-    if increments:
-        increments = np.empty((m, n_rec, k), dtype=complex)
-    else:
-        increments = None
+    increments = np.empty((m, n_rec, k), dtype=complex) if keep_increments else None
     if draw:
         streams = [trajectory_stream(seed, index) for index in indices]
         # Each stream fills its own rows; one copy per block puts them lanes last.
@@ -450,30 +388,16 @@ def _run_chunk(
     return times, states, currents, increments, final
 
 
-def _kernel_path(model, spec, initial, dt, increments=None, steps=None, seed=0):
-    """The kernel at width 1, driven by the supplied ``(steps, K)``
-    increments or by ``steps`` draws from trajectory 0 of ``seed``: the
-    states before and after every step ``(steps + 1, N)``, the currents and
-    the increments."""
-    if increments is not None:
-        increments = np.asarray(increments, dtype=complex)
-        steps = increments.shape[0]
-        increments = increments[None]
-    _, states, currents, drawn, final = _run_chunk(
-        model, [spec], initial, dt, steps, seed, 0, 1, supplied=increments
-    )
-    return np.vstack([states[0], final]), currents[0], drawn[0]
-
-
 def _ensemble_part(args):
-    """Times and, without a per-range function, the states and currents of
-    one index range; with one, what it returns for the range's records."""
+    """Times and, without a per-range function, the states, currents,
+    increments and final states of one index range; with one, what it
+    returns for the range's records."""
     *chunk_args, per_range = args
-    index0 = chunk_args[6]
-    times, states, currents, _, _ = _run_chunk(*chunk_args, increments=False)
     if per_range is None:
-        return times, (states, currents)
-    return times, per_range(index0, times, states, currents)
+        times, *records = _run_chunk(*chunk_args)
+        return times, records
+    times, states, currents, _, _ = _run_chunk(*chunk_args, keep_increments=False)
+    return times, per_range(chunk_args[6], times, states, currents)
 
 
 def default_workers() -> int:
@@ -507,19 +431,21 @@ def run_ensemble(
     start_index: int = 0,
     workers: int | None = None,
     per_range=None,
+    increments=None,
 ) -> EnsembleRun:
-    """Propagate many trajectories and collect states and currents.
+    """Propagate many trajectories and collect their states, currents and
+    increments.
 
     ``unraveling`` is a single specification shared by all trajectories or a
     sequence assigning one per trajectory.  Trajectory ``i`` draws its noise
     from the stream keyed by ``(seed, start_index + i)``.  All trajectories
-    run through the same batched kernel as ``run_trajectory``, in contiguous
-    index ranges of at most ``CHUNK`` lanes, at least one range per worker.
-    A trajectory's arithmetic never depends on the others, so trajectory
-    ``i`` is bit-identical for any worker count, batch width or mix of
-    unravelings, and equal to ``run_trajectory`` at that index.  Each range's
-    records are copied into the result as they arrive, so besides the result
-    the caller's process holds about one range at a time.
+    run through one batched kernel, in contiguous index ranges of at most
+    ``CHUNK`` lanes, at least one range per worker.  A trajectory's
+    arithmetic never depends on the others, so trajectory ``i`` is
+    bit-identical for any worker count, batch width or mix of unravelings:
+    ``n_traj=1, start_index=i`` runs exactly lane ``i`` of a wider batch.
+    Each range's records are copied into the result as they arrive, so
+    besides the result the caller's process holds about one range at a time.
 
     Parameters
     ----------
@@ -536,14 +462,27 @@ def run_ensemble(
         ran the range, as ``per_range(first_index, times, states,
         currents)`` with the range's records lane-first, and its results
         come back in ``EnsembleRun.range_results`` in index order; the
-        returned run then holds no ``states`` or ``currents`` (None), so
-        the records never cross to the caller's process.
+        returned run then holds no ``states``, ``currents``, ``increments``
+        or ``final`` (None), so the records never cross to the caller's
+        process.
+    increments:
+        Noise of shape ``(n_traj, steps, K)`` to drive the steps in place
+        of the trajectories' streams: a run's ``increments`` fed back
+        reproduce it exactly (at ``record_stride=1``), and transformed
+        increments drive the same path in another presentation of the model.
     """
     psi0 = check_pure_state(initial, model.dim)
-    _check_grid(dt, steps, record_stride)
-    if not n_traj >= 1:
-        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
+    _check_run(
+        dt,
+        (("steps", steps, 1), ("record_stride", record_stride, 1), ("n_traj", n_traj, 1),
+         ("seed", seed, 0), ("start_index", start_index, 0)),
+    )
     specs = _resolve_specs(unraveling, n_traj)
+    if increments is not None:
+        increments = np.asarray(increments, dtype=complex)
+        shape = (n_traj, steps, model.num_lindblads)
+        if increments.shape != shape:
+            raise ValueError(f"increments must have shape {shape}, got {increments.shape}")
     if workers is None:
         workers = max(1, min(default_workers(), n_traj // MIN_LANES))
     if not workers >= 1:
@@ -552,18 +491,18 @@ def run_ensemble(
     size = min(CHUNK, -(-n_traj // workers))
     tasks = [
         (model, specs[lo : lo + size], psi0, dt, steps, seed, start_index + lo, record_stride,
-         per_range)
+         None if increments is None else increments[lo : lo + size], per_range)
         for lo in range(0, n_traj, size)
     ]
     workers = min(workers, len(tasks))
     if per_range is None and len(tasks) == 1:
-        times, (states, currents) = _ensemble_part(tasks[0])
-        return EnsembleRun(times, states, currents)
-    states = currents = results = None
+        times, (states, currents, drawn, final) = _ensemble_part(tasks[0])
+        return EnsembleRun(times, states, currents, increments=drawn, final=final)
+    records, results = [], None
     if per_range is None:
-        n_rec = -(-steps // record_stride)
-        states = np.empty((n_traj, n_rec, model.dim), dtype=complex)
-        currents = np.empty((n_traj, n_rec, model.num_lindblads), dtype=complex)
+        n, k, n_rec = model.dim, model.num_lindblads, -(-steps // record_stride)
+        records = [np.empty((n_traj, *shape), dtype=complex)
+                   for shape in ((n_rec, n), (n_rec, k), (n_rec, k), (n,))]
     else:
         results = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -572,7 +511,8 @@ def run_ensemble(
         lo = 0
         for times, part in parts:
             if per_range is None:
-                states[lo : lo + size], currents[lo : lo + size] = part
+                for whole, piece in zip(records, part):
+                    whole[lo : lo + size] = piece
             else:
                 results.append(part)
             lo += size
@@ -580,4 +520,5 @@ def run_ensemble(
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    return EnsembleRun(times, states, currents, workers, len(tasks), results)
+    states, currents, drawn, final = records or (None,) * 4
+    return EnsembleRun(times, states, currents, workers, len(tasks), results, drawn, final)

@@ -150,8 +150,10 @@ def takagi(m, unitary: bool = True):
     ``V = -i`` (``-0``), as ``csqrt(-1 +- 0i) = +-i``.  The unit phase
     divides the real and imaginary parts of m by ``|m|``, which keeps that
     sign; a complex quotient would drop it, and ``1 / |m|`` overflows at a
-    subnormal ``|m|``.  Both roots factor ``m``, but they colour the same
-    normals into increments of opposite sign.  From the atom's ``+x`` state
+    subnormal ``|m|``.  A subnormal m is scaled by ``2**64`` first, which is
+    exact, because its own parts hold too few bits for a unit phase.  Both
+    roots factor ``m``, but they colour the same normals into increments of
+    opposite sign.  From the atom's ``+x`` state
     ``M = -gamma/4`` exactly, so ``invariant_plus`` starts at ``u = -1`` and
     its sample paths follow the sign of that zero: any regrouping of the
     arithmetic of M that flips it moves them macroscopically.
@@ -159,9 +161,12 @@ def takagi(m, unitary: bool = True):
     k = m.shape[0]
     if k == 1:
         r = np.abs(m[0])
+        scaled = m.copy()
+        np.multiply(m, 2.0**64, out=scaled, where=r < np.finfo(float).tiny)
+        r_scaled = np.abs(scaled[0])
         unit = np.ones_like(m)  # 1 where m = 0
-        np.divide(m.real, r, out=unit.real, where=r > 0)
-        np.divide(m.imag, r, out=unit.imag, where=r > 0)
+        np.divide(scaled.real, r_scaled, out=unit.real, where=r > 0)
+        np.divide(scaled.imag, r_scaled, out=unit.imag, where=r > 0)
         return np.sqrt(unit), r
     b = np.concatenate([np.concatenate([m.real, m.imag], 1), np.concatenate([m.imag, -m.real], 1)])
     # numpy.linalg takes the matrix axes last: move them there, and back

@@ -30,8 +30,8 @@ from .operators import (
     transition_rate_operator,
 )
 from .trajectory import (
-    _kernel_path,
     gauge_transform_step,
+    run_ensemble,
     step_nonlinear_sse,
     step_sme,
     trajectory_stream,
@@ -130,6 +130,15 @@ def _static_deviation(model, other, rng: np.random.Generator) -> float:
     )
 
 
+def _projector_deviation(a, b) -> float:
+    """Largest projector difference between the paths of two width-1 runs,
+    over every recorded state and the state after the last step."""
+    return max(
+        np.abs(projector(x) - projector(y)).max()
+        for x, y in zip([*a.states[0], a.final[0]], [*b.states[0], b.final[0]])
+    )
+
+
 def check_eigenvalue_identity(seed: int, trials_per_size: int = 40) -> CheckResult:
     """Smallest covariance eigenvalue equals dt (1 - ||u||) / 2.
 
@@ -188,24 +197,23 @@ def check_rotation_invariance(
     path_dev = 0.0
     for spec in (Heterodyne(), InvariantStateDep(sign=1)):
         psi = _random_state(rng, 3)
-        noise_seed = int(rng.integers(2**32))
-        a, j_a, dxi = _kernel_path(model, spec, psi, dt, steps=steps, seed=noise_seed)
-        b, j_b, _ = _kernel_path(rotated, spec, psi, dt, dxi @ t_mat.T)
+        a = run_ensemble(model, spec, psi, 1, dt, steps, int(rng.integers(2**32)))
+        b = run_ensemble(rotated, spec, psi, 1, dt, steps, 0, increments=a.increments @ t_mat.T)
         path_dev = max(
             path_dev,
-            *(np.abs(projector(x) - projector(y)).max() for x, y in zip(a, b)),
-            np.abs(j_a @ t_mat.T - j_b).max() * dt,
+            _projector_deviation(a, b),
+            np.abs(a.currents @ t_mat.T - b.currents).max() * dt,
         )
     u = _random_symmetric(rng, 2, rng.uniform(0.0, 1.0))
     v, sigma = takagi(u)
     split = rotate_lindblads(model, v.conj().T)
     psi, noise_seed = _random_state(rng, 3), int(rng.integers(2**32))
-    a, j_a, _ = _kernel_path(model, FixedU(u), psi, dt, steps=steps, seed=noise_seed)
-    b, j_b, _ = _kernel_path(split, FixedU(np.diag(sigma)), psi, dt, steps=steps, seed=noise_seed)
+    a = run_ensemble(model, FixedU(u), psi, 1, dt, steps, noise_seed)
+    b = run_ensemble(split, FixedU(np.diag(sigma)), psi, 1, dt, steps, noise_seed)
     path_dev = max(
         path_dev,
-        *(np.abs(projector(x) - projector(y)).max() for x, y in zip(a, b)),
-        np.abs(j_a @ v.conj() - j_b).max() * dt,
+        _projector_deviation(a, b),
+        np.abs(a.currents @ v.conj() - b.currents).max() * dt,
         *(abs(homodyne_u((1.0 + s) / 2.0, 0.0, np.pi / 2)[0, 0] - s) for s in sigma),
     )
     passed = static_dev <= 1e-10 and path_dev <= 1e-8
@@ -264,12 +272,13 @@ def check_gauge_invariance(seed: int, steps: int = 1000, dt: float = 1e-3) -> Ch
     model = _random_model(rng, 3, 2)
     spec = FixedU(_random_symmetric(rng, 2, 0.6))
     b = _random_state(rng, 3)
-    a, _, increments = _kernel_path(model, spec, b, dt, steps=steps, seed=int(rng.integers(2**32)))
+    a = run_ensemble(model, spec, b, 1, dt, steps, int(rng.integers(2**32)))
     dev = 0.0
-    for step, dxi in enumerate(increments):
+    for after, dxi in zip([*a.states[0, 1:], a.final[0]], a.increments[0]):
         f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        b = _kernel_path(model, spec, gauge_transform_step(b, f, dxi), dt, dxi[None])[0][1]
-        dev = max(dev, np.abs(projector(a[step + 1]) - projector(b)).max())
+        twisted = gauge_transform_step(b, f, dxi)
+        b = run_ensemble(model, spec, twisted, 1, dt, 1, 0, increments=dxi[None, None]).final[0]
+        dev = max(dev, np.abs(projector(after) - projector(b)).max())
     return CheckResult(
         name="gauge-invariance",
         passed=dev <= 1e-10,
@@ -288,9 +297,10 @@ def stepper_strong_orders(
     """Fitted pairwise strong orders of the trajectory kernel and the two
     cross-check steppers under coupled noise.
 
-    Increments are drawn once per path on the finest grid and aggregated
-    for the coarser ones, so every resolution sees the same underlying
-    noise.  For each step size the mean squared projector difference over
+    Increments are drawn once per path on the finest grid, path ``i`` from
+    trajectory ``i``'s stream, and aggregated for the coarser ones, so
+    every resolution sees the same underlying noise.  For each step size
+    the mean squared projector difference over
     ``STRONG_ORDER_PROBES`` evenly spaced probe times is averaged over
     ``n_paths`` independent paths; the fitted log-log slope of the resulting
     RMS against dt is the measured strong order for each stepper pair.
@@ -303,25 +313,27 @@ def stepper_strong_orders(
     n_fine = int(round(t_final / fine))
     pairs = ("linear/projector", "linear/nonlinear", "projector/nonlinear")
     mean_sq = {pair: np.zeros(len(dts)) for pair in pairs}
-    for path in range(n_paths):
-        rng = trajectory_stream(seed, path)
-        noise = np.array([sample_increments(spec.u, fine, rng)[0] for _ in range(n_fine)])
-        for di, dt in enumerate(dts):
-            factor = int(round(dt / fine))
-            n_steps = n_fine // factor
-            coarse = noise[: n_steps * factor].reshape(-1, factor).sum(axis=1)
-            probe_every = max(1, n_steps // STRONG_ORDER_PROBES)
-            lin = _kernel_path(model, spec, psi0, dt, coarse[:, None])[0]
+    noise = run_ensemble(model, spec, psi0, n_paths, fine, n_fine, seed).increments[..., 0]
+    for di, dt in enumerate(dts):
+        factor = int(round(dt / fine))
+        n_steps = n_fine // factor
+        coarse = noise[:, : n_steps * factor].reshape(n_paths, -1, factor).sum(axis=2)
+        probe_every = max(1, n_steps // STRONG_ORDER_PROBES)
+        lin = run_ensemble(
+            model, spec, psi0, n_paths, dt, n_steps, 0, increments=coarse[..., None]
+        )
+        lin_paths = np.concatenate([lin.states, lin.final[:, None]], axis=1)
+        for path in range(n_paths):
             v_non = psi0.copy()
             p_sme = projector(psi0)
             acc = dict.fromkeys(pairs, 0.0)
             probes = 0
-            for step, inc in enumerate(coarse):
+            for step, inc in enumerate(coarse[path]):
                 dxi = np.array([inc])
                 v_non = step_nonlinear_sse(model, v_non, dxi, dt)
                 p_sme = step_sme(model, p_sme, dxi, dt)
                 if (step + 1) % probe_every == 0:
-                    p_lin = projector(lin[step + 1])
+                    p_lin = projector(lin_paths[path, step + 1])
                     p_non = projector(v_non)
                     acc["linear/projector"] += np.abs(p_lin - p_sme).max() ** 2
                     acc["linear/nonlinear"] += np.abs(p_lin - p_non).max() ** 2

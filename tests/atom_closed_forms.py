@@ -7,9 +7,6 @@ the generic projector step), which is what makes them useful cross-checks.
 import numpy as np
 
 from unravel import (
-    SIGMA_MINUS,
-    SIGMA_X,
-    SIGMA_Y,
     AtomParams,
     FixedU,
     Heterodyne,
@@ -17,11 +14,10 @@ from unravel import (
     UnravelingSpec,
     bloch,
     build_atom,
-    check_density_matrix,
-    check_pure_state,
-    expectation,
     liouvillian_apply,
 )
+from unravel.fluorescence import SIGMA_MINUS, SIGMA_X, SIGMA_Y
+from unravel.operators import check_density_matrix, check_pure_state, expectation
 
 
 def scenario_expected_current(params: AtomParams, spec: UnravelingSpec, state) -> complex:

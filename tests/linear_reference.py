@@ -9,14 +9,8 @@ sample lives here too, since no run conditions through it.
 
 import numpy as np
 
-from unravel import (
-    LindbladModel,
-    NormCollapseError,
-    check_density_matrix,
-    check_pure_state,
-    expectation,
-    spectral_norm,
-)
+from unravel import LindbladModel, NormCollapseError, spectral_norm
+from unravel.operators import check_density_matrix, check_pure_state, expectation
 from unravel.trajectory import NORM_FLOOR
 from unravel.unravelings import MOMENT_FLOOR
 

@@ -12,15 +12,9 @@ from unravel import (
     FixedU,
     Heterodyne,
     InvariantStateDep,
-    SCENARIOS,
-    SIGMA_X,
-    SIGMA_Y,
-    TrajectoryConfig,
     bloch,
     build_atom,
     ensemble_summary,
-    expectation,
-    gauge_transform_step,
     homodyne_u,
     integrate_master,
     is_valid_u,
@@ -30,19 +24,18 @@ from unravel import (
     real_embedding,
     rotate_lindblads,
     run_ensemble,
-    run_trajectory,
     sample_increments,
-    scenario_spec,
     shift_lindblads,
     spectral_norm,
     steady_state,
     step_sme,
     transition_rate,
-    transition_rate_operator,
     z_drift_residual,
 )
+from unravel.fluorescence import SCENARIOS, SIGMA_X, SIGMA_Y, scenario_spec
+from unravel.operators import transition_rate_operator
+from unravel.trajectory import gauge_transform_step
 from unravel.unravelings import NORM_SLACK, takagi
-from unravel.trajectory import _kernel_path
 from unravel.verify import stepper_strong_orders
 from atom_closed_forms import sme_u1_decomposed_step
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
@@ -174,14 +167,10 @@ def test_criterion_3_representation_invariance(announce):
         for spec in (Heterodyne(), InvariantStateDep(sign=1)):
             # the remixed model is driven by the remixed record noise
             psi = random_state(rng, dim)
-            config = TrajectoryConfig(
-                dt=dt, steps=1000, seed=int(rng.integers(2**32)), unraveling=spec
-            )
-            states_a, record = run_trajectory(model, config, psi)
-            states_b, _ = run_trajectory(
-                rotated, config, psi, increments=record.increments @ t_mat.T
-            )
-            for psi_a, psi_b in zip(states_a, states_b):
+            kw = dict(n_traj=1, dt=dt, steps=1000, seed=int(rng.integers(2**32)))
+            a = run_ensemble(model, spec, psi, **kw)
+            b = run_ensemble(rotated, spec, psi, increments=a.increments @ t_mat.T, **kw)
+            for psi_a, psi_b in zip(a.states[0], b.states[0]):
                 path_dev = max(
                     path_dev, np.abs(projector(psi_a) - projector(psi_b)).max()
                 )
@@ -322,11 +311,11 @@ def test_criterion_7_formulation_equivalence(announce):
     twin = random_state(rng, 3)
     dxi = np.array([sample_increments(spec.u, dt, rng) for _ in range(1000)])
     # the ungauged path in one kernel call, the gauged one step by step
-    path, _, _ = _kernel_path(model, spec, twin, dt, dxi)
+    run = run_ensemble(model, spec, twin, 1, dt, 1000, 0, increments=dxi[None])
     gauge_dev = 0.0
-    for psi, inc in zip(path[1:], dxi):
+    for psi, inc in zip([*run.states[0, 1:], run.final[0]], dxi):
         f = rng.normal(size=2) + 1j * rng.normal(size=2)
-        twin = _kernel_path(model, spec, twin, dt, [inc])[0][1]
+        twin = run_ensemble(model, spec, twin, 1, dt, 1, 0, increments=[[inc]]).final[0]
         twin = gauge_transform_step(twin, f, inc)
         gauge_dev = max(gauge_dev, np.abs(projector(psi) - projector(twin)).max())
 
@@ -389,16 +378,15 @@ def test_criterion_9_measurement_realisation(announce):
         v, sigma = takagi(u)
         psi = random_state(rng, dim)
         seed = int(rng.integers(2**32))
-        (states_a, record_a), (states_b, record_b) = (
-            run_trajectory(
-                m, TrajectoryConfig(dt=dt, steps=500, seed=seed, unraveling=FixedU(x)), psi
-            )
+        run_a, run_b = (
+            run_ensemble(m, FixedU(x), psi, n_traj=1, dt=dt, steps=500, seed=seed)
             for m, x in ((model, u), (rotate_lindblads(model, v.conj().T), np.diag(sigma)))
         )
         path_dev = max(
             path_dev,
-            *(np.abs(projector(a) - projector(b)).max() for a, b in zip(states_a, states_b)),
-            np.abs(record_a.currents @ v.conj() - record_b.currents).max() * dt,
+            *(np.abs(projector(a) - projector(b)).max()
+              for a, b in zip(run_a.states[0], run_b.states[0])),
+            np.abs(run_a.currents @ v.conj() - run_b.currents).max() * dt,
         )
         split_dev = max(
             split_dev,

@@ -8,31 +8,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unravel import (
-    SCENARIOS,
-    SIGMA_MINUS,
-    SIGMA_X,
     AtomParams,
     FixedU,
     Heterodyne,
     InvariantStateDep,
-    KET_EXCITED,
-    KET_GROUND,
-    TrajectoryConfig,
     bloch,
     build_atom,
     liouvillian_apply,
     plus_x_state,
     projector,
-    run_trajectory,
-    scenario_spec,
+    run_ensemble,
     step_sme,
-    write_figure_csvs,
     z_drift_residual,
 )
+from unravel.fluorescence import (
+    KET_EXCITED,
+    KET_GROUND,
+    SCENARIOS,
+    SIGMA_MINUS,
+    SIGMA_X,
+    scenario_spec,
+    write_figure_csvs,
+)
+from unravel.trajectory import EnsembleRun
 from atom_closed_forms import scenario_expected_current, sme_u1_decomposed_step
 from conftest import random_state
 from linear_reference import expected_current
-from unravel.trajectory import EnsembleRun, _kernel_path
 
 
 class TestAtomParams:
@@ -143,12 +144,9 @@ class TestZDriftResidual:
     def test_dark_state_residual_vanishes(self):
         params = AtomParams(gamma=1.0, omega=0.0)
         model = build_atom(params)
-        config = TrajectoryConfig(
-            dt=1e-3, steps=200, seed=0, unraveling=Heterodyne()
-        )
-        states, _ = run_trajectory(model, config, KET_GROUND)
+        run = run_ensemble(model, Heterodyne(), KET_GROUND, n_traj=1, dt=1e-3, steps=200, seed=0)
         np.testing.assert_allclose(
-            z_drift_residual(states, 1e-3, params), 0.0, atol=1e-12
+            z_drift_residual(run.states[0], 1e-3, params), 0.0, atol=1e-12
         )
 
     def test_noise_cancellation_scaling(self, atom_params, atom_model):
@@ -161,11 +159,10 @@ class TestZDriftResidual:
             for dt in dts:
                 pooled = []
                 for seed in range(4):
-                    config = TrajectoryConfig(
-                        dt=dt, steps=round(1.0 / dt), seed=seed, unraveling=spec
+                    run = run_ensemble(
+                        atom_model, spec, plus_x_state(), 1, dt, round(1.0 / dt), seed
                     )
-                    states, _ = run_trajectory(atom_model, config, plus_x_state())
-                    pooled.append(z_drift_residual(states, dt, atom_params))
+                    pooled.append(z_drift_residual(run.states[0], dt, atom_params))
                 out.append(np.sqrt(np.mean(np.concatenate(pooled) ** 2)))
             return out
 
@@ -208,11 +205,8 @@ class TestManifoldInvariance:
     def test_x_stays_zero_under_opposite_correlation(self, atom_model):
         dt = 1e-4
         plus_y = np.array([1.0, 1.0j]) / np.sqrt(2)
-        config = TrajectoryConfig(
-            dt=dt, steps=10000, seed=3, unraveling=FixedU(np.array([[-1.0]]))
-        )
-        states, _ = run_trajectory(atom_model, config, plus_y)
-        xs = np.array([bloch(s)[0] for s in states])
+        run = run_ensemble(atom_model, FixedU(np.array([[-1.0]])), plus_y, 1, dt, 10000, 3)
+        xs = np.array([bloch(s)[0] for s in run.states[0]])
         assert np.abs(xs).max() < 10 * dt
 
     def test_adapted_scheme_matches_opposite_correlation_on_manifold(
@@ -221,21 +215,20 @@ class TestManifoldInvariance:
         # once x = 0, the sign=-1 state-adapted correlation is exactly -1
         dt = 1e-4
         plus_y = np.array([1.0, 1.0j]) / np.sqrt(2)
-        config = TrajectoryConfig(
-            dt=dt, steps=2000, seed=3, unraveling=FixedU(np.array([[-1.0]])),
-            record_stride=100,
-        )
-        states, _ = run_trajectory(atom_model, config, plus_y)
+        fixed = FixedU(np.array([[-1.0]]))
+        run = run_ensemble(atom_model, fixed, plus_y, 1, dt, 2000, 3, record_stride=100)
         spec = InvariantStateDep(sign=-1)
         rng = np.random.default_rng(0)
-        for psi in states:
+        for psi in run.states[0]:
             assert abs(bloch(psi)[0]) < 1e-8
             u = spec.resolve(atom_model, psi)
             assert abs(u[0, 0] + 1.0) < 1e-10
             # one kernel step of each, on the same increment
-            dxi = [[1j * np.sqrt(dt) * rng.standard_normal()]]
-            a = _kernel_path(atom_model, spec, psi, dt, dxi)[0][1]
-            b = _kernel_path(atom_model, config.unraveling, psi, dt, dxi)[0][1]
+            dxi = [[[1j * np.sqrt(dt) * rng.standard_normal()]]]
+            a, b = (
+                run_ensemble(atom_model, x, psi, 1, dt, 1, 0, increments=dxi).final[0]
+                for x in (spec, fixed)
+            )
             assert np.abs(projector(a) - projector(b)).max() < 1e-10
 
 

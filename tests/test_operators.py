@@ -7,22 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unravel import (
-    KET_EXCITED,
-    KET_GROUND,
     LindbladModel,
-    SIGMA_MINUS,
-    SIGMA_Z,
-    check_density_matrix,
-    check_pure_state,
-    expectation,
     liouvillian_apply,
-    matrix_from_pairs,
-    matrix_to_pairs,
     plus_x_state,
     projector,
     rotate_lindblads,
     shift_lindblads,
     transition_rate,
+)
+from unravel.fluorescence import KET_EXCITED, KET_GROUND, SIGMA_MINUS, SIGMA_Z
+from unravel.operators import (
+    check_density_matrix,
+    check_pure_state,
+    expectation,
+    matrix_from_pairs,
+    matrix_to_pairs,
     transition_rate_operator,
 )
 from conftest import random_model, random_state, random_unitary

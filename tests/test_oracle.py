@@ -8,21 +8,18 @@ from scipy.linalg import expm
 from unravel import (
     DegenerateSteadyStateError,
     Heterodyne,
-    KET_EXCITED,
-    KET_GROUND,
     LindbladModel,
-    SIGMA_Z,
     bloch,
     ensemble_summary,
     integrate_master,
     liouvillian_apply,
-    liouvillian_matrix,
     plus_x_state,
     projector,
     run_ensemble,
     steady_state,
-    trace_distance,
 )
+from unravel.fluorescence import KET_EXCITED, KET_GROUND, SIGMA_Z
+from unravel.oracle import liouvillian_matrix, trace_distance
 from conftest import random_model, random_state
 
 

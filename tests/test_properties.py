@@ -15,11 +15,17 @@ from unravel import (
     InvariantTrace,
     real_embedding,
     run_ensemble,
-    u_trace,
 )
 from unravel.cli import EXIT_CONFIG, main
 from unravel.operators import BLAS_MIN_DIM, _stack_apply
-from unravel.unravelings import MOMENT_FLOOR, apply_color, color_factors, extremal_u, takagi
+from unravel.unravelings import (
+    MOMENT_FLOOR,
+    apply_color,
+    color_factors,
+    extremal_u,
+    takagi,
+    u_trace,
+)
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
 
 # Text that no float() or int() parses: no digit, and no letter of inf or nan.
@@ -173,6 +179,7 @@ SINGULAR = st.sampled_from([0.0, 0.0, 1.0, 0.5, 0.25]) | st.floats(0.0, 1.0)
 @example(sigma=[0.0, 0.0, 0.0], seed=1)
 @example(sigma=[1.0, 0.0, 0.0, 0.0, 0.0], seed=2)
 @example(sigma=[0.5, 0.5, 0.0, 0.0], seed=3)
+@example(sigma=[2.2250738585e-313], seed=0)  # a subnormal u: its phase must stay unit
 def test_degenerate_u_colours_exactly(sigma, seed):
     # u = W diag(sigma) W^T for Haar W; u = 0 when every sigma is 0
     k, dt = len(sigma), 1e-3

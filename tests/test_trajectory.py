@@ -14,41 +14,34 @@ from unravel import (
     Homodyne,
     InvariantStateDep,
     InvariantTrace,
-    KET_EXCITED,
-    KET_GROUND,
     LindbladModel,
     NormCollapseError,
-    SIGMA_MINUS,
-    SIGMA_X,
-    TrajectoryConfig,
     bloch,
     build_atom,
     ensemble_summary,
-    gauge_transform_step,
     integrate_master,
     plus_x_state,
     projector,
     run_ensemble,
-    run_trajectory,
     sample_increments,
     shift_lindblads,
     spectral_norm,
-    step_nonlinear_sse,
     step_sme,
-    trajectory_stream,
-    u_trace,
 )
-from unravel import trajectory
+from unravel.fluorescence import KET_EXCITED, KET_GROUND, SIGMA_MINUS, SIGMA_X
 from unravel.operators import BLAS_MIN_DIM
 from unravel.trajectory import (
     CHUNK,
     MIN_LANES,
     NOISE_BLOCK,
     _effective_hamiltonian,
-    _kernel_path,
     _run_chunk,
+    gauge_transform_step,
+    step_nonlinear_sse,
+    trajectory_stream,
 )
-from unravel.unravelings import extremal_u
+from unravel.unravelings import extremal_u, u_trace
+from unravel import trajectory
 from conftest import random_model, random_state, random_symmetric_u
 from linear_reference import (
     VanishingLikelihoodError,
@@ -75,14 +68,14 @@ class TestExpectedCurrent:
         spec = FixedU(np.array([[1.0]]))
         for gamma in (1.0, 4.0):
             model = build_atom(AtomParams(gamma=gamma, omega=10.0))
-            _, got, _ = _kernel_path(model, spec, plus_x_state(), 1e-3, [[0.0]])
-            assert got[0, 0] == pytest.approx(np.sqrt(gamma), abs=1e-14)
+            run = run_ensemble(model, spec, plus_x_state(), 1, 1e-3, 1, 0, increments=[[[0.0]]])
+            assert run.currents[0, 0, 0] == pytest.approx(np.sqrt(gamma), abs=1e-14)
 
     def test_uncorrelated_reduces_to_channel_mean(self, rng, atom_model):
         psi = random_state(rng, 2)
-        _, got, _ = _kernel_path(atom_model, Heterodyne(), psi, 1e-3, [[0.0]])
+        run = run_ensemble(atom_model, Heterodyne(), psi, 1, 1e-3, 1, 0, increments=[[[0.0]]])
         s = np.vdot(psi, atom_model.lindblads[0] @ psi)
-        assert got[0, 0] == pytest.approx(s, abs=1e-14)
+        assert run.currents[0, 0, 0] == pytest.approx(s, abs=1e-14)
 
 
 class TestStepLinear:
@@ -95,8 +88,10 @@ class TestStepLinear:
         u = 0.3 + 0.4j
         psi = plus_x_state()
         dxi = colored_increment(u, dt, 0.7, -0.3)
-        states, currents, _ = _kernel_path(atom_model, FixedU(np.array([[u]])), psi, dt, [[dxi]])
-        got_state, got_current = states[1], currents[0]
+        run = run_ensemble(
+            atom_model, FixedU(np.array([[u]])), psi, 1, dt, 1, 0, increments=[[[dxi]]]
+        )
+        got_state, got_current = run.final[0], run.currents[0, 0]
 
         c = [[mpc(0), mpc(0)], [mpc(1), mpc(0)]]
         h = [[mpc(0), mpc(5)], [mpc(5), mpc(0)]]
@@ -123,21 +118,25 @@ class TestStepLinear:
     def test_dark_state_is_exact_fixed_point(self, decay_model, rng):
         dxi = np.array([sample_increments([[0.5]], 1e-2, rng) for _ in range(20)])
         spec = FixedU(np.array([[0.5]]))
-        states, currents, _ = _kernel_path(decay_model, spec, KET_GROUND, 1e-2, dxi)
-        for new in states:
+        run = run_ensemble(decay_model, spec, KET_GROUND, 1, 1e-2, 20, 0, increments=dxi[None])
+        for new in [*run.states[0], run.final[0]]:
             np.testing.assert_array_equal(new, KET_GROUND)
-        assert np.array_equal(currents, dxi / 1e-2)
+        assert np.array_equal(run.currents[0], dxi / 1e-2)
 
     def test_norm_collapse_raises(self, decay_model):
-        config = TrajectoryConfig(dt=2.0, steps=1, seed=0, unraveling=Heterodyne())
         with pytest.raises(NormCollapseError):
-            run_trajectory(decay_model, config, KET_EXCITED, increments=[[0.0]])
+            run_ensemble(
+                decay_model, Heterodyne(), KET_EXCITED, 1, 2.0, 1, 0, increments=[[[0.0]]]
+            )
 
     def test_rejects_wrong_increment_count(self, atom_model):
-        config = TrajectoryConfig(dt=1e-3, steps=3, seed=0, unraveling=Heterodyne())
-        for shape in ((3, 2), (2, 1), (3,), (1, 3, 1)):
-            with pytest.raises(ValueError, match=r"increments must have shape \(3, 1\)"):
-                run_trajectory(atom_model, config, plus_x_state(), increments=np.zeros(shape))
+        # (n_traj, steps, K) = (1, 3, 1); (3, 1) lacks the lane axis
+        for shape in ((1, 3, 2), (1, 2, 1), (3, 1), (2, 3, 1)):
+            with pytest.raises(ValueError, match=r"increments must have shape \(1, 3, 1\)"):
+                run_ensemble(
+                    atom_model, Heterodyne(), plus_x_state(), 1, 1e-3, 3, 0,
+                    increments=np.zeros(shape),
+                )
 
 
 class TestStepperConsistency:
@@ -149,7 +148,8 @@ class TestStepperConsistency:
         d_lin, d_non = [], []
         for dt in dts:
             dxi = [colored_increment(u, dt, 0.7, -0.3)]
-            lin = _kernel_path(atom_model, FixedU(np.array([[u]])), psi, dt, [dxi])[0][1]
+            spec = FixedU(np.array([[u]]))
+            lin = run_ensemble(atom_model, spec, psi, 1, dt, 1, 0, increments=[[dxi]]).final[0]
             non = step_nonlinear_sse(atom_model, psi, dxi, dt)
             sme = step_sme(atom_model, projector(psi), dxi, dt)
             d_lin.append(np.abs(projector(lin) - sme).max())
@@ -180,10 +180,10 @@ class TestMeasurementOperator:
         u = random_symmetric_u(rng, 1, 0.6)
         dt = 1e-3
         dxi = sample_increments(u, dt, rng)
-        states, currents, _ = _kernel_path(atom_model, FixedU(u), psi, dt, [dxi])
-        omega = measurement_operator(atom_model, currents[0], dt)
+        run = run_ensemble(atom_model, FixedU(u), psi, 1, dt, 1, 0, increments=[[dxi]])
+        omega = measurement_operator(atom_model, run.currents[0, 0], dt)
         conditioned = apply_measurement(omega, projector(psi))
-        np.testing.assert_allclose(conditioned, projector(states[1]), atol=1e-10)
+        np.testing.assert_allclose(conditioned, projector(run.final[0]), atol=1e-10)
 
     def test_zero_mean_records_resolve_identity(self, rng):
         # E[Omega^dag Omega] = 1 + dt^2 G^dag G under the raw noise measure
@@ -214,13 +214,13 @@ class TestGaugeStep:
         # the ungauged path in one kernel call, the gauged one step by step
         spec = FixedU(np.array([[0.4 - 0.2j]]))
         dxi = np.array([sample_increments(spec.u, 1e-3, rng) for _ in range(200)])
-        psi = _kernel_path(atom_model, spec, plus_x_state(), 1e-3, dxi)[0][-1]
+        run = run_ensemble(atom_model, spec, plus_x_state(), 1, 1e-3, 200, 0, increments=dxi[None])
         twin = plus_x_state()
         for inc in dxi:
             f = rng.normal(size=1) + 1j * rng.normal(size=1)
-            twin = _kernel_path(atom_model, spec, twin, 1e-3, [inc])[0][1]
+            twin = run_ensemble(atom_model, spec, twin, 1, 1e-3, 1, 0, increments=[[inc]]).final[0]
             twin = gauge_transform_step(twin, f, inc)
-        assert np.abs(projector(psi) - projector(twin)).max() < 1e-12
+        assert np.abs(projector(run.final[0]) - projector(twin)).max() < 1e-12
 
     def test_phase_is_unimodular(self, rng):
         psi = random_state(rng, 3)
@@ -230,17 +230,19 @@ class TestGaugeStep:
 
 
 class TestRunTrajectory:
+    """One trajectory: ``run_ensemble`` at width 1."""
+
     def test_closed_system_rabi_oscillation(self):
         omega = 10.0
         model = LindbladModel(hamiltonian=0.5 * omega * SIGMA_X, lindblads=())
         dt = 1e-4
-        config = TrajectoryConfig(
-            dt=dt, steps=2000, seed=0, unraveling=FixedU(np.zeros((0, 0))),
-            record_stride=100,
+        run = run_ensemble(
+            model, FixedU(np.zeros((0, 0))), KET_EXCITED, n_traj=1, dt=dt, steps=2000,
+            seed=0, record_stride=100,
         )
-        states, record = run_trajectory(model, config, KET_EXCITED)
-        z = np.array([bloch(s)[2] for s in states])
-        np.testing.assert_allclose(z, np.cos(omega * record.times), atol=10 * dt)
+        assert run.increments.shape == (1, 20, 0)
+        z = np.array([bloch(s)[2] for s in run.states[0]])
+        np.testing.assert_allclose(z, np.cos(omega * run.times), atol=10 * dt)
 
     def test_closed_system_rabi_oscillation_ensemble(self):
         omega = 10.0
@@ -259,49 +261,58 @@ class TestRunTrajectory:
     def test_record_identity(self, atom_model):
         # J dt - dxi reproduces the pre-step conditional mean exactly
         spec = FixedU(np.array([[0.5 + 0.2j]]))
-        config = TrajectoryConfig(dt=1e-3, steps=50, seed=3, unraveling=spec)
-        states, record = run_trajectory(atom_model, config, plus_x_state())
+        run = run_ensemble(atom_model, spec, plus_x_state(), n_traj=1, dt=1e-3, steps=50, seed=3)
         u = spec.resolve(atom_model)
         for i in range(50):
-            want = expected_current(atom_model, u, states[i])
-            got = record.currents[i] - record.increments[i] / 1e-3
+            want = expected_current(atom_model, u, run.states[0, i])
+            got = run.currents[0, i] - run.increments[0, i] / 1e-3
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_repeat_runs_are_identical(self, atom_model):
-        config = TrajectoryConfig(
-            dt=1e-3, steps=200, seed=11, unraveling=Heterodyne(), trajectory_index=4
-        )
-        a_states, a_rec = run_trajectory(atom_model, config, plus_x_state())
-        b_states, b_rec = run_trajectory(atom_model, config, plus_x_state())
-        np.testing.assert_array_equal(a_states, b_states)
-        np.testing.assert_array_equal(a_rec.currents, b_rec.currents)
-        np.testing.assert_array_equal(a_rec.increments, b_rec.increments)
+        kw = dict(n_traj=1, dt=1e-3, steps=200, seed=11, start_index=4)
+        a = run_ensemble(atom_model, Heterodyne(), plus_x_state(), **kw)
+        b = run_ensemble(atom_model, Heterodyne(), plus_x_state(), **kw)
+        for name in ("states", "currents", "increments", "final"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_stride_subsamples_the_same_path(self, atom_model):
-        spec = InvariantStateDep(sign=1)
-        kw = dict(dt=1e-3, steps=60, seed=5, unraveling=spec)
-        full_states, full_rec = run_trajectory(
-            atom_model, TrajectoryConfig(**kw), plus_x_state()
+        kw = dict(n_traj=1, dt=1e-3, steps=60, seed=5)
+        full = run_ensemble(atom_model, InvariantStateDep(sign=1), plus_x_state(), **kw)
+        thin = run_ensemble(
+            atom_model, InvariantStateDep(sign=1), plus_x_state(), record_stride=5, **kw
         )
-        thin_states, thin_rec = run_trajectory(
-            atom_model, TrajectoryConfig(record_stride=5, **kw), plus_x_state()
-        )
-        np.testing.assert_array_equal(thin_states, full_states[::5])
-        np.testing.assert_array_equal(thin_rec.currents, full_rec.currents[::5])
-        np.testing.assert_array_equal(thin_rec.times, full_rec.times[::5])
+        for name in ("states", "currents", "increments"):
+            np.testing.assert_array_equal(getattr(thin, name), getattr(full, name)[:, ::5])
+        np.testing.assert_array_equal(thin.times, full.times[::5])
+        np.testing.assert_array_equal(thin.final, full.final)
 
-    def test_config_validation(self):
-        spec = Heterodyne()
-        with pytest.raises(ValueError, match="dt"):
-            TrajectoryConfig(dt=0.0, steps=1, seed=0, unraveling=spec)
-        with pytest.raises(ValueError, match="steps"):
-            TrajectoryConfig(dt=1e-3, steps=0, seed=0, unraveling=spec)
-        with pytest.raises(ValueError, match="record_stride"):
-            TrajectoryConfig(dt=1e-3, steps=1, seed=0, unraveling=spec, record_stride=0)
+    def test_config_validation(self, atom_model):
+        # each bad grid value fails at the boundary with its name, not in
+        # the kernel or in numpy
+        for name, bad in (
+            ("dt", 0.0), ("steps", 0), ("steps", 5.0), ("record_stride", 0),
+            ("record_stride", 2.5), ("n_traj", 0), ("n_traj", 2.5), ("seed", -1),
+            ("start_index", -3),
+        ):
+            kw = dict(n_traj=2, dt=1e-3, steps=5, seed=0) | {name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                run_ensemble(atom_model, Heterodyne(), plus_x_state(), **kw)
 
-    def test_config_rejects_nan_step(self):
-        with pytest.raises(ValueError, match="dt"):
-            TrajectoryConfig(dt=float("nan"), steps=1, seed=0, unraveling=Heterodyne())
+    def test_config_rejects_nan_step(self, atom_model):
+        for name in ("dt", "steps", "record_stride", "n_traj"):
+            kw = dict(n_traj=2, dt=1e-3, steps=5, seed=0) | {name: float("nan")}
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                run_ensemble(atom_model, Heterodyne(), plus_x_state(), **kw)
+
+
+# The per-lane arrays of an EnsembleRun.
+RECORDS = ("states", "currents", "increments", "final")
+
+
+def assert_lane_equals(run, lane, one):
+    """Lane ``lane`` of ``run`` is bit-identical to the width-1 run ``one``."""
+    for name in RECORDS:
+        assert np.array_equal(getattr(run, name)[lane], getattr(one, name)[0]), name
 
 
 @pytest.fixture
@@ -322,34 +333,23 @@ def pool_tasks(monkeypatch):
 class TestRunEnsemble:
     def test_single_channel_matches_serial_runner(self, atom_model):
         # same kernel and noise stream, run at width 3 and at width 1
-        run = run_ensemble(
-            atom_model, Heterodyne(), plus_x_state(), n_traj=3, dt=1e-3,
-            steps=40, seed=9, start_index=2,
-        )
+        kw = dict(dt=1e-3, steps=40, seed=9)
+        run = run_ensemble(atom_model, Heterodyne(), plus_x_state(), 3, start_index=2, **kw)
         for m in range(3):
-            config = TrajectoryConfig(
-                dt=1e-3, steps=40, seed=9, unraveling=Heterodyne(),
-                trajectory_index=2 + m,
+            one = run_ensemble(
+                atom_model, Heterodyne(), plus_x_state(), 1, start_index=2 + m, **kw
             )
-            states, record = run_trajectory(atom_model, config, plus_x_state())
-            np.testing.assert_allclose(run.states[m], states, atol=1e-13)
-            np.testing.assert_allclose(run.currents[m], record.currents, atol=1e-10)
+            assert_lane_equals(run, m, one)
 
     def test_multichannel_matches_serial_runner(self, rng):
         model = random_model(rng, 2, 2)
         u = random_symmetric_u(rng, 2, 0.6)
         spec = FixedU(u)
         initial = random_state(rng, 2)
-        run = run_ensemble(
-            model, spec, initial, n_traj=2, dt=1e-3, steps=30, seed=21
-        )
+        kw = dict(dt=1e-3, steps=30, seed=21)
+        run = run_ensemble(model, spec, initial, n_traj=2, **kw)
         for m in range(2):
-            config = TrajectoryConfig(
-                dt=1e-3, steps=30, seed=21, unraveling=spec, trajectory_index=m
-            )
-            states, record = run_trajectory(model, config, initial)
-            np.testing.assert_allclose(run.states[m], states, atol=1e-12)
-            np.testing.assert_allclose(run.currents[m], record.currents, atol=1e-9)
+            assert_lane_equals(run, m, run_ensemble(model, spec, initial, 1, start_index=m, **kw))
 
     def test_worker_count_does_not_change_output(self, atom_model, monkeypatch):
         tasks = []
@@ -370,8 +370,8 @@ class TestRunEnsemble:
         parallel = run_ensemble(workers=4, **kw)
         # one index range per worker went through the pool
         assert tasks == [4]
-        np.testing.assert_array_equal(serial.states, parallel.states)
-        np.testing.assert_array_equal(serial.currents, parallel.currents)
+        for name in RECORDS:
+            np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
 
     def test_narrow_batch_starts_no_pool(self, atom_model, monkeypatch):
         class NoPool:
@@ -401,20 +401,16 @@ class TestRunEnsemble:
         serial = run_ensemble(workers=1, **kw)
         assert (serial.workers, serial.lane_ranges) == (1, 1)
         assert np.array_equal(fanned.times, serial.times)
-        assert np.array_equal(fanned.states, serial.states)
-        assert np.array_equal(fanned.currents, serial.currents)
+        for name in RECORDS:
+            assert np.array_equal(getattr(fanned, name), getattr(serial, name))
 
     def test_mixed_specs_one_per_trajectory(self, atom_model):
         specs = [Heterodyne(), FixedU(np.array([[1.0]])), InvariantStateDep(sign=1)]
-        run = run_ensemble(
-            atom_model, specs, plus_x_state(), n_traj=3, dt=1e-3, steps=25, seed=2
-        )
+        kw = dict(dt=1e-3, steps=25, seed=2)
+        run = run_ensemble(atom_model, specs, plus_x_state(), n_traj=3, **kw)
         for m, spec in enumerate(specs):
-            config = TrajectoryConfig(
-                dt=1e-3, steps=25, seed=2, unraveling=spec, trajectory_index=m
-            )
-            states, _ = run_trajectory(atom_model, config, plus_x_state())
-            np.testing.assert_allclose(run.states[m], states, atol=1e-13)
+            one = run_ensemble(atom_model, spec, plus_x_state(), 1, start_index=m, **kw)
+            assert_lane_equals(run, m, one)
 
     def test_spec_count_mismatch_raises(self, atom_model):
         with pytest.raises(ValueError, match="unravelings"):
@@ -520,10 +516,8 @@ class TestRunEnsemble:
         kw = dict(dt=1e-3, steps=NOISE_BLOCK + 16, seed=8, record_stride=3)
         run = run_ensemble(atom_model, specs, plus_x_state(), n_traj=len(specs), **kw)
         for lane, spec in enumerate(specs):
-            config = TrajectoryConfig(unraveling=spec, trajectory_index=lane, **kw)
-            states, record = run_trajectory(atom_model, config, plus_x_state())
-            assert np.array_equal(run.states[lane], states)
-            assert np.array_equal(run.currents[lane], record.currents)
+            one = run_ensemble(atom_model, spec, plus_x_state(), 1, start_index=lane, **kw)
+            assert_lane_equals(run, lane, one)
 
 
 def kernel_specs(model, rng):
@@ -542,14 +536,16 @@ def kernel_specs(model, rng):
     return specs
 
 
-def assert_rows_follow_reference_stepper(model, spec, states, currents, increments, dt):
-    """Each recorded step is one reference ``step_linear`` step from the row
-    before, with the reference's own state-dependent ``u``."""
-    for i in range(states.shape[0] - 1):
+def assert_rows_follow_reference_stepper(model, spec, run, lane, dt):
+    """Each step of a stride-1 run's ``lane`` is one reference
+    ``step_linear`` step from the row before, with the reference's own
+    state-dependent ``u``, the last one ending on the final state."""
+    states = [*run.states[lane], run.final[lane]]
+    for i, (dxi, current) in enumerate(zip(run.increments[lane], run.currents[lane])):
         u = reference_u(model, spec, states[i])
-        new, current = step_linear(model, u, states[i], increments[i], dt)
+        new, want = step_linear(model, u, states[i], dxi, dt)
         np.testing.assert_allclose(new, states[i + 1], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(current, currents[i], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(want, current, rtol=0, atol=1e-12)
 
 
 class TestKernelAgainstReference:
@@ -560,13 +556,8 @@ class TestKernelAgainstReference:
         initial = random_state(rng, dim)
         dt = 1e-3
         for index, spec in enumerate(kernel_specs(model, rng)):
-            config = TrajectoryConfig(
-                dt=dt, steps=30, seed=4, unraveling=spec, trajectory_index=index
-            )
-            states, record = run_trajectory(model, config, initial)
-            assert_rows_follow_reference_stepper(
-                model, spec, states, record.currents, record.increments, dt
-            )
+            run = run_ensemble(model, spec, initial, 1, dt, 30, 4, start_index=index)
+            assert_rows_follow_reference_stepper(model, spec, run, 0, dt)
 
     def test_one_step_agreement_mixed_batch(self):
         rng = np.random.default_rng(7)
@@ -574,13 +565,9 @@ class TestKernelAgainstReference:
         initial = random_state(rng, 3)
         specs = kernel_specs(model, rng)
         dt = 1e-3
-        _, states, currents, increments, _ = _run_chunk(
-            model, specs, initial, dt, 30, 6, 0, 1
-        )
+        run = run_ensemble(model, specs, initial, len(specs), dt, 30, 6)
         for m, spec in enumerate(specs):
-            assert_rows_follow_reference_stepper(
-                model, spec, states[m], currents[m], increments[m], dt
-            )
+            assert_rows_follow_reference_stepper(model, spec, run, m, dt)
 
     @pytest.mark.parametrize("dim,channels", [(2, 1), (4, 3), (8, 2), (24, 1)])
     def test_lane_is_independent_of_batch_width(self, dim, channels):
@@ -594,18 +581,10 @@ class TestKernelAgainstReference:
             wide = run_ensemble(model, specs, initial, n_traj=300, **kw)
             five = run_ensemble(model, specs[:5], initial, n_traj=5, **kw)
             for lane in (0, 3, 4, 299):
-                config = TrajectoryConfig(
-                    unraveling=specs[lane], trajectory_index=lane, **kw
-                )
-                states, record = run_trajectory(model, config, initial)
-                assert np.array_equal(wide.states[lane], states)
-                assert np.array_equal(wide.currents[lane], record.currents)
+                one = run_ensemble(model, specs[lane], initial, 1, start_index=lane, **kw)
+                assert_lane_equals(wide, lane, one)
                 if lane < 5:
-                    assert np.array_equal(five.states[lane], states)
-                    assert np.array_equal(five.currents[lane], record.currents)
-            _, states, currents, _, _ = _run_chunk(model, specs, initial, 1e-3, 40, 12, 0, 3)
-            assert np.array_equal(states, wide.states)
-            assert np.array_equal(currents, wide.currents)
+                    assert_lane_equals(five, lane, one)
 
     def test_lane_is_independent_of_chunk_boundary(self):
         # lanes CHUNK - 1 and CHUNK run in different kernel calls, the last
@@ -622,10 +601,8 @@ class TestKernelAgainstReference:
             for specs in (mixed, [InvariantStateDep(sign=1)] * n_traj, [Heterodyne()] * n_traj):
                 run = run_ensemble(model, specs, initial, n_traj=n_traj, workers=1, **kw)
                 for lane in (CHUNK - 1, CHUNK, CHUNK + 2):
-                    config = TrajectoryConfig(unraveling=specs[lane], trajectory_index=lane, **kw)
-                    states, record = run_trajectory(model, config, initial)
-                    assert np.array_equal(run.states[lane], states)
-                    assert np.array_equal(run.currents[lane], record.currents)
+                    one = run_ensemble(model, specs[lane], initial, 1, start_index=lane, **kw)
+                    assert_lane_equals(run, lane, one)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_resolve_is_the_kernels_width_one_u(self, monkeypatch, sign):
@@ -645,10 +622,9 @@ class TestKernelAgainstReference:
 
         monkeypatch.setattr(trajectory, "extremal_u", kernel_u)
         spec = InvariantStateDep(sign=sign)
-        config = TrajectoryConfig(dt=1e-3, steps=25, seed=2, unraveling=spec)
-        states, _ = run_trajectory(model, config, random_state(rng, dim))
+        run = run_ensemble(model, spec, random_state(rng, dim), 1, dt=1e-3, steps=25, seed=2)
         assert len(seen) == 25
-        for psi, u in zip(states, seen):
+        for psi, u in zip(run.states[0], seen):
             assert np.array_equal(spec.resolve(model, psi), u)
 
     def test_single_channel_noise_mapping(self, atom_model):
@@ -658,27 +634,24 @@ class TestKernelAgainstReference:
         steps = NOISE_BLOCK + 5
         specs = (Heterodyne(), FixedU(np.array([[0.3 + 0.4j]])), Homodyne(0.25, 0.7, -0.2))
         for index, spec in enumerate(specs):
-            config = TrajectoryConfig(
-                dt=dt, steps=steps, seed=3, unraveling=spec, trajectory_index=index
+            run = run_ensemble(
+                atom_model, spec, plus_x_state(), 1, dt, steps, 3, start_index=index
             )
-            _, record = run_trajectory(atom_model, config, plus_x_state())
             z = trajectory_stream(3, index).standard_normal((steps, 2))
             u = complex(spec.resolve(atom_model)[0, 0])
             want = colored_increment(u, dt, z[:, 0], z[:, 1])
-            np.testing.assert_array_equal(record.increments[:, 0], want)
+            np.testing.assert_array_equal(run.increments[0, :, 0], want)
 
-        config = TrajectoryConfig(
-            dt=dt, steps=200, seed=3, unraveling=InvariantStateDep(sign=-1), trajectory_index=5
-        )
-        states, record = run_trajectory(atom_model, config, plus_x_state())
+        spec = InvariantStateDep(sign=-1)
+        run = run_ensemble(atom_model, spec, plus_x_state(), 1, dt, 200, 3, start_index=5)
         z = trajectory_stream(3, 5).standard_normal((200, 2))
-        for i, psi in enumerate(states):
+        for i, psi in enumerate(run.states[0]):
             u = complex(InvariantStateDep(sign=-1).resolve(atom_model, psi)[0, 0])
             # |u| = 1 up to rounding eps (clamped like the package does when
             # above), and the frozen quadrature's amplitude sqrt(dt (1 - |u|) / 2)
             # turns that into ~sqrt(eps dt) ~ 5e-10
             want = colored_increment(u / max(abs(u), 1.0), dt, z[i, 0], z[i, 1])
-            assert record.increments[i, 0] == pytest.approx(want, abs=1e-8)
+            assert run.increments[0, i, 0] == pytest.approx(want, abs=1e-8)
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_sample_increments_equal_kernel_increments(self, atom_model, channels):
@@ -690,11 +663,10 @@ class TestKernelAgainstReference:
             rng = np.random.default_rng(11)
             model, u = random_model(rng, 4, 3), random_symmetric_u(rng, 3, 0.8)
         initial = np.eye(model.dim)[0].astype(complex)
-        config = TrajectoryConfig(dt=1e-3, steps=200, seed=3, unraveling=FixedU(u))
-        _, record = run_trajectory(model, config, initial)
+        run = run_ensemble(model, FixedU(u), initial, n_traj=1, dt=1e-3, steps=200, seed=3)
         stream = trajectory_stream(3, 0)
         draws = np.array([sample_increments(u, 1e-3, stream) for _ in range(200)])
-        assert np.array_equal(draws, record.increments)
+        assert np.array_equal(draws, run.increments[0])
 
 
 class TestSuppliedIncrements:
@@ -704,14 +676,11 @@ class TestSuppliedIncrements:
         model = random_model(rng, 3, channels)
         initial = random_state(rng, 3)
         for index, spec in enumerate(kernel_specs(model, rng)):
-            config = TrajectoryConfig(
-                dt=1e-3, steps=NOISE_BLOCK + 9, seed=8, unraveling=spec, trajectory_index=index
-            )
-            states, record = run_trajectory(model, config, initial)
-            again, replay = run_trajectory(model, config, initial, increments=record.increments)
-            assert np.array_equal(again, states), spec
-            assert np.array_equal(replay.currents, record.currents), spec
-            assert np.array_equal(replay.increments, record.increments), spec
+            kw = dict(n_traj=1, dt=1e-3, steps=NOISE_BLOCK + 9, seed=8, start_index=index)
+            run = run_ensemble(model, spec, initial, **kw)
+            replay = run_ensemble(model, spec, initial, increments=run.increments, **kw)
+            for name in RECORDS:
+                assert np.array_equal(getattr(replay, name), getattr(run, name)), (spec, name)
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_supplied_increments_reproduce_a_mixed_batch(self, channels):
@@ -722,15 +691,21 @@ class TestSuppliedIncrements:
         initial = random_state(rng, 3)
         pool = kernel_specs(model, rng)
         specs = [pool[(3 * i) % len(pool)] for i in range(11)]
-        args = (model, specs, initial, 1e-3, NOISE_BLOCK + 3, 4, 2, 1)
-        drawn = _run_chunk(*args)
-        replay = _run_chunk(*args, supplied=drawn[3])
-        for got, want in zip(replay, drawn):
-            assert np.array_equal(got, want)
+        kw = dict(dt=1e-3, steps=NOISE_BLOCK + 3, seed=4, start_index=2)
+        drawn = run_ensemble(model, specs, initial, 11, **kw)
+        # in one kernel call, and sliced over three index ranges
+        for workers in (1, 3):
+            replay = run_ensemble(
+                model, specs, initial, 11, increments=drawn.increments, workers=workers, **kw
+            )
+            for name in RECORDS:
+                assert np.array_equal(getattr(replay, name), getattr(drawn, name)), name
         # the states after the last step come back in the order of specs
         for lane in (0, 4, 10):
-            path, _, _ = _kernel_path(model, specs[lane], initial, 1e-3, drawn[3][lane])
-            assert np.array_equal(path[-1], drawn[4][lane])
+            one = run_ensemble(
+                model, specs[lane], initial, 1, increments=drawn.increments[lane : lane + 1], **kw
+            )
+            assert np.array_equal(one.final[0], drawn.final[lane])
 
 
 def range_records(first, times, states, currents):
@@ -748,6 +723,7 @@ class TestPerRange:
         for workers, firsts in ((1, [5]), (3, [5, 8, 11])):
             run = run_ensemble(workers=workers, per_range=range_records, **kw)
             assert run.states is None and run.currents is None
+            assert run.increments is None and run.final is None
             assert (run.workers, run.lane_ranges) == (workers, workers)
             assert [r[0] for r in run.range_results] == firsts
             states = np.concatenate([r[2] for r in run.range_results])
@@ -759,7 +735,7 @@ class TestPerRange:
     def test_ensemble_ranges_keep_no_increments(self, atom_model):
         args = (atom_model, [Heterodyne()] * 3, plus_x_state(), 1e-3, 10, 1, 0, 1)
         times, states, currents, increments, _ = _run_chunk(*args)
-        lean = _run_chunk(*args, increments=False)
+        lean = _run_chunk(*args, keep_increments=False)
         assert lean[3] is None and increments.shape == (3, 10, 1)
         assert np.array_equal(lean[0], times)
         assert np.array_equal(lean[1], states)
@@ -778,14 +754,13 @@ class TestStateDependentManyChannels:
             lindblads.append(c)
         model = LindbladModel(hamiltonian=np.diag([0.0, 1.0, 2.0, 3.0]), lindblads=tuple(lindblads))
         initial = np.eye(dim)[0].astype(complex)
-        config = TrajectoryConfig(
-            dt=dt, steps=steps, seed=seed, unraveling=InvariantStateDep(1), trajectory_index=index
+        run = run_ensemble(
+            model, InvariantStateDep(1), initial, 1, dt, steps, seed, start_index=index
         )
-        states, record = run_trajectory(model, config, initial)
-        assert np.abs(states[:, 1:]).max() == 0.0
+        assert np.abs(run.states[0, :, 1:]).max() == 0.0
         stream = trajectory_stream(seed, index)
         draws = np.array([sample_increments(np.zeros((3, 3)), dt, stream) for _ in range(steps)])
-        assert np.array_equal(draws, record.increments)
+        assert np.array_equal(draws, run.increments[0])
 
 
 class TestStreams:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unravel import (
-    AsymmetricUMatrixError,
     CovarianceError,
     FixedU,
     Heterodyne,
@@ -13,9 +12,6 @@ from unravel import (
     InvariantStateDep,
     InvariantTrace,
     LindbladModel,
-    NormExceededError,
-    SIGMA_X,
-    SIGMA_Z,
     homodyne_u,
     is_valid_u,
     plus_x_state,
@@ -24,17 +20,20 @@ from unravel import (
     sample_increments,
     spec_from_dict,
     spectral_norm,
-    u_trace,
     validate_u,
 )
+from unravel.fluorescence import SIGMA_X, SIGMA_Z
 from unravel.unravelings import (
+    AsymmetricUMatrixError,
     MOMENT_FLOOR,
+    NormExceededError,
     apply_color,
     centered_moments,
     color_factors,
     extremal_u,
     moment_pairs,
     takagi,
+    u_trace,
 )
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
 from linear_reference import state_moments

@@ -2,12 +2,13 @@
 
 import numpy as np
 
-from unravel import CheckResult, format_report
 from unravel.verify import (
     CHECK_NAMES,
+    CheckResult,
     check_eigenvalue_identity,
     check_gauge_invariance,
     check_shift_invariance,
+    format_report,
 )
 
 
