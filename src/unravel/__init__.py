@@ -28,7 +28,7 @@ from .oracle import (
     integrate_master,
     steady_state,
 )
-from .trajectory import EnsembleRun, NormCollapseError, run_ensemble, step_sme
+from .trajectory import EnsembleRun, NormCollapseError, run_ensemble
 from .unravelings import (
     CovarianceError,
     FixedU,
@@ -83,7 +83,6 @@ __all__ = [
     "spec_from_dict",
     "spectral_norm",
     "steady_state",
-    "step_sme",
     "transition_rate",
     "validate_u",
     "z_drift_residual",

@@ -326,7 +326,8 @@ def _step_rate(model: LindbladModel) -> float:
     drift generator ``-i (H - (i/2) sum_k c_k^dag c_k)`` or the largest
     ``||c_k||^2``."""
     jumps = [np.linalg.norm(c, 2) ** 2 for c in model.lindblads]
-    return max([np.linalg.norm(_linear_generator(model), 2)] + jumps)
+    gen = _linear_generator(model.hamiltonian, model.lindblads)
+    return max([np.linalg.norm(gen, 2)] + jumps)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:

@@ -15,6 +15,7 @@ same changes is a useful consistency probe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,20 @@ GRAM_RANK_TOL = 1e-8
 # widths, and wins at wide ones from N = 3 up; at N = 2 it gains nothing,
 # and the two-level atom keeps its einsum bits.
 BLAS_MIN_DIM = 3
+
+
+def _check_run(dt, counts) -> None:
+    """Reject a ``dt`` that is not positive and finite (NaN included), and any
+    ``(name, value, least)`` count that is not an int, nor a bool, >= ``least``."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    for name, value, least in counts:
+        try:
+            ok = not isinstance(value, bool) and operator.index(value) >= least
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _as_complex_matrix(m, name: str) -> np.ndarray:

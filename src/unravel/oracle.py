@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LindbladModel, check_density_matrix, liouvillian_apply
+from .operators import LindbladModel, _check_run, check_density_matrix, liouvillian_apply
 
 # Singular values below this count toward the kernel of the generator.
 KERNEL_TOL = 1e-8
@@ -42,7 +42,10 @@ def integrate_master(model: LindbladModel, rho0, dt: float, steps: int) -> np.nd
     -------
     ndarray
         Density matrices of shape ``(steps + 1, N, N)``, starting at rho0.
+        A ``dt`` that is not positive and finite, or ``steps`` that is not an
+        integer of at least 0, raises ``ValueError``.
     """
+    _check_run(dt, (("steps", steps, 0),))
     rho = check_density_matrix(rho0, model.dim)
     a = dt * liouvillian_matrix(model)
     eye = np.eye(a.shape[0])

@@ -18,30 +18,29 @@ normalized nonlinear vector step.  Pairwise differences under a shared
 noise path, which the kernel takes as supplied increments, vanish as the
 step size shrinks.
 
+A shift ``c_k -> c_k + chi_k`` with the compensating Hamiltonian
+(``operators.shift_lindblads``) leaves the master equation and its
+invariant unravelings unchanged, but the linear step gains
+``dt sum_k (u chi^*)_k c_k psi`` under it.  So the kernel steps the
+presentation all shifts of a model share: each channel less
+``t_k = Tr c_k / N``, and the Hamiltonian made traceless (a global phase).
+A model, its shifts and its remixes then step one path, to rounding, at no
+cost per step; the currents, shifted back by ``t + u t^*`` on the record
+rows, stay those of the caller's channels.
+
 Every trajectory runs through the kernel by way of ``run_ensemble``, one
 lane of a batch of any width, for any number of channels and any mix of
 constant and state-dependent ``u`` across the batch.  Each trajectory owns a
 counter-based pseudorandom stream derived from ``(seed, trajectory_index)``
 and the kernel's arithmetic on one trajectory never mixes in another, so a
 trajectory is a bit-exact function of its seed and index, whatever the
-batch width or worker count.  The one product that grows as N squared,
-a stack of the linear generator, the channels and, when the batch has
-state-dependent lanes, the symmetrised channel pairs whose means give
-their ``u``, goes through ``operators._stack_apply``: an einsum below
-``operators.BLAS_MIN_DIM``, and from it up one BLAS ``zgemm`` against a
-block of lanes zero-padded to a multiple of 8.  That a padded
-``zgemm`` rounds each lane alike at any width is a property of the BLAS
-build, not of numpy; the tier-1 lane-width tests pin it on whatever host
-runs them.  Inside the kernel the trajectories (lanes)
-run constant-``u`` first, then state-dependent, so each kind is a slice,
-and the lane index is the last, contiguous axis of every per-lane array,
-so each per-lane product streams over the lanes; the records come back
-lane-first, in the caller's order.
+batch width or worker count (for the padded BLAS product of
+``operators._stack_apply`` that rests on the BLAS build, and the tier-1
+lane-width tests pin it on whatever host runs them).
 """
 
 from __future__ import annotations
 
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -50,10 +49,12 @@ import numpy as np
 
 from .operators import (
     LindbladModel,
+    _check_run,
     _stack_apply,
     check_density_matrix,
     check_pure_state,
     liouvillian_apply,
+    shift_lindblads,
 )
 from .unravelings import (
     apply_color,
@@ -115,27 +116,27 @@ def trajectory_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _check_run(dt, counts) -> None:
-    """Reject a step the kernel cannot take (each test also rejects NaN) and
-    any ``(name, value, least)`` count that is not an integer of at least
-    ``least``."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    for name, value, least in counts:
-        try:
-            ok = operator.index(value) >= least
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
-def _linear_generator(model: LindbladModel) -> np.ndarray:
-    h = model.hamiltonian
-    gen = -1j * h.astype(complex)
-    for c in model.lindblads:
+def _linear_generator(hamiltonian, lindblads) -> np.ndarray:
+    gen = -1j * hamiltonian.astype(complex)
+    for c in lindblads:
         gen -= 0.5 * (c.conj().T @ c)
     return gen
+
+
+def _kernel_rows(model: LindbladModel, pairs: bool):
+    """The stack the kernel steps, ``(1 + K [+ K^2], N, N)``, and the traces
+    ``t = Tr c / N``: the linear generator, the channels and, with ``pairs``,
+    their ``moment_pairs``, of the model shifted by ``-t`` with the
+    Hamiltonian then made traceless (the trace-free presentation)."""
+    n, k = model.dim, model.num_lindblads
+    t = np.array([np.trace(c) / n for c in model.lindblads], dtype=complex)
+    free = shift_lindblads(model, -t)
+    h = free.hamiltonian - (np.trace(free.hamiltonian).real / n) * np.eye(n)
+    cs = np.array(free.lindblads, dtype=complex).reshape(k, n, n)
+    rows = [_linear_generator(h, cs)[None], cs]
+    if pairs:
+        rows.append(moment_pairs(cs).reshape(k * k, n, n))
+    return np.concatenate(rows), t
 
 
 def step_sme(model: LindbladModel, rho, dxi, dt: float) -> np.ndarray:
@@ -227,15 +228,6 @@ class EnsembleRun:
     final: np.ndarray | None = None
 
 
-def _resolve_specs(unraveling, n_traj: int) -> list:
-    if isinstance(unraveling, (list, tuple)):
-        specs = list(unraveling)
-        if len(specs) != n_traj:
-            raise ValueError(f"got {len(specs)} unravelings for {n_traj} trajectories")
-        return specs
-    return [unraveling] * n_traj
-
-
 def _collapse(norms, indices, step: int, dt: float) -> NormCollapseError:
     """The error for a step whose renormalization failed on some lane:
     ``indices`` maps kernel lanes to trajectory indices, and the lowest
@@ -268,23 +260,23 @@ def _run_chunk(
     drawn, by ``apply_color``'s term-by-term sum, with one shared factor
     broadcast over the lanes when a single spec object drives them all.
 
-    Each step applies the linear generator and the K channel operators as
-    one stacked ``(K+1, N, N)`` product, and forms the means
-    ``s_k = <c_k>``.  When the batch has state-dependent lanes the stack
-    also carries the K^2 rows of ``moment_pairs``, ``(K+1+K^2, N, N)``, and
-    the one expectation einsum gives their means beside ``s``; those lanes
-    then resolve their ``u`` from ``centered_moments`` and colour their
-    normals with ``extremal_u``.  The record, the linear update and the
-    renormalization follow.  The stacked product is ``_stack_apply``: an
-    einsum below ``BLAS_MIN_DIM``, a zero-padded ``zgemm`` from it up (the
-    atom, N=2, stays on the einsum).  Every other product is an einsum or
-    a stacked matrix-column product.  None rounds one lane differently with the
-    others or with the lane order, so lane ``i`` is the same at any batch
-    width; for the ``zgemm`` that rests on the BLAS build, and the
-    lane-width tests pin it.  A norm below ``NORM_FLOOR`` or
-    not finite raises ``NormCollapseError`` naming the lowest failing
-    trajectory index, the step and its start time.  Working memory is a
-    few arrays of ``m * NOISE_BLOCK * 2K`` doubles besides the records.
+    Each step applies the linear generator and the K channels of the
+    trace-free presentation (``_kernel_rows``) as one stacked
+    ``(K+1, N, N)`` product, and forms the means ``s_k = <c_k>``.  When the
+    batch has state-dependent lanes the stack also carries the K^2 rows of
+    ``moment_pairs``, ``(K+1+K^2, N, N)``, and the one expectation einsum
+    gives their means beside ``s``; those lanes then resolve their ``u``
+    from ``centered_moments`` and colour their normals with ``extremal_u``.
+    The record (its currents shifted back to the caller's channels), the
+    linear update and the renormalization follow.  The stacked product is
+    ``_stack_apply``: an einsum below ``BLAS_MIN_DIM``, a zero-padded
+    ``zgemm`` from it up (the atom, N=2, stays on the einsum).  Every other
+    product is an einsum or a stacked matrix-column product.  None rounds
+    one lane differently with the others or with the lane order, so lane
+    ``i`` is the same at any batch width; for the ``zgemm`` that rests on
+    the BLAS build, and the lane-width tests pin it.  A norm below
+    ``NORM_FLOOR`` or not finite raises ``NormCollapseError`` naming the
+    lowest failing trajectory index, the step and its start time.
 
     ``supplied`` increments of shape ``(m, steps, K)``, lane-first in the
     order of ``specs``, replace the streams and the colouring; ``u`` is
@@ -297,16 +289,13 @@ def _run_chunk(
     the increments are neither kept nor returned (None in their place).
     """
     m, n, k = len(specs), model.dim, model.num_lindblads
-    cs = np.array(model.lindblads, dtype=complex).reshape(k, n, n)
     dep_flags = [spec.state_dependent and k > 0 for spec in specs]
     order = np.argsort(dep_flags, kind="stable")
     m_c = m - sum(dep_flags)
     # The generator, the channels and, for state-dependent lanes, the K^2
     # channel pairs: one stack, one product and one expectation per step.
-    ops = [_linear_generator(model)[None], cs]
-    if m_c < m:
-        ops.append(moment_pairs(cs).reshape(k * k, n, n))
-    ops = np.concatenate(ops)
+    ops, t = _kernel_rows(model, pairs=m_c < m)
+    offset = t.any()
     indices = index0 + order
     # Records go to the lanes' own rows, by a slice when no lane moved.
     rec = slice(None) if np.array_equal(order, np.arange(m)) else order
@@ -375,7 +364,10 @@ def _run_chunk(
             if step % stride == 0:
                 row = step // stride
                 states[rec, row] = psi.T
-                currents[rec, row] = (j_dt / dt).T
+                current = j_dt / dt
+                if offset:  # the current of the caller's channels, c = c_free + t
+                    current += t[:, None] + np.einsum("klm,l->km", u, t.conj())
+                currents[rec, row] = current.T
                 if increments is not None:
                     increments[rec, row] = dxi.T
             psi = psi + dt * ops_psi[0] + np.einsum("km,kam->am", j_dt.conj(), c_psi)
@@ -477,7 +469,9 @@ def run_ensemble(
         (("steps", steps, 1), ("record_stride", record_stride, 1), ("n_traj", n_traj, 1),
          ("seed", seed, 0), ("start_index", start_index, 0)),
     )
-    specs = _resolve_specs(unraveling, n_traj)
+    specs = list(unraveling) if isinstance(unraveling, (list, tuple)) else [unraveling] * n_traj
+    if len(specs) != n_traj:
+        raise ValueError(f"got {len(specs)} unravelings for {n_traj} trajectories")
     if increments is not None:
         increments = np.asarray(increments, dtype=complex)
         shape = (n_traj, steps, model.num_lindblads)
@@ -485,8 +479,8 @@ def run_ensemble(
             raise ValueError(f"increments must have shape {shape}, got {increments.shape}")
     if workers is None:
         workers = max(1, min(default_workers(), n_traj // MIN_LANES))
-    if not workers >= 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    else:
+        _check_run(dt, (("workers", workers, 1),))
     # At least one contiguous index range per worker, each of at most CHUNK.
     size = min(CHUNK, -(-n_traj // workers))
     tasks = [

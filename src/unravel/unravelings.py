@@ -455,16 +455,16 @@ class InvariantStateDep:
     state_dependent = True
 
     def resolve(self, model: LindbladModel, state) -> np.ndarray:
-        """``extremal_u`` at one state, the kernel's formula at width 1: the
-        channels and their pairs as one ``_stack_apply`` stack and one
-        expectation einsum, so the bits of the kernel's ``u``."""
+        """``extremal_u`` at one state, the kernel's formula at width 1: its
+        stack (``trajectory._kernel_rows``), one ``_stack_apply`` product and
+        one expectation einsum, so the bits of the kernel's ``u``."""
+        from .trajectory import _kernel_rows  # trajectory imports this module
         psi = check_pure_state(state, model.dim)[:, None]
-        if model.num_lindblads == 0:  # without channels u is the empty matrix
+        k = model.num_lindblads
+        if k == 0:  # without channels u is the empty matrix
             return np.zeros((0, 0), dtype=complex)
-        cs = np.array(model.lindblads, dtype=complex)
-        k, n = cs.shape[:2]
-        rows = np.concatenate([cs, moment_pairs(cs).reshape(k * k, n, n)])
-        means = np.einsum("am,sam->sm", psi.conj(), _stack_apply(rows, psi))
+        rows, _ = _kernel_rows(model, pairs=True)
+        means = np.einsum("am,sam->sm", psi.conj(), _stack_apply(rows, psi)[1:])
         moment = centered_moments(means[k:].reshape(k, k, 1), means[:k])
         return extremal_u(moment, np.array([float(self.sign)]))[0][:, :, 0]
 

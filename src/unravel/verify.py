@@ -7,10 +7,10 @@ unitary remixing and shifts of the Lindblad operators (with the
 measurement realisation of ``u`` as a remixing), gauge invariance of the
 conditioned projector, and mutual strong convergence of the trajectory
 kernel and the two cross-check steppers under coupled noise.
-The remixing, gauge and convergence checks drive the kernel that every
-run goes through, with supplied increments where two paths must share
-their noise.  All randomness comes from counter-based streams keyed by
-the caller's seed, so a report is a pure function of that seed.
+The remixing, shift, gauge and convergence checks drive the kernel that
+every run goes through, with supplied increments where two paths must
+share their noise.  All randomness comes from counter-based streams keyed
+by the caller's seed, so a report is a pure function of that seed.
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ from .unravelings import (
     FixedU,
     Heterodyne,
     InvariantStateDep,
+    InvariantTrace,
     NORM_SLACK,
     homodyne_u,
     is_valid_u,
     real_embedding,
-    sample_increments,
     spectral_norm,
     takagi,
-    validate_u,
+    u_trace,
 )
 
 # Evenly spaced times at which ``stepper_strong_orders`` compares the steppers.
@@ -199,11 +199,8 @@ def check_rotation_invariance(
         psi = _random_state(rng, 3)
         a = run_ensemble(model, spec, psi, 1, dt, steps, int(rng.integers(2**32)))
         b = run_ensemble(rotated, spec, psi, 1, dt, steps, 0, increments=a.increments @ t_mat.T)
-        path_dev = max(
-            path_dev,
-            _projector_deviation(a, b),
-            np.abs(a.currents @ t_mat.T - b.currents).max() * dt,
-        )
+        gap = np.abs(a.currents @ t_mat.T - b.currents).max() * dt
+        path_dev = max(path_dev, _projector_deviation(a, b), gap)
     u = _random_symmetric(rng, 2, rng.uniform(0.0, 1.0))
     v, sigma = takagi(u)
     split = rotate_lindblads(model, v.conj().T)
@@ -235,24 +232,25 @@ def check_shift_invariance(seed: int, steps: int = 400, dt: float = 1e-3) -> Che
     changes nothing observable.
 
     Static part: transition rate operator, its trace, and the generator are
-    untouched.  Pathwise part: the projector stepper gives identical states
-    for identical increments at any u, because the shift cancels exactly in
-    the centered noise operators and in the compensated generator.
+    untouched.  Pathwise part: for each kind of ``u``, the model and its
+    shift driven by the same increments give the same projectors, and
+    currents, each of its own channels, that differ by ``chi + u chi^*``.
     """
     rng = trajectory_stream(seed, 2)
     model = _random_model(rng, 3, 2)
     chi = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
     shifted = shift_lindblads(model, chi)
     static_dev = _static_deviation(model, shifted, rng)
-    u = _random_symmetric(rng, 2, 0.8)
-    validate_u(u)
-    p_a = p_b = projector(_random_state(rng, 3))
+    specs = (FixedU(_random_symmetric(rng, 2, 0.8)), Heterodyne(), InvariantStateDep(sign=1),
+             InvariantStateDep(sign=-1), InvariantTrace(0.9 / spectral_norm(u_trace(model, 1.0))))
     path_dev = 0.0
-    for _ in range(steps):
-        dxi = sample_increments(u, dt, rng)
-        p_a = step_sme(model, p_a, dxi, dt)
-        p_b = step_sme(shifted, p_b, dxi, dt)
-        path_dev = max(path_dev, np.abs(p_a - p_b).max())
+    for spec in specs:
+        psi = _random_state(rng, 3)
+        a = run_ensemble(model, spec, psi, 1, dt, steps, int(rng.integers(2**32)))
+        b = run_ensemble(shifted, spec, psi, 1, dt, steps, 0, increments=a.increments)
+        offsets = [chi + spec.resolve(model, x) @ chi.conj() for x in a.states[0]]
+        gap = np.abs(b.currents[0] - a.currents[0] - offsets).max() * dt
+        path_dev = max(path_dev, _projector_deviation(a, b), gap)
     passed = static_dev <= 1e-10 and path_dev <= 1e-8
     return CheckResult(
         name="shift-invariance",
@@ -260,8 +258,8 @@ def check_shift_invariance(seed: int, steps: int = 400, dt: float = 1e-3) -> Che
         value=max(static_dev, path_dev),
         threshold=1e-8,
         detail=(
-            f"static deviation {static_dev:.3e} (bound 1e-10), projector-stepper "
-            f"pathwise deviation over {steps} shared-noise steps"
+            f"static deviation {static_dev:.3e} (bound 1e-10), pathwise projector/"
+            f"current deviation over {len(specs) * steps} shared-noise steps"
         ),
     )
 

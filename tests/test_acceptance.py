@@ -12,6 +12,7 @@ from unravel import (
     FixedU,
     Heterodyne,
     InvariantStateDep,
+    InvariantTrace,
     bloch,
     build_atom,
     ensemble_summary,
@@ -28,14 +29,13 @@ from unravel import (
     shift_lindblads,
     spectral_norm,
     steady_state,
-    step_sme,
     transition_rate,
     z_drift_residual,
 )
 from unravel.fluorescence import SCENARIOS, SIGMA_X, SIGMA_Y, scenario_spec
 from unravel.operators import transition_rate_operator
-from unravel.trajectory import gauge_transform_step
-from unravel.unravelings import NORM_SLACK, takagi
+from unravel.trajectory import gauge_transform_step, step_sme
+from unravel.unravelings import NORM_SLACK, takagi, u_trace
 from unravel.verify import stepper_strong_orders
 from atom_closed_forms import sme_u1_decomposed_step
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
@@ -163,13 +163,23 @@ def test_criterion_3_representation_invariance(announce):
         k = 1 + trial % 2
         model = random_model(rng, dim, k)
         t_mat = random_unitary(rng, k)
-        rotated = rotate_lindblads(model, t_mat)
-        for spec in (Heterodyne(), InvariantStateDep(sign=1)):
-            # the remixed model is driven by the remixed record noise
+        chi = rng.normal(size=k) + 1j * rng.normal(size=k)
+        other = shift_lindblads(rotate_lindblads(model, t_mat), chi)
+        u = random_symmetric_u(rng, k, 0.8)
+        trace_norm = spectral_norm(u_trace(model, 1.0))
+        specs = (
+            (FixedU(u), FixedU(t_mat @ u @ t_mat.T)),
+            (Heterodyne(),) * 2,
+            (InvariantStateDep(sign=1),) * 2,
+            (InvariantStateDep(sign=-1),) * 2,
+            (InvariantTrace(weight=0.9 / trace_norm),) * 2,
+        )
+        for spec, other_spec in specs:
+            # the other presentation is driven by the remixed record noise
             psi = random_state(rng, dim)
             kw = dict(n_traj=1, dt=dt, steps=1000, seed=int(rng.integers(2**32)))
             a = run_ensemble(model, spec, psi, **kw)
-            b = run_ensemble(rotated, spec, psi, increments=a.increments @ t_mat.T, **kw)
+            b = run_ensemble(other, other_spec, psi, increments=a.increments @ t_mat.T, **kw)
             for psi_a, psi_b in zip(a.states[0], b.states[0]):
                 path_dev = max(
                     path_dev, np.abs(projector(psi_a) - projector(psi_b)).max()
@@ -178,7 +188,7 @@ def test_criterion_3_representation_invariance(announce):
     announce(
         f"criterion 3 {'PASS' if ok else 'FAIL'}: remixing and offsetting the "
         f"channels is invisible (static deviation {static_dev:.1e}, pathwise "
-        f"under remixed noise {path_dev:.1e})"
+        f"under remixed noise {path_dev:.1e}, 5 kinds of u)"
     )
     assert ok
 

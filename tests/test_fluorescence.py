@@ -18,7 +18,6 @@ from unravel import (
     plus_x_state,
     projector,
     run_ensemble,
-    step_sme,
     z_drift_residual,
 )
 from unravel.fluorescence import (
@@ -30,7 +29,7 @@ from unravel.fluorescence import (
     scenario_spec,
     write_figure_csvs,
 )
-from unravel.trajectory import EnsembleRun
+from unravel.trajectory import EnsembleRun, step_sme
 from atom_closed_forms import scenario_expected_current, sme_u1_decomposed_step
 from conftest import random_state
 from linear_reference import expected_current

@@ -87,6 +87,18 @@ class TestIntegrateMaster:
         assert rhos.shape == (4, 2, 2)
         np.testing.assert_array_equal(rhos[0], rho0)
 
+    def test_rejects_bad_step_and_step_count(self, decay_model):
+        # a non-finite step used to return NaN states, a negative one to
+        # integrate backwards, and a bad count to fail in the loop unnamed
+        rho0 = projector(KET_EXCITED)
+        for dt in (float("nan"), float("inf"), -1e-3, 0.0):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                integrate_master(decay_model, rho0, dt, 3)
+        for steps in (-1, 2.5, "3", True):
+            with pytest.raises(ValueError, match="steps must be an integer of at least 0"):
+                integrate_master(decay_model, rho0, 1e-3, steps)
+        assert integrate_master(decay_model, rho0, 1e-3, 0).shape == (1, 2, 2)
+
 
 class TestLiouvillianMatrix:
     def test_matches_direct_application(self, rng):

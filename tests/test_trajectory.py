@@ -26,7 +26,6 @@ from unravel import (
     sample_increments,
     shift_lindblads,
     spectral_norm,
-    step_sme,
 )
 from unravel.fluorescence import KET_EXCITED, KET_GROUND, SIGMA_MINUS, SIGMA_X
 from unravel.operators import BLAS_MIN_DIM
@@ -38,6 +37,7 @@ from unravel.trajectory import (
     _run_chunk,
     gauge_transform_step,
     step_nonlinear_sse,
+    step_sme,
     trajectory_stream,
 )
 from unravel.unravelings import extremal_u, u_trace
@@ -454,11 +454,13 @@ class TestRunEnsemble:
             )
 
     def test_zero_workers_rejected(self, atom_model):
-        with pytest.raises(ValueError, match="workers"):
-            run_ensemble(
-                atom_model, Heterodyne(), plus_x_state(), n_traj=2, dt=1e-3,
-                steps=5, seed=0, workers=0,
-            )
+        # fractions, strings and bools used to reach the pool or the comparison
+        for workers in (0, -1, 2.5, 1.5, "2", True):
+            with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+                run_ensemble(
+                    atom_model, Heterodyne(), plus_x_state(), n_traj=2, dt=1e-3,
+                    steps=5, seed=0, workers=workers,
+                )
 
     def test_non_finite_norm_trips_guard(self):
         # the first step overflows to inf, and renormalizing gives NaN
@@ -536,14 +538,31 @@ def kernel_specs(model, rng):
     return specs
 
 
+def trace_free(model):
+    """The presentation of ``model`` the kernel steps, written out: each
+    channel less ``t_k = Tr c_k / N``, the Hamiltonian compensated by
+    ``(i/2) sum_k (t_k^* c_k - t_k c_k^dag)`` and then made traceless."""
+    n, eye = model.dim, np.eye(model.dim)
+    ts = [np.trace(c) / n for c in model.lindblads]
+    h = model.hamiltonian + 0.5j * sum(
+        (t.conjugate() * c - t * c.conj().T for t, c in zip(ts, model.lindblads)),
+        np.zeros((n, n)),
+    )
+    h = h - np.trace(h).real / n * eye
+    return LindbladModel(h, tuple(c - t * eye for t, c in zip(ts, model.lindblads)))
+
+
 def assert_rows_follow_reference_stepper(model, spec, run, lane, dt):
     """Each step of a stride-1 run's ``lane`` is one reference
-    ``step_linear`` step from the row before, with the reference's own
-    state-dependent ``u``, the last one ending on the final state."""
+    ``step_linear`` step of the trace-free presentation from the row before,
+    with the reference's own state-dependent ``u``, the last one ending on
+    the final state; each current is that of the caller's channels."""
+    free = trace_free(model)
     states = [*run.states[lane], run.final[lane]]
     for i, (dxi, current) in enumerate(zip(run.increments[lane], run.currents[lane])):
         u = reference_u(model, spec, states[i])
-        new, want = step_linear(model, u, states[i], dxi, dt)
+        new, _ = step_linear(free, u, states[i], dxi, dt)
+        want = expected_current(model, u, states[i]) + dxi / dt
         np.testing.assert_allclose(new, states[i + 1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(want, current, rtol=0, atol=1e-12)
 

@@ -1,7 +1,5 @@
 """Tests for the self-check battery's results and report formatting."""
 
-import numpy as np
-
 from unravel.verify import (
     CHECK_NAMES,
     CheckResult,
@@ -53,6 +51,7 @@ class TestChecks:
         assert result.passed
 
     def test_shift_invariance_passes(self):
+        # the kernel steps one presentation for a model and its shift
         result = check_shift_invariance(seed=5, steps=100)
         assert result.passed
-        assert np.isfinite(result.value)
+        assert result.value <= 1e-12
