@@ -27,8 +27,10 @@ JSON true or false anywhere in a config file, a model file or
 ``--u-json``, except as ``combined``, or a string where a number belongs:
 only ``mode``, ``model``, ``unraveling``, ``u_json`` and ``output_dir``
 hold strings, and an unraveling object's ``type``), a non-finite homodyne
-phase, a non-integral ``sign`` and an output directory that cannot be
-created.
+phase, a non-integral ``sign``, an output directory that cannot be created,
+and, outside ``verify``, a ``dt`` whose product with the largest rate of
+the rows the kernel steps (``_step_rate``) exceeds ``MAX_STEP_RATE``
+(0.1), so that a model and its shifts are judged alike.
 Ensembles fan out over the CPUs available, with at least
 ``trajectory.MIN_LANES`` trajectories per worker process, so one narrower
 than twice that runs in-process.  The environment variable
@@ -72,17 +74,13 @@ from .fluorescence import (
 )
 from .operators import LindbladModel, projector
 from .oracle import GATE_ATOL, GATE_STANDARD_ERRORS, ensemble_summary, integrate_master
-from .trajectory import (
-    NormCollapseError,
-    _linear_generator,
-    default_workers,
-    run_ensemble,
-)
+from .trajectory import NormCollapseError, default_workers, run_ensemble
 from .unravelings import (
     SPEC_FIELDS,
     CovarianceError,
     UMatrixError,
     UnravelingSpec,
+    _kernel_rows,
     spec_from_dict,
 )
 from .verify import format_report, run_all
@@ -93,7 +91,7 @@ EXIT_CONFIG = 2
 
 MODES = ("trajectories", "ensemble-check", "figures", "verify")
 
-# Upper bound on dt times the largest rate of the model (``_step_rate``).
+# Upper bound on dt times the largest rate the kernel steps (``_step_rate``).
 # The linear stepper is first order: beyond this a step moves the state by
 # a sizeable fraction of its norm, and renormalization hides the error.
 MAX_STEP_RATE = 0.1
@@ -322,12 +320,13 @@ def _initial_state(opts: dict, model: LindbladModel) -> np.ndarray:
 
 
 def _step_rate(model: LindbladModel) -> float:
-    """Largest rate one linear step must resolve: the spectral norm of the
-    drift generator ``-i (H - (i/2) sum_k c_k^dag c_k)`` or the largest
-    ``||c_k||^2``."""
-    jumps = [np.linalg.norm(c, 2) ** 2 for c in model.lindblads]
-    gen = _linear_generator(model.hamiltonian, model.lindblads)
-    return max([np.linalg.norm(gen, 2)] + jumps)
+    """Largest rate one linear step must resolve, in the rows the kernel
+    steps (``unravelings._kernel_rows``), so alike for a model and its
+    shifts: the spectral norm of the linear generator or the largest
+    ``||c_k||^2`` of the trace-free channels."""
+    rows, _ = _kernel_rows(model)
+    jumps = [np.linalg.norm(c, 2) ** 2 for c in rows[1 : model.num_lindblads + 1]]
+    return max([np.linalg.norm(rows[0], 2)] + jumps)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:

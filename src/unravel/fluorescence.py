@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import LindbladModel, check_pure_state, expectation
+from .operators import LindbladModel, _check_run, check_density_matrix, check_pure_state
 from .trajectory import run_ensemble
 from .unravelings import UnravelingSpec, spec_from_dict
 
@@ -90,13 +90,13 @@ def _bloch_xyz(psi) -> np.ndarray:
 
 
 def bloch(state) -> np.ndarray:
-    """Bloch components (x, y, z) of a state vector or density matrix."""
+    """Bloch components (x, y, z) of a two-level state vector or density
+    matrix, checked by ``check_pure_state`` or ``check_density_matrix``."""
     s = np.asarray(state, dtype=complex)
     if s.ndim == 1:
         return _bloch_xyz(check_pure_state(s, 2))
-    return np.array(
-        [expectation(p, s).real for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-    )
+    rho = check_density_matrix(s, 2)
+    return np.array([np.trace(p @ rho).real for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
 def scenario_spec(name: str) -> UnravelingSpec:
@@ -115,6 +115,7 @@ def z_drift_residual(states, dt: float, params: AtomParams) -> np.ndarray:
     residual shrinks linearly with dt; for uncorrelated records it carries
     a square-root-of-dt noise component.
     """
+    _check_run(dt, ())
     psi = np.asarray(states, dtype=complex)
     if psi.ndim != 2 or psi.shape[0] < 2:
         raise ValueError("need at least two consecutive states")

@@ -22,11 +22,11 @@ A shift ``c_k -> c_k + chi_k`` with the compensating Hamiltonian
 (``operators.shift_lindblads``) leaves the master equation and its
 invariant unravelings unchanged, but the linear step gains
 ``dt sum_k (u chi^*)_k c_k psi`` under it.  So the kernel steps the
-presentation all shifts of a model share: each channel less
-``t_k = Tr c_k / N``, and the Hamiltonian made traceless (a global phase).
-A model, its shifts and its remixes then step one path, to rounding, at no
-cost per step; the currents, shifted back by ``t + u t^*`` on the record
-rows, stay those of the caller's channels.
+presentation all shifts of a model share, ``unravelings._kernel_rows``:
+each channel less ``t_k = Tr c_k / N``, and the Hamiltonian made traceless
+(a global phase).  A model, its shifts and its remixes then step one path,
+to rounding, at no cost per step; the currents, shifted back by
+``t + u t^*`` on the record rows, stay those of the caller's channels.
 
 Every trajectory runs through the kernel by way of ``run_ensemble``, one
 lane of a batch of any width, for any number of channels and any mix of
@@ -54,14 +54,13 @@ from .operators import (
     check_density_matrix,
     check_pure_state,
     liouvillian_apply,
-    shift_lindblads,
 )
 from .unravelings import (
+    _kernel_rows,
     apply_color,
     centered_moments,
     color_factors,
     extremal_u,
-    moment_pairs,
     validate_u,
 )
 
@@ -114,29 +113,6 @@ def trajectory_stream(seed: int, index: int) -> np.random.Generator:
     """Counter-based noise stream owned by trajectory ``index``."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def _linear_generator(hamiltonian, lindblads) -> np.ndarray:
-    gen = -1j * hamiltonian.astype(complex)
-    for c in lindblads:
-        gen -= 0.5 * (c.conj().T @ c)
-    return gen
-
-
-def _kernel_rows(model: LindbladModel, pairs: bool):
-    """The stack the kernel steps, ``(1 + K [+ K^2], N, N)``, and the traces
-    ``t = Tr c / N``: the linear generator, the channels and, with ``pairs``,
-    their ``moment_pairs``, of the model shifted by ``-t`` with the
-    Hamiltonian then made traceless (the trace-free presentation)."""
-    n, k = model.dim, model.num_lindblads
-    t = np.array([np.trace(c) / n for c in model.lindblads], dtype=complex)
-    free = shift_lindblads(model, -t)
-    h = free.hamiltonian - (np.trace(free.hamiltonian).real / n) * np.eye(n)
-    cs = np.array(free.lindblads, dtype=complex).reshape(k, n, n)
-    rows = [_linear_generator(h, cs)[None], cs]
-    if pairs:
-        rows.append(moment_pairs(cs).reshape(k * k, n, n))
-    return np.concatenate(rows), t
 
 
 def step_sme(model: LindbladModel, rho, dxi, dt: float) -> np.ndarray:
@@ -261,7 +237,7 @@ def _run_chunk(
     broadcast over the lanes when a single spec object drives them all.
 
     Each step applies the linear generator and the K channels of the
-    trace-free presentation (``_kernel_rows``) as one stacked
+    trace-free presentation (``unravelings._kernel_rows``) as one stacked
     ``(K+1, N, N)`` product, and forms the means ``s_k = <c_k>``.  When the
     batch has state-dependent lanes the stack also carries the K^2 rows of
     ``moment_pairs``, ``(K+1+K^2, N, N)``, and the one expectation einsum
@@ -294,7 +270,8 @@ def _run_chunk(
     m_c = m - sum(dep_flags)
     # The generator, the channels and, for state-dependent lanes, the K^2
     # channel pairs: one stack, one product and one expectation per step.
-    ops, t = _kernel_rows(model, pairs=m_c < m)
+    ops, t = _kernel_rows(model)
+    ops = ops if m_c < m else ops[: k + 1]
     offset = t.any()
     indices = index0 + order
     # Records go to the lanes' own rows, by a slice when no lane moved.

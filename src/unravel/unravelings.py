@@ -39,10 +39,12 @@ import numpy as np
 
 from .operators import (
     LindbladModel,
+    _check_run,
     _stack_apply,
     check_pure_state,
     matrix_from_pairs,
     matrix_to_pairs,
+    shift_lindblads,
 )
 
 # Deviation from complex symmetry tolerated in a u matrix.
@@ -243,6 +245,23 @@ def moment_pairs(lindblads) -> np.ndarray:
     return 0.5 * (pairs + pairs.transpose(1, 0, 2, 3))
 
 
+def _kernel_rows(model: LindbladModel):
+    """The stack the trajectory kernel steps, ``(1 + K + K^2, N, N)``, and
+    the traces ``t = Tr c / N``: the linear generator
+    ``-iH - sum_k c_k^dag c_k / 2``, the channels and their
+    ``moment_pairs``, of the model shifted by ``-t`` with the Hamiltonian
+    then made traceless.  Every shift of a model has this one trace-free
+    presentation; a batch of constant lanes steps the leading ``1 + K``."""
+    n, k = model.dim, model.num_lindblads
+    t = np.array([np.trace(c) / n for c in model.lindblads], dtype=complex)
+    free = shift_lindblads(model, -t)
+    cs = np.array(free.lindblads, dtype=complex).reshape(k, n, n)
+    gen = -1j * (free.hamiltonian - (np.trace(free.hamiltonian).real / n) * np.eye(n))
+    for c in cs:
+        gen -= 0.5 * (c.conj().T @ c)
+    return np.concatenate([gen[None], cs, moment_pairs(cs).reshape(k * k, n, n)]), t
+
+
 def centered_moments(pair_means, means) -> np.ndarray:
     """Centered second moments of a batch of states, lanes last.
 
@@ -253,8 +272,9 @@ def centered_moments(pair_means, means) -> np.ndarray:
         M_jl = <{(c_j - <c_j>), (c_l - <c_l>)}> / 2 = <{c_j, c_l}> / 2 - <c_j><c_l>
 
     The trajectory kernel and ``InvariantStateDep.resolve`` take both
-    expectations from one product: the channels and the K^2 pair rows are
-    one ``_stack_apply`` stack, and one einsum gives every row's mean.
+    expectations from one product: the channels and the K^2 pair rows of
+    ``_kernel_rows`` are one ``_stack_apply`` stack, and one einsum gives
+    every row's mean.
 
     The symmetrization makes each ``M`` complex symmetric; under a unitary
     remixing T of the channels it transforms as ``T M T^T``, which is
@@ -332,7 +352,7 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
     u:
         Complex symmetric ``(K, K)`` correlation matrix.
     dt:
-        Step size.
+        Step size, positive and finite.
     rng:
         numpy Generator supplying standard normals.
 
@@ -341,6 +361,7 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
     ndarray
         Complex increments of shape ``(K,)``.
     """
+    _check_run(dt, ())
     a = np.asarray(u, dtype=complex)
     z = rng.standard_normal(2 * a.shape[0])
     if not a.size:  # without channels there is nothing to colour
@@ -353,12 +374,12 @@ def u_trace(model: LindbladModel, weight: float) -> np.ndarray:
     """State-independent analogue built from trace-centered operators.
 
     ``u_jk = weight * Tr[(c_j - Tr c_j / N)(c_k - Tr c_k / N)]`` with
-    symmetrized products (``moment_pairs``); constant along a trajectory.
+    symmetrized products: the traces of the pair rows of ``_kernel_rows``;
+    constant along a trajectory.
     """
-    n = model.dim
-    cent = [c - (np.trace(c) / n) * np.eye(n) for c in model.lindblads]
-    pairs = moment_pairs(np.array(cent, dtype=complex).reshape(-1, n, n))
-    return weight * np.einsum("jlaa->jl", pairs)
+    k = model.num_lindblads
+    pairs = _kernel_rows(model)[0][k + 1 :]
+    return weight * np.einsum("saa->s", pairs).reshape(k, k)
 
 
 def homodyne_u(eta: float, theta1: float, theta2: float) -> np.ndarray:
@@ -456,14 +477,13 @@ class InvariantStateDep:
 
     def resolve(self, model: LindbladModel, state) -> np.ndarray:
         """``extremal_u`` at one state, the kernel's formula at width 1: its
-        stack (``trajectory._kernel_rows``), one ``_stack_apply`` product and
-        one expectation einsum, so the bits of the kernel's ``u``."""
-        from .trajectory import _kernel_rows  # trajectory imports this module
+        stack (``_kernel_rows``), one ``_stack_apply`` product and one
+        expectation einsum, so the bits of the kernel's ``u``."""
         psi = check_pure_state(state, model.dim)[:, None]
         k = model.num_lindblads
         if k == 0:  # without channels u is the empty matrix
             return np.zeros((0, 0), dtype=complex)
-        rows, _ = _kernel_rows(model, pairs=True)
+        rows, _ = _kernel_rows(model)
         means = np.einsum("am,sam->sm", psi.conj(), _stack_apply(rows, psi)[1:])
         moment = centered_moments(means[k:].reshape(k, k, 1), means[:k])
         return extremal_u(moment, np.array([float(self.sign)]))[0][:, :, 0]

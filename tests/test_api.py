@@ -1,7 +1,7 @@
 """Guard on the public API: ``unravel.__all__`` holds what the README
 documents or a demo imports, and the errors a caller catches.  Every other
 name is imported from its own module, and the list may shrink but not
-grow."""
+grow.  The package's modules import each other at module level only."""
 
 import ast
 import re
@@ -54,3 +54,17 @@ def test_every_public_name_is_used_outside_the_tests():
 def test_public_api_does_not_grow():
     assert len(unravel.__all__) <= 34
     assert len(set(unravel.__all__)) == len(unravel.__all__)
+
+
+def test_every_import_in_the_package_is_at_module_level():
+    # an import inside a function hides a cycle between the modules; at
+    # module level any cycle fails on the first import of the package
+    nested = []
+    for path in sorted((ROOT / "src" / "unravel").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        nested += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == [], f"imports below module level: {nested}"

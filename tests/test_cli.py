@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unravel import build_atom, AtomParams
+from unravel import build_atom, AtomParams, LindbladModel, shift_lindblads
 from conftest import random_model, random_symmetric_u
 from unravel import cli
 from unravel.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, MODES, build_config, build_parser, main
@@ -473,6 +473,34 @@ class TestConfigHandling:
         )
         assert code == EXIT_CONFIG
         assert "dt 1 is too large" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_step_check_judges_a_shifted_atom_as_the_atom(self, tmp_path, capsys):
+        # the shift by 40 steps the atom's own rows, so the default dt holds
+        # (the caller's channels would give dt * rate = 0.164)
+        model_path = tmp_path / "model.json"
+        shifted = shift_lindblads(build_atom(AtomParams()), [40.0])
+        model_path.write_text(json.dumps(shifted.to_dict()))
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "trajectories", "--model", str(model_path),
+            "--n-traj", "1", "--t-max", "1e-3", "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_OK, err
+
+    def test_step_check_reads_the_rows_the_kernel_steps(self, tmp_path, capsys):
+        # c = 2.5 diag(1, 1, -1) is stepped as 2.5 diag(2, 2, -4) / 3, whose
+        # rate ||c||^2 = 100 / 9 exceeds the caller's 6.25
+        model_path = tmp_path / "model.json"
+        model = LindbladModel(np.zeros((3, 3)), (2.5 * np.diag([1.0, 1.0, -1.0]),))
+        model_path.write_text(json.dumps(model.to_dict()))
+        code, _, err = run_cli(
+            capsys,
+            "--mode", "trajectories", "--model", str(model_path), "--dt", "0.013",
+            "--n-traj", "1", "--t-max", "0.13", "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_CONFIG
+        assert "dt * rate = 0.144 exceeds 0.1" in err
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("mode", MODES)

@@ -18,6 +18,7 @@ from unravel import (
     plus_x_state,
     projector,
     run_ensemble,
+    sample_increments,
     z_drift_residual,
 )
 from unravel.fluorescence import (
@@ -87,6 +88,29 @@ class TestBloch:
     def test_pure_states_lie_on_sphere(self, seed):
         psi = random_state(np.random.default_rng(seed), 2)
         assert np.sum(bloch(psi) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+PLUS_X_TWICE = np.array([plus_x_state(), plus_x_state()])
+DT_MESSAGE = "dt must be positive and finite"
+# Each returned numbers (NaN, or a wrong value) or raised an unnamed error.
+BAD_NUMBERS = {
+    "bloch-nan": (bloch, (np.full((2, 2), np.nan),), "non-finite"),
+    "bloch-non-hermitian": (bloch, (np.array([[1.0, 2j], [0.0, 0.0]]),), "not Hermitian"),
+    "bloch-trace": (bloch, (2.5 * np.eye(2),), "trace is not 1"),
+    "bloch-dimension": (bloch, (np.eye(3) / 3,), "dimension 3, expected 2"),
+    **{f"sample_increments-dt={dt}": (
+        sample_increments, ([[0.5]], dt, np.random.default_rng(0)), DT_MESSAGE
+    ) for dt in (np.nan, np.inf, 0.0, -1e-3)},
+    **{f"z_drift_residual-dt={dt}": (
+        z_drift_residual, (PLUS_X_TWICE, dt, AtomParams()), DT_MESSAGE
+    ) for dt in (np.nan, -1e-3)},
+}
+
+
+@pytest.mark.parametrize("func, args, message", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
+def test_bad_numbers_are_rejected_by_name(func, args, message):
+    with pytest.raises(ValueError, match=message):
+        func(*args)
 
 
 class TestScenarios:

@@ -1,6 +1,6 @@
 """Property tests: malformed configurations, short random ensembles, the
-colouring of degenerate correlation matrices and the lane stability of the
-kernel's operator product."""
+colouring of degenerate correlation matrices, the lane stability of the
+kernel's operator product and the shift invariance of the CLI's step check."""
 
 import json
 
@@ -15,8 +15,9 @@ from unravel import (
     InvariantTrace,
     real_embedding,
     run_ensemble,
+    shift_lindblads,
 )
-from unravel.cli import EXIT_CONFIG, main
+from unravel.cli import EXIT_CONFIG, _step_rate, main
 from unravel.operators import BLAS_MIN_DIM, _stack_apply
 from unravel.unravelings import (
     MOMENT_FLOOR,
@@ -330,6 +331,23 @@ def test_random_short_runs_stay_finite_and_normalised(
     assert run.currents.shape == (len(specs), n_rec, channels)
     assert np.all(np.isfinite(run.states)) and np.all(np.isfinite(run.currents))
     np.testing.assert_allclose(np.linalg.norm(run.states, axis=-1), 1.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(2, 4),
+    channels=st.integers(0, 3),
+    radius=st.floats(0.0, 40.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_shift_keeps_the_step_rate(dim, channels, radius, seed):
+    # the CLI's step check reads the rows the kernel steps, which every
+    # shift of a model shares
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim, channels)
+    chi = radius * np.exp(2j * np.pi * rng.random(channels))
+    rate = _step_rate(model)
+    assert abs(_step_rate(shift_lindblads(model, chi)) - rate) <= 1e-12 * rate
 
 
 @settings(max_examples=40, deadline=None)
