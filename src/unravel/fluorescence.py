@@ -58,10 +58,10 @@ class AtomParams:
     omega: float = 10.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be non-negative, got {self.omega}")
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not (np.isfinite(self.omega) and self.omega >= 0):
+            raise ValueError(f"omega must be non-negative and finite, got {self.omega}")
 
 
 def build_atom(params: AtomParams) -> LindbladModel:

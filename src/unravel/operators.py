@@ -182,25 +182,6 @@ class LindbladModel:
         return cls(hamiltonian=h, lindblads=cs)
 
 
-def expectation(op, state) -> complex:
-    """Expectation value ``<op>`` in a pure state or density matrix.
-
-    Parameters
-    ----------
-    op:
-        ``(N, N)`` operator.
-    state:
-        Either a state vector of length N or an ``(N, N)`` density matrix.
-    """
-    a = np.asarray(op, dtype=complex)
-    s = np.asarray(state, dtype=complex)
-    if s.ndim == 1:
-        return complex(np.vdot(s, a @ s))
-    if s.ndim == 2:
-        return complex(np.trace(a @ s))
-    raise ValueError(f"state must be a vector or matrix, got shape {s.shape}")
-
-
 def _stack_apply(stack, psi) -> np.ndarray:
     """``stack @ psi`` for a stack of operators ``(..., N, N)``, such as
     ``(S, N, N)`` or ``(K, K, N, N)``, and lanes-last states ``psi``
@@ -287,7 +268,7 @@ def transition_rate_operator(model: LindbladModel, state) -> np.ndarray:
     p = np.outer(psi, psi.conj())
     w = np.zeros((model.dim, model.dim), dtype=complex)
     for c in model.lindblads:
-        d = c - expectation(c, psi) * np.eye(model.dim)
+        d = c - np.vdot(psi, c @ psi) * np.eye(model.dim)
         w += d @ p @ d.conj().T
     return w
 

@@ -398,7 +398,6 @@ def run_ensemble(
     seed: int,
     record_stride: int = 1,
     start_index: int = 0,
-    workers: int | None = None,
     per_range=None,
     increments=None,
 ) -> EnsembleRun:
@@ -409,22 +408,18 @@ def run_ensemble(
     sequence assigning one per trajectory.  Trajectory ``i`` draws its noise
     from the stream keyed by ``(seed, start_index + i)``.  All trajectories
     run through one batched kernel, in contiguous index ranges of at most
-    ``CHUNK`` lanes, at least one range per worker.  A trajectory's
-    arithmetic never depends on the others, so trajectory ``i`` is
-    bit-identical for any worker count, batch width or mix of unravelings:
-    ``n_traj=1, start_index=i`` runs exactly lane ``i`` of a wider batch.
-    Each range's records are copied into the result as they arrive, so
-    besides the result the caller's process holds about one range at a time.
+    ``CHUNK`` lanes, at least one range per worker process.  The run takes
+    ``max(1, min(default_workers(), n_traj // MIN_LANES))`` workers, so a
+    batch narrower than ``2 * MIN_LANES`` runs in this process, as does
+    every batch under ``UNRAVEL_THREADS=1``.  A trajectory's arithmetic
+    never depends on the others, so trajectory ``i`` is bit-identical for
+    any worker count, batch width or mix of unravelings: ``n_traj=1,
+    start_index=i`` runs exactly lane ``i`` of a wider batch.  Each range's
+    records are copied into the result as they arrive, so besides the
+    result the caller's process holds about one range at a time.
 
     Parameters
     ----------
-    workers:
-        Process count, at least 1; 1 runs in this process.  By default the
-        run uses the CPUs available (``default_workers``), but never so
-        many that a worker gets fewer than ``MIN_LANES`` lanes, so a batch
-        narrower than ``2 * MIN_LANES`` runs in this process, as does every
-        batch under ``UNRAVEL_THREADS=1``.  The output is byte-identical
-        either way.
     per_range:
         A picklable function to consume the records where they were
         computed.  It is called once per index range, in the process that
@@ -454,10 +449,7 @@ def run_ensemble(
         shape = (n_traj, steps, model.num_lindblads)
         if increments.shape != shape:
             raise ValueError(f"increments must have shape {shape}, got {increments.shape}")
-    if workers is None:
-        workers = max(1, min(default_workers(), n_traj // MIN_LANES))
-    else:
-        _check_run(dt, (("workers", workers, 1),))
+    workers = max(1, min(default_workers(), n_traj // MIN_LANES))
     # At least one contiguous index range per worker, each of at most CHUNK.
     size = min(CHUNK, -(-n_traj // workers))
     tasks = [

@@ -123,9 +123,14 @@ def real_embedding(u, dt: float) -> np.ndarray:
     Its smallest eigenvalue equals ``dt * (1 - spectral_norm(u)) / 2``, so
     positive semi-definiteness is equivalent to the norm bound on ``u``.
     A stack of matrices of shape ``(..., K, K)`` gives a stack of
-    covariances of shape ``(..., 2K, 2K)``.
+    covariances of shape ``(..., 2K, 2K)``.  ``u`` may lie beyond the norm
+    bound, where the covariance is indefinite, but its entries must be
+    finite (else ``UMatrixError``) and ``dt`` positive and finite.
     """
+    _check_run(dt, ())
     a = np.asarray(u, dtype=complex)
+    if not np.isfinite(a).all():
+        raise UMatrixError("u contains non-finite entries")
     k = a.shape[-1]
     eye = np.eye(k)
     return (dt / 2.0) * np.block(

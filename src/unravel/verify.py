@@ -53,14 +53,6 @@ from .unravelings import (
 # Evenly spaced times at which ``stepper_strong_orders`` compares the steppers.
 STRONG_ORDER_PROBES = 10
 
-CHECK_NAMES = (
-    "eigenvalue-identity",
-    "rotation-invariance",
-    "shift-invariance",
-    "gauge-invariance",
-    "stepper-equivalence",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -139,7 +131,7 @@ def _projector_deviation(a, b) -> float:
     )
 
 
-def check_eigenvalue_identity(seed: int, trials_per_size: int = 40) -> CheckResult:
+def check_eigenvalue_identity(seed: int) -> CheckResult:
     """Smallest covariance eigenvalue equals dt (1 - ||u||) / 2.
 
     Also confirms that acceptance of a correlation matrix coincides with
@@ -151,7 +143,7 @@ def check_eigenvalue_identity(seed: int, trials_per_size: int = 40) -> CheckResu
     worst = 0.0
     mismatches = 0
     for k in (1, 2, 3, 4):
-        for _ in range(trials_per_size):
+        for _ in range(40):
             u = _random_symmetric(rng, k, rng.uniform(0.0, 1.5))
             norm = spectral_norm(u)
             evals = np.linalg.eigvalsh(real_embedding(u, dt))
@@ -172,9 +164,7 @@ def check_eigenvalue_identity(seed: int, trials_per_size: int = 40) -> CheckResu
     )
 
 
-def check_rotation_invariance(
-    seed: int, steps: int = 400, dt: float = 1e-3
-) -> CheckResult:
+def check_rotation_invariance(seed: int) -> CheckResult:
     """Unitary remixing of the channels changes nothing observable.
 
     Static part: transition rate operator, its trace, and the generator
@@ -190,6 +180,7 @@ def check_rotation_invariance(
     split has ``homodyne_u((1 + sigma_j) / 2, 0, pi/2) = sigma_j``.
     """
     rng = trajectory_stream(seed, 1)
+    steps, dt = 400, 1e-3
     model = _random_model(rng, 3, 2)
     t_mat = _random_unitary(rng, 2)
     rotated = rotate_lindblads(model, t_mat)
@@ -227,7 +218,7 @@ def check_rotation_invariance(
     )
 
 
-def check_shift_invariance(seed: int, steps: int = 400, dt: float = 1e-3) -> CheckResult:
+def check_shift_invariance(seed: int) -> CheckResult:
     """Adding c-numbers to the channels (with the Hamiltonian compensation)
     changes nothing observable.
 
@@ -237,6 +228,7 @@ def check_shift_invariance(seed: int, steps: int = 400, dt: float = 1e-3) -> Che
     currents, each of its own channels, that differ by ``chi + u chi^*``.
     """
     rng = trajectory_stream(seed, 2)
+    steps, dt = 400, 1e-3
     model = _random_model(rng, 3, 2)
     chi = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
     shifted = shift_lindblads(model, chi)
@@ -264,9 +256,10 @@ def check_shift_invariance(seed: int, steps: int = 400, dt: float = 1e-3) -> Che
     )
 
 
-def check_gauge_invariance(seed: int, steps: int = 1000, dt: float = 1e-3) -> CheckResult:
+def check_gauge_invariance(seed: int) -> CheckResult:
     """Random per-step phase twists never move the projector."""
     rng = trajectory_stream(seed, 3)
+    steps, dt = 1000, 1e-3
     model = _random_model(rng, 3, 2)
     spec = FixedU(_random_symmetric(rng, 2, 0.6))
     b = _random_state(rng, 3)
@@ -346,24 +339,20 @@ def stepper_strong_orders(
     }
 
 
-def check_stepper_equivalence(
-    seed: int,
-    t_final: float = 0.48,
-    dt_values: tuple[float, ...] = (3.2e-3, 1.6e-3, 8e-4, 4e-4),
-    n_paths: int = 12,
-    min_order: float = 0.35,
-) -> CheckResult:
+def check_stepper_equivalence(seed: int) -> CheckResult:
     """The kernel and the two cross-check steppers converge to each other
     under coupled noise.
 
     The linear-stepper (kernel) pairs converge at the generic strong order 1/2 (their
     Euler truncations differ in O(dt) mean-zero noise products), while the
     projector and normalized nonlinear steppers share those products and
-    converge to each other at order 1.  The acceptance floor sits below 1/2
+    converge to each other at order 1.  Twelve paths run to t = 0.48 at
+    dt 3.2e-3 down to 4e-4.  The acceptance floor, 0.35, sits below 1/2
     only to absorb finite-sample scatter of the fit; a discretization
     inconsistency would show up as an order near 0.
     """
-    slopes = stepper_strong_orders(seed, t_final, dt_values, n_paths)
+    slopes = stepper_strong_orders(seed, 0.48, (3.2e-3, 1.6e-3, 8e-4, 4e-4), 12)
+    min_order = 0.35
     min_slope = min(slopes.values())
     return CheckResult(
         name="stepper-equivalence",

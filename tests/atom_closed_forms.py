@@ -17,7 +17,8 @@ from unravel import (
     liouvillian_apply,
 )
 from unravel.fluorescence import SIGMA_MINUS, SIGMA_X, SIGMA_Y
-from unravel.operators import check_density_matrix, check_pure_state, expectation
+from unravel.operators import check_density_matrix, check_pure_state
+from linear_reference import expectation
 
 
 def scenario_expected_current(params: AtomParams, spec: UnravelingSpec, state) -> complex:

@@ -10,7 +10,7 @@ sample lives here too, since no run conditions through it.
 import numpy as np
 
 from unravel import LindbladModel, NormCollapseError, spectral_norm
-from unravel.operators import check_density_matrix, check_pure_state, expectation
+from unravel.operators import check_density_matrix, check_pure_state
 from unravel.trajectory import NORM_FLOOR
 from unravel.unravelings import MOMENT_FLOOR
 
@@ -20,6 +20,18 @@ LIKELIHOOD_FLOOR = 1e-14
 
 class VanishingLikelihoodError(RuntimeError):
     """A measurement outcome with numerically zero probability was applied."""
+
+
+def expectation(op, state) -> complex:
+    """Expectation value ``<op>`` in a state vector of length N or an
+    ``(N, N)`` density matrix."""
+    a = np.asarray(op, dtype=complex)
+    s = np.asarray(state, dtype=complex)
+    if s.ndim == 1:
+        return complex(np.vdot(s, a @ s))
+    if s.ndim == 2:
+        return complex(np.trace(a @ s))
+    raise ValueError(f"state must be a vector or matrix, got shape {s.shape}")
 
 
 def linear_generator(model: LindbladModel) -> np.ndarray:

@@ -1,22 +1,27 @@
 """Guard on the public API: ``unravel.__all__`` holds what the README
 documents or a demo imports, and the errors a caller catches.  Every other
 name is imported from its own module, and the list may shrink but not
-grow.  The package's modules import each other at module level only."""
+grow.  The package's modules import each other at module level only, and
+hold no name and no parameter that only the tests use."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import unravel
+from unravel import verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def used_names(source: str) -> set[str]:
-    """Names a module reads, looks up as attributes or imports.  A name's
-    own definition (``def``, ``class`` or an assignment) is not a use."""
+def used_names(source) -> set[str]:
+    """Names that source code, or a node of its syntax tree, reads, looks up
+    as attributes or imports.  A name's own definition (``def``, ``class``
+    or an assignment) is not a use."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source) if isinstance(source, str) else source
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -38,10 +43,29 @@ def readme_names() -> set[str]:
     return names
 
 
-def test_every_public_name_is_used_outside_the_tests():
+def documented_names() -> set[str]:
+    """Names the README or a demo uses."""
     demos = sorted((ROOT / "demos").glob("*.py"))
     assert demos
-    documented = readme_names().union(*(used_names(p.read_text()) for p in demos))
+    return readme_names().union(*(used_names(p.read_text()) for p in demos))
+
+
+def defined_names(statement) -> list[str]:
+    """Names a module-level statement defines: a function, a class or an
+    assigned name."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    documented = documented_names()
     errors = {
         name for name in unravel.__all__
         if isinstance(getattr(unravel, name), type)
@@ -68,3 +92,34 @@ def test_every_import_in_the_package_is_at_module_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
         ]
     assert nested == [], f"imports below module level: {nested}"
+
+
+def test_every_runtime_name_is_read_outside_the_tests():
+    # a module-level function, class or name that no other statement of the
+    # package reads, and that the README and demos do not name, serves only
+    # the tests, which keep their own copy
+    modules = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "unravel").glob("*.py")}
+    reads = [(s, used_names(s)) for tree in modules.values() for s in tree.body]
+    documented = documented_names()
+    unread = sorted(
+        f"{module}.{name}"
+        for module, tree in modules.items() if module != "__init__"
+        for statement in tree.body
+        for name in defined_names(statement)
+        if name not in documented
+        and not any(name in names for other, names in reads if other is not statement)
+    )
+    assert unread == [], f"read by no other statement of the package: {unread}"
+
+
+def test_no_parameter_that_only_the_tests_set():
+    # UNRAVEL_THREADS is the one worker-count control, and each self-check
+    # fixes its own sizes and thresholds
+    assert "workers" not in inspect.signature(unravel.run_ensemble).parameters
+    calls = [
+        node.func.id for node in ast.walk(ast.parse(inspect.getsource(verify.run_all)))
+        if isinstance(node, ast.Call)
+    ]
+    assert len(calls) == 5
+    for name in calls:
+        assert list(inspect.signature(getattr(verify, name)).parameters) == ["seed"], name

@@ -401,7 +401,15 @@ class TestVerifyMode:
         assert code1 == EXIT_OK and code2 == EXIT_OK
         assert out1 == out2
         lines = out1.strip().splitlines()
-        assert sum(line.startswith("PASS") for line in lines) == 5
+        # the check names are stable, in this order
+        names = [line.split(":")[0] for line in lines[:-1]]
+        assert names == [
+            "PASS eigenvalue-identity",
+            "PASS rotation-invariance",
+            "PASS shift-invariance",
+            "PASS gauge-invariance",
+            "PASS stepper-equivalence",
+        ]
         assert "all 5 checks passed" in lines[-1]
 
 

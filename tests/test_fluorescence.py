@@ -17,10 +17,12 @@ from unravel import (
     liouvillian_apply,
     plus_x_state,
     projector,
+    real_embedding,
     run_ensemble,
     sample_increments,
     z_drift_residual,
 )
+from unravel.cli import EXIT_CONFIG, main
 from unravel.fluorescence import (
     KET_EXCITED,
     KET_GROUND,
@@ -104,6 +106,15 @@ BAD_NUMBERS = {
     **{f"z_drift_residual-dt={dt}": (
         z_drift_residual, (PLUS_X_TWICE, dt, AtomParams()), DT_MESSAGE
     ) for dt in (np.nan, -1e-3)},
+    **{f"AtomParams-gamma={x}": (AtomParams, (x, 1.0), "gamma must be positive and finite")
+       for x in (np.nan, np.inf)},
+    **{f"AtomParams-omega={x}": (AtomParams, (1.0, x), "omega must be non-negative and finite")
+       for x in (np.nan, np.inf)},
+    "real_embedding-nan": (real_embedding, ([[np.nan]], 1e-3), "u contains non-finite"),
+    "real_embedding-inf": (real_embedding, ([[0.5, np.inf], [np.inf, 0.5]], 1e-3),
+                           "u contains non-finite"),
+    **{f"real_embedding-dt={dt}": (real_embedding, ([[0.5]], dt), DT_MESSAGE)
+       for dt in (np.nan, np.inf, 0.0, -1.0)},
 }
 
 
@@ -111,6 +122,12 @@ BAD_NUMBERS = {
 def test_bad_numbers_are_rejected_by_name(func, args, message):
     with pytest.raises(ValueError, match=message):
         func(*args)
+
+
+def test_cli_names_a_non_finite_omega(tmp_path, capsys):
+    code = main(["--mode", "figures", "--omega", "inf", "--output-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "omega must be non-negative and finite" in capsys.readouterr().err
 
 
 class TestScenarios:

@@ -19,12 +19,12 @@ from unravel.fluorescence import KET_EXCITED, KET_GROUND, SIGMA_MINUS, SIGMA_Z
 from unravel.operators import (
     check_density_matrix,
     check_pure_state,
-    expectation,
     matrix_from_pairs,
     matrix_to_pairs,
     transition_rate_operator,
 )
 from conftest import random_model, random_state, random_unitary
+from linear_reference import expectation
 
 
 class TestValidation:

@@ -316,6 +316,14 @@ def assert_lane_equals(run, lane, one):
 
 
 @pytest.fixture
+def set_workers(monkeypatch):
+    """Sets the worker processes run_ensemble takes, through UNRAVEL_THREADS,
+    at any batch width: with MIN_LANES at 1 a worker needs one lane."""
+    monkeypatch.setattr(trajectory, "MIN_LANES", 1)
+    return lambda count: monkeypatch.setenv("UNRAVEL_THREADS", str(count))
+
+
+@pytest.fixture
 def pool_tasks(monkeypatch):
     """Number of tasks in each map sent through run_ensemble's process pool."""
     tasks = []
@@ -351,25 +359,18 @@ class TestRunEnsemble:
         for m in range(2):
             assert_lane_equals(run, m, run_ensemble(model, spec, initial, 1, start_index=m, **kw))
 
-    def test_worker_count_does_not_change_output(self, atom_model, monkeypatch):
-        tasks = []
-
-        class CountingPool(trajectory.ProcessPoolExecutor):
-            def map(self, fn, items, **kwargs):
-                items = list(items)
-                tasks.append(len(items))
-                return super().map(fn, items, **kwargs)
-
-        monkeypatch.setattr(trajectory, "ProcessPoolExecutor", CountingPool)
+    def test_worker_count_does_not_change_output(self, atom_model, set_workers, pool_tasks):
         kw = dict(
             model=atom_model, unraveling=Heterodyne(), initial=plus_x_state(),
             n_traj=300, dt=1e-3, steps=20, seed=17,
         )
-        serial = run_ensemble(workers=1, **kw)
-        assert tasks == []
-        parallel = run_ensemble(workers=4, **kw)
+        set_workers(1)
+        serial = run_ensemble(**kw)
+        assert pool_tasks == []
+        set_workers(4)
+        parallel = run_ensemble(**kw)
         # one index range per worker went through the pool
-        assert tasks == [4]
+        assert pool_tasks == [4]
         for name in RECORDS:
             np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
 
@@ -398,7 +399,8 @@ class TestRunEnsemble:
         # 8 CPUs, but only two ranges of MIN_LANES lanes each
         assert pool_tasks == [2]
         assert (fanned.workers, fanned.lane_ranges) == (2, 2)
-        serial = run_ensemble(workers=1, **kw)
+        monkeypatch.setenv("UNRAVEL_THREADS", "1")
+        serial = run_ensemble(**kw)
         assert (serial.workers, serial.lane_ranges) == (1, 1)
         assert np.array_equal(fanned.times, serial.times)
         for name in RECORDS:
@@ -453,15 +455,6 @@ class TestRunEnsemble:
                 steps=5, seed=0,
             )
 
-    def test_zero_workers_rejected(self, atom_model):
-        # fractions, strings and bools used to reach the pool or the comparison
-        for workers in (0, -1, 2.5, 1.5, "2", True):
-            with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
-                run_ensemble(
-                    atom_model, Heterodyne(), plus_x_state(), n_traj=2, dt=1e-3,
-                    steps=5, seed=0, workers=workers,
-                )
-
     def test_non_finite_norm_trips_guard(self):
         # the first step overflows to inf, and renormalizing gives NaN
         model = LindbladModel(hamiltonian=1e300 * SIGMA_X, lindblads=(SIGMA_MINUS,))
@@ -491,14 +484,15 @@ class TestRunEnsemble:
             7, 0, 0.0, str(err)
         )
 
-    def test_norm_collapse_crosses_the_pool(self, pool_tasks):
+    def test_norm_collapse_crosses_the_pool(self, set_workers, pool_tasks):
         # the overflow model above, one lane per worker: both ranges fail at
         # step 0, and the error names the lowest failing trajectory
         model = LindbladModel(hamiltonian=1e300 * SIGMA_X, lindblads=(SIGMA_MINUS,))
+        set_workers(2)
         with pytest.raises(NormCollapseError) as info, np.errstate(all="ignore"):
             run_ensemble(
                 model, [InvariantStateDep(1), Heterodyne()], plus_x_state(), n_traj=2,
-                dt=1e10, steps=3, seed=0, start_index=7, workers=2,
+                dt=1e10, steps=3, seed=0, start_index=7,
             )
         assert pool_tasks == [2]
         err = info.value
@@ -605,10 +599,11 @@ class TestKernelAgainstReference:
                 if lane < 5:
                     assert_lane_equals(five, lane, one)
 
-    def test_lane_is_independent_of_chunk_boundary(self):
+    def test_lane_is_independent_of_chunk_boundary(self, set_workers):
         # lanes CHUNK - 1 and CHUNK run in different kernel calls, the last
         # of width 3, for a model below the BLAS cut-off and one above it
         assert BLAS_MIN_DIM <= 8
+        set_workers(1)
         for dim, channels in ((2, 1), (8, 2)):
             rng = np.random.default_rng(9)
             model = random_model(rng, dim, channels)
@@ -618,7 +613,7 @@ class TestKernelAgainstReference:
             mixed = [pool[i % len(pool)] for i in range(n_traj)]
             kw = dict(dt=1e-3, steps=12, seed=5, record_stride=2)
             for specs in (mixed, [InvariantStateDep(sign=1)] * n_traj, [Heterodyne()] * n_traj):
-                run = run_ensemble(model, specs, initial, n_traj=n_traj, workers=1, **kw)
+                run = run_ensemble(model, specs, initial, n_traj=n_traj, **kw)
                 for lane in (CHUNK - 1, CHUNK, CHUNK + 2):
                     one = run_ensemble(model, specs[lane], initial, 1, start_index=lane, **kw)
                     assert_lane_equals(run, lane, one)
@@ -702,7 +697,7 @@ class TestSuppliedIncrements:
                 assert np.array_equal(getattr(replay, name), getattr(run, name)), (spec, name)
 
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_supplied_increments_reproduce_a_mixed_batch(self, channels):
+    def test_supplied_increments_reproduce_a_mixed_batch(self, channels, set_workers):
         # the state-dependent lanes run after the constant ones inside the
         # kernel, so the supplied rows must follow their lanes there
         rng = np.random.default_rng(70 + channels)
@@ -711,12 +706,13 @@ class TestSuppliedIncrements:
         pool = kernel_specs(model, rng)
         specs = [pool[(3 * i) % len(pool)] for i in range(11)]
         kw = dict(dt=1e-3, steps=NOISE_BLOCK + 3, seed=4, start_index=2)
+        set_workers(1)
         drawn = run_ensemble(model, specs, initial, 11, **kw)
         # in one kernel call, and sliced over three index ranges
         for workers in (1, 3):
-            replay = run_ensemble(
-                model, specs, initial, 11, increments=drawn.increments, workers=workers, **kw
-            )
+            set_workers(workers)
+            replay = run_ensemble(model, specs, initial, 11, increments=drawn.increments, **kw)
+            assert replay.lane_ranges == workers
             for name in RECORDS:
                 assert np.array_equal(getattr(replay, name), getattr(drawn, name)), name
         # the states after the last step come back in the order of specs
@@ -733,14 +729,16 @@ def range_records(first, times, states, currents):
 
 
 class TestPerRange:
-    def test_records_stay_with_the_range_and_come_back_in_order(self, atom_model):
+    def test_records_stay_with_the_range_and_come_back_in_order(self, atom_model, set_workers):
         kw = dict(
             model=atom_model, unraveling=Homodyne(0.6, 0.3), initial=plus_x_state(),
             n_traj=7, dt=1e-3, steps=20, seed=2, record_stride=3, start_index=5,
         )
-        whole = run_ensemble(workers=1, **kw)
+        set_workers(1)
+        whole = run_ensemble(**kw)
         for workers, firsts in ((1, [5]), (3, [5, 8, 11])):
-            run = run_ensemble(workers=workers, per_range=range_records, **kw)
+            set_workers(workers)
+            run = run_ensemble(per_range=range_records, **kw)
             assert run.states is None and run.currents is None
             assert run.increments is None and run.final is None
             assert (run.workers, run.lane_ranges) == (workers, workers)
@@ -802,9 +800,8 @@ class TestDefaultWorkers:
         assert default_workers() == 3
         monkeypatch.delenv("UNRAVEL_THREADS")
         assert default_workers() == len(os.sched_getaffinity(0))
-        monkeypatch.setenv("UNRAVEL_THREADS", "0")
-        with pytest.raises(ValueError):
-            default_workers()
-        monkeypatch.setenv("UNRAVEL_THREADS", "abc")
-        with pytest.raises(ValueError, match="UNRAVEL_THREADS"):
-            default_workers()
+        # zero, negatives, fractions and words are no worker count
+        for raw in ("0", "-1", "2.5", "1.5", "abc"):
+            monkeypatch.setenv("UNRAVEL_THREADS", raw)
+            with pytest.raises(ValueError, match="UNRAVEL_THREADS must be a positive integer"):
+                default_workers()

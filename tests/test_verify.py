@@ -1,7 +1,6 @@
 """Tests for the self-check battery's results and report formatting."""
 
 from unravel.verify import (
-    CHECK_NAMES,
     CheckResult,
     check_eigenvalue_identity,
     check_gauge_invariance,
@@ -32,26 +31,17 @@ class TestCheckResult:
 
 
 class TestChecks:
-    def test_names_are_stable(self):
-        assert CHECK_NAMES == (
-            "eigenvalue-identity",
-            "rotation-invariance",
-            "shift-invariance",
-            "gauge-invariance",
-            "stepper-equivalence",
-        )
-
     def test_eigenvalue_identity_passes(self):
-        result = check_eigenvalue_identity(seed=5, trials_per_size=10)
+        result = check_eigenvalue_identity(seed=5)
         assert result.passed
         assert result.value < result.threshold
 
     def test_gauge_invariance_passes(self):
-        result = check_gauge_invariance(seed=5, steps=200)
+        result = check_gauge_invariance(seed=5)
         assert result.passed
 
     def test_shift_invariance_passes(self):
         # the kernel steps one presentation for a model and its shift
-        result = check_shift_invariance(seed=5, steps=100)
+        result = check_shift_invariance(seed=5)
         assert result.passed
         assert result.value <= 1e-12
