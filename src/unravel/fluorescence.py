@@ -138,6 +138,9 @@ def write_figure_csvs(
     eigenstate and uses the stream keyed by ``(seed, scenario_index)``.
     Returns the manifest that is also written to ``manifest.json``.
     """
+    _check_run(dt, ())
+    if not (np.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = build_atom(params)

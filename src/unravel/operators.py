@@ -63,6 +63,16 @@ def _as_complex_matrix(m, name: str) -> np.ndarray:
     return a
 
 
+def _check_unit_norm(psi) -> None:
+    """Reject states, along the last axis, not finite or off norm 1 by over ``DEFAULT_TOL``."""
+    if not np.isfinite(psi).all():
+        raise ValueError("state contains non-finite entries")
+    norms = np.linalg.norm(psi, axis=-1).ravel()
+    off = norms[np.abs(norms - 1.0) > DEFAULT_TOL]
+    if off.size:
+        raise ValueError(f"state norm {off[0]} is not 1 within {DEFAULT_TOL}")
+
+
 def check_pure_state(state, dim: int | None = None) -> np.ndarray:
     """Validate a normalized state vector and return it as a complex array."""
     psi = np.asarray(state, dtype=complex)
@@ -70,11 +80,7 @@ def check_pure_state(state, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"state must be a vector, got shape {psi.shape}")
     if dim is not None and psi.shape[0] != dim:
         raise ValueError(f"state has dimension {psi.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(psi.view(float))):
-        raise ValueError("state contains non-finite entries")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > DEFAULT_TOL:
-        raise ValueError(f"state norm {norm} is not 1 within {DEFAULT_TOL}")
+    _check_unit_norm(psi)
     return psi
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LindbladModel, _check_run, check_density_matrix, liouvillian_apply
+from .operators import (LindbladModel, _check_run, _check_unit_norm, check_density_matrix,
+                        liouvillian_apply)
 
 # Singular values below this count toward the kernel of the generator.
 KERNEL_TOL = 1e-8
@@ -99,9 +100,11 @@ def steady_state(model: LindbladModel) -> np.ndarray:
 
 
 def trace_distance(a, b):
-    """Half the trace norm of the difference of two Hermitian matrices, one
-    per matrix for stacks of shape ``(..., N, N)``, which broadcast."""
+    """Half the trace norm of the difference of two finite Hermitian matrices
+    (else ``ValueError``), one per matrix for stacks ``(..., N, N)``, which broadcast."""
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    if not np.isfinite(diff).all():
+        raise ValueError("trace_distance got non-finite matrices")
     herm = 0.5 * (diff + np.swapaxes(diff, -1, -2).conj())
     return 0.5 * np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
 
@@ -144,9 +147,9 @@ def ensemble_summary(times, states, reference) -> EnsembleSummary:
     times:
         Shared time grid of length T.
     states:
-        Normalized state vectors of shape ``(M, T, N)``.
+        Normalized state vectors ``(M, T, N)``: ``check_pure_state``'s rule, else ``ValueError``.
     reference:
-        Density matrices of shape ``(T, N, N)`` on the same grid.
+        Finite density matrices of shape ``(T, N, N)`` on the same grid.
 
     Notes
     -----
@@ -164,6 +167,7 @@ def ensemble_summary(times, states, reference) -> EnsembleSummary:
         raise ValueError("times, states, and reference grids do not match")
     if m < 2:
         raise ValueError("jackknife needs at least two trajectories")
+    _check_unit_norm(psi)
     mean_states = np.empty((t_len, n, n), dtype=complex)
     errors = np.empty(t_len)
     for t in range(t_len):

@@ -115,6 +115,16 @@ def trajectory_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _finite(values, name: str, count=None) -> np.ndarray:
+    """``values`` flat and complex, named in the error if not finite or not ``count`` long."""
+    a = np.asarray(values, dtype=complex).reshape(-1)
+    if count is not None and a.shape[0] != count:
+        raise ValueError(f"expected {count} {name}, got {a.shape[0]}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def step_sme(model: LindbladModel, rho, dxi, dt: float) -> np.ndarray:
     """One Euler step of the projector equation, re-projected to rank one.
 
@@ -124,9 +134,8 @@ def step_sme(model: LindbladModel, rho, dxi, dt: float) -> np.ndarray:
     p = check_density_matrix(rho, model.dim)
     if np.abs(p @ p - p).max() > PROJECTOR_TOL:
         raise ValueError("input density matrix is not a rank-one projector")
-    inc = np.asarray(dxi, dtype=complex).reshape(-1)
-    if inc.shape[0] != model.num_lindblads:
-        raise ValueError(f"expected {model.num_lindblads} increments, got {inc.shape[0]}")
+    _check_run(dt, ())
+    inc = _finite(dxi, "increments", model.num_lindblads)
     new = p + dt * liouvillian_apply(model, p)
     eye = np.eye(model.dim)
     for k, c in enumerate(model.lindblads):
@@ -157,16 +166,15 @@ def _effective_hamiltonian(model: LindbladModel, state) -> np.ndarray:
 def step_nonlinear_sse(model: LindbladModel, state, dxi, dt: float) -> np.ndarray:
     """One normalized nonlinear vector step driven directly by the increments."""
     psi = check_pure_state(state, model.dim)
-    inc = np.asarray(dxi, dtype=complex).reshape(-1)
-    if inc.shape[0] != model.num_lindblads:
-        raise ValueError(f"expected {model.num_lindblads} increments, got {inc.shape[0]}")
+    _check_run(dt, ())
+    inc = _finite(dxi, "increments", model.num_lindblads)
     eye = np.eye(model.dim)
     new = psi + dt * (-1j * (_effective_hamiltonian(model, psi) @ psi))
     for k, c in enumerate(model.lindblads):
         s = np.vdot(psi, c @ psi)
         new = new + inc[k].conjugate() * ((c - s * eye) @ psi)
     norm = np.linalg.norm(new)
-    if norm < NORM_FLOOR:
+    if not NORM_FLOOR <= norm < np.inf:  # the kernel's condition
         raise NormCollapseError(f"state norm collapsed to {norm}")
     return new / norm
 
@@ -178,8 +186,7 @@ def gauge_transform_step(state, f, dxi) -> np.ndarray:
     unchanged; record statistics are likewise untouched.
     """
     psi = np.asarray(state, dtype=complex)
-    fv = np.asarray(f, dtype=complex).reshape(-1)
-    inc = np.asarray(dxi, dtype=complex).reshape(-1)
+    fv, inc = _finite(f, "f"), _finite(dxi, "increments")
     dchi = float(np.sum(fv * inc.conj() + fv.conj() * inc).real)
     return np.exp(1j * dchi) * psi
 

@@ -77,9 +77,21 @@ class CovarianceError(ValueError):
     """The real covariance has an eigenvalue too negative to clamp."""
 
 
+def _read_u(u) -> np.ndarray:
+    """``u`` ``(..., K, K)`` as complex: square, finite and symmetric, else ``UMatrixError``."""
+    a = np.asarray(u, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise UMatrixError(f"u must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise UMatrixError("u contains non-finite entries")
+    if np.abs(a - np.swapaxes(a, -1, -2)).max(initial=0.0) > SYMMETRY_TOL:
+        raise AsymmetricUMatrixError("u is not complex symmetric")
+    return a
+
+
 def spectral_norm(u) -> float:
-    """Largest singular value of a matrix."""
-    return float(np.linalg.norm(np.asarray(u, dtype=complex), 2))
+    """Largest singular value of ``u``, read by ``_read_u``."""
+    return float(np.linalg.norm(_read_u(u), 2))
 
 
 def validate_u(u) -> np.ndarray:
@@ -92,16 +104,11 @@ def validate_u(u) -> np.ndarray:
     NormExceededError
         If the spectral norm exceeds 1 beyond a 1e-10 slack.
     """
-    a = np.asarray(u, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _read_u(u)
+    if a.ndim != 2:
         raise UMatrixError(f"u must be square, got shape {a.shape}")
-    if a.size == 0:
-        # zero channels: the empty matrix is trivially valid
+    if a.size == 0:  # zero channels: the empty matrix is trivially valid
         return a
-    if not np.all(np.isfinite(a.view(float))):
-        raise UMatrixError("u contains non-finite entries")
-    if np.abs(a - a.T).max() > SYMMETRY_TOL:
-        raise AsymmetricUMatrixError("u is not complex symmetric")
     norm = spectral_norm(a)
     if norm > 1.0 + NORM_SLACK:
         raise NormExceededError(norm)
@@ -124,13 +131,11 @@ def real_embedding(u, dt: float) -> np.ndarray:
     positive semi-definiteness is equivalent to the norm bound on ``u``.
     A stack of matrices of shape ``(..., K, K)`` gives a stack of
     covariances of shape ``(..., 2K, 2K)``.  ``u`` may lie beyond the norm
-    bound, where the covariance is indefinite, but its entries must be
-    finite (else ``UMatrixError``) and ``dt`` positive and finite.
+    bound, where the covariance is indefinite, but ``_read_u`` must accept
+    it (else ``UMatrixError``), and ``dt`` must be positive and finite.
     """
     _check_run(dt, ())
-    a = np.asarray(u, dtype=complex)
-    if not np.isfinite(a).all():
-        raise UMatrixError("u contains non-finite entries")
+    a = _read_u(u)
     k = a.shape[-1]
     eye = np.eye(k)
     return (dt / 2.0) * np.block(
@@ -138,11 +143,9 @@ def real_embedding(u, dt: float) -> np.ndarray:
     )
 
 
-def takagi(m, unitary: bool = True):
+def takagi(m):
     """Takagi factors ``(V, sigma)`` of complex symmetric ``m`` ``(K, K, ...)``:
     ``m = V diag(sigma) V^T`` with V unitary and ``sigma`` ``(K, ...)`` largest first.
-    For K > 1, ``unitary=False`` skips the QR completion below and returns
-    None for V; ``sigma`` keeps its bits.
 
     K = 1 has the closed form ``V = sqrt(m / |m|)``, the principal square
     root of the unit phase (``V = 1`` at ``m = 0``), and ``sigma = |m|``.
@@ -180,8 +183,6 @@ def takagi(m, unitary: bool = True):
     lanes = tuple(range(m.ndim - 2))
     evals, evecs = np.linalg.eigh(b.transpose(tuple(i + 2 for i in lanes) + (0, 1)))
     sigma = np.ascontiguousarray(evals[..., ::-1][..., :k].transpose((-1,) + lanes))
-    if not unitary:
-        return None, sigma
     top = evecs[..., ::-1][..., :k]
     q, r = np.linalg.qr(top[..., :k, :] + 1j * top[..., k:, :])
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -189,16 +190,15 @@ def takagi(m, unitary: bool = True):
     return q.transpose((-2, -1) + lanes), sigma
 
 
-def _roots(v, s, dt: float):
-    """``(V, a, b)`` with ``a, b = sqrt(dt (1 +- s) / 2)`` for ``u = V diag(s) V^T``,
-    ``s`` ``(K, ...)`` of either sign; ``a**2`` or ``b**2`` below ``-CLAMP_TOL``
+def _roots(s, dt: float):
+    """``(a, b) = sqrt(dt (1 +- s) / 2)`` for ``u = V diag(s) V^T``, ``s`` ``(K, ...)``
+    of either sign, and the one clamp: ``a**2`` or ``b**2`` below ``-CLAMP_TOL``
     raises ``CovarianceError``, and smaller excursions are clamped to zero."""
     # dt (1 + s) / 2 and dt (1 - s) / 2; halving dt first rounds the same
     lam = (dt / 2.0) * (1.0 + np.multiply.outer((1.0, -1.0), s))
     if lam.min(initial=0.0) < -CLAMP_TOL:
         raise CovarianceError(f"covariance eigenvalue {lam.min()} below clamp tolerance")
-    a, b = np.sqrt(np.maximum(lam, 0.0))
-    return v, a, b
+    return np.sqrt(np.maximum(lam, 0.0))
 
 
 def color_factors(u, dt: float):
@@ -214,7 +214,8 @@ def color_factors(u, dt: float):
     CovarianceError
         If an eigenvalue lies below ``-CLAMP_TOL``.
     """
-    return _roots(*takagi(np.asarray(u, dtype=complex)), dt)
+    v, sigma = takagi(np.asarray(u, dtype=complex))
+    return (v, *_roots(sigma, dt))
 
 
 def apply_color(factors, z, out=None) -> np.ndarray:
@@ -309,48 +310,40 @@ def extremal_u(moment, signs, z=None, dt=None, out=None):
     ``takagi(M)`` does the work: its largest singular value is ``||M||``,
     and ``u = V diag(w sigma) V^T`` is coloured by its V with the signed
     ``s = w sigma`` (for ``s < 0``, ``b > a``).  Below the floor the
-    factors are those of ``u = 0``, exactly.  A lane's values depend only
-    on its own columns.
+    increments are those of ``u = 0``, exactly, for every K.  A lane's
+    values depend only on its own columns.
 
     Raises
     ------
     CovarianceError
-        If a covariance eigenvalue lies below ``-CLAMP_TOL``.
+        For K > 1, from ``_roots``; with ``|w sigma| <= 1`` to rounding it
+        does not fire, and the K = 1 closed form clamps nothing.
     """
     k = moment.shape[0]
-    if k == 1:
-        norm = np.abs(moment[0, 0])
-    else:  # without normals only ||M|| is needed, not V
-        v, sigma = takagi(moment, unitary=z is not None)
-        norm = sigma[0]
+    v, sigma = takagi(moment) if k > 1 else (None, np.abs(moment[0]))  # K = 1: sigma = |M|
+    norm = sigma[0]
     live = norm > MOMENT_FLOOR
     weight = np.divide(signs, norm, out=np.zeros_like(norm), where=live)
     u = weight * moment
     if z is None:
         return u, None
     if k == 1:
-        lam = (dt / 2.0) * (1.0 - np.abs(u).max())  # the covariance's smaller eigenvalue
-        if lam < -CLAMP_TOL:
-            raise CovarianceError(f"covariance eigenvalue {lam} below clamp tolerance")
         out = np.multiply(np.sqrt(dt * u[0]), z[:1], out=out)
-        if not live.all():
-            zero = color_factors(np.zeros((1, 1, 1)), dt)
-            out[:, ~live] = apply_color(zero, z[:, ~live])
-        return u, out
-    v, a, b = _roots(v, weight * sigma, dt)
-    if not live.all():  # there s = 0, so only V differs from u = 0's factors
-        v = np.where(live, v, color_factors(np.zeros((k, k, 1)), dt)[0])
-    return u, apply_color((v, a, b), z, out)
+    else:
+        out = apply_color((v, *_roots(weight * sigma, dt)), z, out)
+    if not live.all():
+        out[:, ~live] = apply_color(color_factors(np.zeros((k, k, 1)), dt), z[:, ~live])
+    return u, out
 
 
 def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
     """Draw one vector of complex increments dxi with correlations ``u``.
 
-    ``u`` must already satisfy ``validate_u``.  Consumes exactly 2K standard
-    normal variates from ``rng``, so a fixed generator state yields a fixed
-    sample regardless of surrounding calls; the normals are mapped by
-    ``apply_color(color_factors(u, dt), z)``, exactly as the trajectory
-    kernel maps them for a constant ``u``.
+    ``u`` goes through ``_read_u`` (else ``UMatrixError``), and beyond the
+    norm bound the clamp raises ``CovarianceError``.  Consumes exactly 2K
+    standard normals from ``rng``, so a fixed generator state yields a fixed
+    sample regardless of surrounding calls; they are mapped by
+    ``apply_color(color_factors(u, dt), z)`` as the kernel maps a constant ``u``.
 
     Parameters
     ----------
@@ -367,7 +360,7 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
         Complex increments of shape ``(K,)``.
     """
     _check_run(dt, ())
-    a = np.asarray(u, dtype=complex)
+    a = _read_u(u)
     z = rng.standard_normal(2 * a.shape[0])
     if not a.size:  # without channels there is nothing to colour
         return np.zeros(0, dtype=complex)

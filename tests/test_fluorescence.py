@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from unravel import (
     InvariantStateDep,
     bloch,
     build_atom,
+    ensemble_summary,
     liouvillian_apply,
     plus_x_state,
     projector,
     real_embedding,
     run_ensemble,
     sample_increments,
+    spectral_norm,
     z_drift_residual,
 )
 from unravel.cli import EXIT_CONFIG, main
@@ -32,7 +35,8 @@ from unravel.fluorescence import (
     scenario_spec,
     write_figure_csvs,
 )
-from unravel.trajectory import EnsembleRun, step_sme
+from unravel.oracle import trace_distance
+from unravel.trajectory import EnsembleRun, gauge_transform_step, step_nonlinear_sse, step_sme
 from atom_closed_forms import scenario_expected_current, sme_u1_decomposed_step
 from conftest import random_state
 from linear_reference import expected_current
@@ -93,7 +97,15 @@ class TestBloch:
 
 
 PLUS_X_TWICE = np.array([plus_x_state(), plus_x_state()])
+ATOM = build_atom(AtomParams())
 DT_MESSAGE = "dt must be positive and finite"
+# Three trajectories of +x at two times, their own reference, and the same
+# with one state off the unit sphere (its inflated jackknife error once let
+# the gate pass).
+GATE_STATES = np.tile(plus_x_state(), (3, 2, 1))
+GATE_REFERENCE = np.tile(projector(plus_x_state()), (2, 1, 1))
+GATE_OFF_NORM = GATE_STATES.copy()
+GATE_OFF_NORM[0, 1] = [5.0, 5.0]
 # Each returned numbers (NaN, or a wrong value) or raised an unnamed error.
 BAD_NUMBERS = {
     "bloch-nan": (bloch, (np.full((2, 2), np.nan),), "non-finite"),
@@ -115,6 +127,56 @@ BAD_NUMBERS = {
                            "u contains non-finite"),
     **{f"real_embedding-dt={dt}": (real_embedding, ([[0.5]], dt), DT_MESSAGE)
        for dt in (np.nan, np.inf, 0.0, -1.0)},
+    "real_embedding-nonsquare": (real_embedding, ([[0.5, 0.1]], 1e-3), "u must be square"),
+    "spectral_norm-nan": (spectral_norm, ([[np.nan]],), "u contains non-finite"),
+    "sample_increments-nan": (
+        sample_increments, ([[np.nan]], 1e-3, np.random.default_rng(0)), "u contains non-finite"
+    ),
+    "sample_increments-nonsquare": (
+        sample_increments, ([[0.5, 0.1]], 1e-3, np.random.default_rng(0)), "u must be square"
+    ),
+    "sample_increments-asymmetric": (
+        sample_increments, ([[0.3, 0.5], [0.1, 0.2]], 1e-3, np.random.default_rng(0)),
+        "u is not complex symmetric",
+    ),
+    **{f"step_nonlinear_sse-{x}": (
+        step_nonlinear_sse, (ATOM, plus_x_state(), [x], 1e-3), "increments must be finite"
+    ) for x in (np.nan, np.inf)},
+    "step_nonlinear_sse-dt=nan": (
+        step_nonlinear_sse, (ATOM, plus_x_state(), [0.01], np.nan), DT_MESSAGE
+    ),
+    "step_sme-nan": (
+        step_sme, (ATOM, projector(plus_x_state()), [np.nan], 1e-3), "increments must be finite"
+    ),
+    "step_sme-dt=-1": (step_sme, (ATOM, projector(plus_x_state()), [0.01], -1.0), DT_MESSAGE),
+    "gauge_transform_step-f": (
+        gauge_transform_step, (plus_x_state(), [np.nan], [0.01]), "f must be finite"
+    ),
+    "gauge_transform_step-increments": (
+        gauge_transform_step, (plus_x_state(), [0.01], [np.nan]), "increments must be finite"
+    ),
+    # os.devnull is no directory, so nothing is written whichever check fires
+    "write_figure_csvs-dt=0": (
+        write_figure_csvs, (AtomParams(), 0.0, 1.0, 0, os.devnull), DT_MESSAGE
+    ),
+    "write_figure_csvs-t_max=nan": (
+        write_figure_csvs, (AtomParams(), 1e-3, np.nan, 0, os.devnull),
+        "t_max must be positive and finite",
+    ),
+    "ensemble_summary-norm": (
+        ensemble_summary, ([0.0, 1.0], GATE_OFF_NORM, GATE_REFERENCE), "state norm"
+    ),
+    "ensemble_summary-nan-state": (
+        ensemble_summary, ([0.0, 1.0], np.full((3, 2, 2), np.nan), GATE_REFERENCE),
+        "state contains non-finite",
+    ),
+    "ensemble_summary-nan-reference": (
+        ensemble_summary, ([0.0, 1.0], GATE_STATES, np.full((2, 2, 2), np.nan)),
+        "trace_distance got non-finite matrices",
+    ),
+    "trace_distance-nan": (
+        trace_distance, ([[np.nan, 0.0], [0.0, 1.0]], np.eye(2) / 2), "non-finite matrices"
+    ),
 }
 
 

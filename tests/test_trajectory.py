@@ -780,6 +780,37 @@ class TestStateDependentManyChannels:
         assert np.array_equal(draws, run.increments[0])
 
 
+class TestDeadLanes:
+    # Where the centered moments vanish, u = 0 and an InvariantStateDep lane
+    # colours its normals as a Heterodyne lane with the same stream does.
+    MIXED = (Heterodyne(), InvariantStateDep(1), Heterodyne(), InvariantStateDep(-1))
+
+    def test_atom_from_the_ground_state_starts_heterodyne(self, atom_model):
+        # sigma_minus annihilates the ground state, so M = 0 at step 0 only
+        args = (KET_GROUND, 4, 1e-3, 3, 7)
+        want = run_ensemble(atom_model, Heterodyne(), *args).increments[:, 0]
+        got = run_ensemble(atom_model, list(self.MIXED), *args).increments[:, 0]
+        assert np.array_equal(got, want)
+        for sign in (1, -1):
+            alone = run_ensemble(atom_model, InvariantStateDep(sign), *args).increments[:, 0]
+            assert np.array_equal(alone, want)
+
+    def test_diagonal_channels_keep_every_step_heterodyne(self):
+        # diagonal H and channels keep basis state 0 up to a phase, so M stays 0
+        rng = np.random.default_rng(17)
+        diagonals = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        model = LindbladModel(
+            hamiltonian=np.diag(rng.standard_normal(4)),
+            lindblads=tuple(np.diag(d) for d in diagonals),
+        )
+        args = (np.eye(4)[0].astype(complex), 4, 1e-3, NOISE_BLOCK + 10, 5)
+        want = run_ensemble(model, Heterodyne(), *args)
+        for spec in (list(self.MIXED), InvariantStateDep(1), InvariantStateDep(-1)):
+            run = run_ensemble(model, spec, *args)
+            assert np.array_equal(run.increments, want.increments)
+            assert np.array_equal(run.states, want.states)
+
+
 class TestStreams:
     def test_streams_differ_by_index(self):
         a = trajectory_stream(0, 0).standard_normal(4)

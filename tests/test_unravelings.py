@@ -401,7 +401,7 @@ class TestExtremalWeight:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("width", [1, 7])
     def test_u_without_normals_has_the_bits_of_u_with_them(self, k, width):
-        # without normals extremal_u skips takagi's QR, but keeps its eigh;
+        # u comes from the same takagi(M) with or without normals;
         # in the wide stack the last lane lies below the moment floor
         rng = np.random.default_rng(10 * k + width)
         scale = rng.uniform(0.01, 2.0, width)
