@@ -55,47 +55,65 @@ def _check_run(dt, counts) -> None:
 
 
 def _as_complex_matrix(m, name: str) -> np.ndarray:
+    """``m`` as one complex matrix that ``_as_complex_stack`` accepts, else ``ValueError``."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be one matrix, got shape {a.shape}")
+    return _as_complex_stack(a, name)
+
+
+def _as_complex_stack(m, name: str) -> np.ndarray:
+    """``m`` ``(..., N, N)`` as complex, square and finite, else ``ValueError`` naming it."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
-def _check_unit_norm(psi) -> None:
-    """Reject states, along the last axis, not finite or off norm 1 by over ``DEFAULT_TOL``."""
+def _check_states(psi, dim: int | None = None) -> np.ndarray:
+    """States ``(..., N)`` as complex, N = ``dim`` if given, each finite and of
+    norm 1 within ``DEFAULT_TOL``, else ``ValueError``."""
+    psi = np.asarray(psi, dtype=complex)
+    if dim is not None and psi.shape[-1:] != (dim,):
+        raise ValueError(f"state has shape {psi.shape}, expected dimension {dim}")
     if not np.isfinite(psi).all():
         raise ValueError("state contains non-finite entries")
     norms = np.linalg.norm(psi, axis=-1).ravel()
     off = norms[np.abs(norms - 1.0) > DEFAULT_TOL]
     if off.size:
         raise ValueError(f"state norm {off[0]} is not 1 within {DEFAULT_TOL}")
-
-
-def check_pure_state(state, dim: int | None = None) -> np.ndarray:
-    """Validate a normalized state vector and return it as a complex array."""
-    psi = np.asarray(state, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError(f"state must be a vector, got shape {psi.shape}")
-    if dim is not None and psi.shape[0] != dim:
-        raise ValueError(f"state has dimension {psi.shape[0]}, expected {dim}")
-    _check_unit_norm(psi)
     return psi
 
 
-def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, positive spectrum."""
-    r = _as_complex_matrix(rho, "density matrix")
-    if dim is not None and r.shape[0] != dim:
-        raise ValueError(f"density matrix has dimension {r.shape[0]}, expected {dim}")
-    if np.abs(r - r.conj().T).max() > DEFAULT_TOL:
+def check_pure_state(state, dim: int | None = None) -> np.ndarray:
+    """Validate one normalized state vector, by ``_check_states``, and return it."""
+    psi = np.asarray(state, dtype=complex)
+    if psi.ndim != 1:
+        raise ValueError(f"state must be a vector, got shape {psi.shape}")
+    return _check_states(psi, dim)
+
+
+def _check_densities(rho, dim: int | None = None) -> np.ndarray:
+    """Density matrices ``(..., N, N)`` of ``_as_complex_stack``, N = ``dim`` if
+    given, each Hermitian with unit trace and a positive spectrum, else ``ValueError``."""
+    r = _as_complex_stack(rho, "density matrix")
+    if dim is not None and r.shape[-1] != dim:
+        raise ValueError(f"density matrix has dimension {r.shape[-1]}, expected {dim}")
+    if np.abs(r - r.conj().swapaxes(-1, -2)).max(initial=0.0) > DEFAULT_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(r).real - 1.0) > DEFAULT_TOL or abs(np.trace(r).imag) > DEFAULT_TOL:
+    trace = np.trace(r, axis1=-2, axis2=-1)
+    if np.abs([trace.real - 1.0, trace.imag]).max(initial=0.0) > DEFAULT_TOL:
         raise ValueError("density matrix trace is not 1")
-    if np.linalg.eigvalsh(r).min() < -DEFAULT_TOL:
+    if np.linalg.eigvalsh(r).min(initial=0.0) < -DEFAULT_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
     return r
+
+
+def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
+    """Validate one density matrix, by ``_check_densities``, and return it."""
+    return _check_densities(_as_complex_matrix(rho, "density matrix"), dim)
 
 
 def projector(state) -> np.ndarray:
@@ -216,10 +234,10 @@ def _stack_apply(stack, psi) -> np.ndarray:
 
 
 def liouvillian_apply(model: LindbladModel, rho) -> np.ndarray:
-    """Apply the Markovian generator to a Hermitian matrix."""
-    r = _as_complex_matrix(rho, "rho")
-    if r.shape[0] != model.dim:
-        raise ValueError(f"rho has dimension {r.shape[0]}, expected {model.dim}")
+    """Apply the Markovian generator to a Hermitian matrix or a stack ``(..., N, N)``."""
+    r = _as_complex_stack(rho, "rho")
+    if r.shape[-1] != model.dim:
+        raise ValueError(f"rho has dimension {r.shape[-1]}, expected {model.dim}")
     h = model.hamiltonian
     out = -1j * (h @ r - r @ h)
     for c in model.lindblads:

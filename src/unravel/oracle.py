@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (LindbladModel, _check_run, _check_unit_norm, check_density_matrix,
+from .operators import (LindbladModel, _check_run, _check_states, check_density_matrix,
                         liouvillian_apply)
 
 # Singular values below this count toward the kernel of the generator.
@@ -167,7 +167,7 @@ def ensemble_summary(times, states, reference) -> EnsembleSummary:
         raise ValueError("times, states, and reference grids do not match")
     if m < 2:
         raise ValueError("jackknife needs at least two trajectories")
-    _check_unit_norm(psi)
+    _check_states(psi)
     mean_states = np.empty((t_len, n, n), dtype=complex)
     errors = np.empty(t_len)
     for t in range(t_len):

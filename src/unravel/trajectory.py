@@ -49,9 +49,10 @@ import numpy as np
 
 from .operators import (
     LindbladModel,
+    _check_densities,
     _check_run,
+    _check_states,
     _stack_apply,
-    check_density_matrix,
     check_pure_state,
     liouvillian_apply,
 )
@@ -115,68 +116,71 @@ def trajectory_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _finite(values, name: str, count=None) -> np.ndarray:
-    """``values`` flat and complex, named in the error if not finite or not ``count`` long."""
-    a = np.asarray(values, dtype=complex).reshape(-1)
-    if count is not None and a.shape[0] != count:
-        raise ValueError(f"expected {count} {name}, got {a.shape[0]}")
+def _finite(values, name: str, shape=None) -> np.ndarray:
+    """``values`` as complex, named in the error if not finite or not of ``shape`` if given."""
+    a = np.asarray(values, dtype=complex)
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
 
 
 def step_sme(model: LindbladModel, rho, dxi, dt: float) -> np.ndarray:
-    """One Euler step of the projector equation, re-projected to rank one.
+    """One Euler step of the projector equation, re-projected to rank one, of
+    a projector ``(N, N)`` or a stack ``(..., N, N)`` with increments ``(..., K)``.
 
     The Euler update is Hermitian and trace preserving but leaks purity at
     second order in dt; the dominant eigenvector is taken as the new state.
     """
-    p = check_density_matrix(rho, model.dim)
-    if np.abs(p @ p - p).max() > PROJECTOR_TOL:
+    p = _check_densities(rho, model.dim)
+    if np.abs(p @ p - p).max(initial=0.0) > PROJECTOR_TOL:
         raise ValueError("input density matrix is not a rank-one projector")
     _check_run(dt, ())
-    inc = _finite(dxi, "increments", model.num_lindblads)
+    inc = _finite(dxi, "increments", p.shape[:-2] + (model.num_lindblads,))
     new = p + dt * liouvillian_apply(model, p)
     eye = np.eye(model.dim)
     for k, c in enumerate(model.lindblads):
-        d = c - np.trace(c @ p) * eye
-        term = d @ p * inc[k].conjugate()
-        new = new + term + term.conj().T
-    evals, evecs = np.linalg.eigh(new)
-    vec = evecs[:, -1]
-    return np.outer(vec, vec.conj())
+        d = c - np.trace(c @ p, axis1=-2, axis2=-1)[..., None, None] * eye
+        term = d @ p * inc[..., k, None, None].conj()
+        new = new + term + term.conj().swapaxes(-1, -2)
+    vec = np.linalg.eigh(new)[1][..., -1]
+    return vec[..., :, None] * vec[..., None, :].conj()
 
 
-def _effective_hamiltonian(model: LindbladModel, state) -> np.ndarray:
-    """Non-Hermitian drift generator of the normalized nonlinear step.
+def _effective_hamiltonian(model: LindbladModel, psi) -> np.ndarray:
+    """Non-Hermitian drift generator ``(..., N, N)`` of the normalized
+    nonlinear step at each normalized state of ``psi`` ``(..., N)``.
 
     ``H_eff = H - (i/2) sum_k (c_k^dag c_k - 2 <c_k>^* c_k + <c_k>^* <c_k>)``.
     Changing the operator representation changes ``H_eff`` only by a
     c-number multiple of the identity.
     """
-    psi = check_pure_state(state, model.dim)
-    eye = np.eye(model.dim)
+    col, eye = psi[..., None], np.eye(model.dim)  # states as columns (..., N, 1)
     h = model.hamiltonian.astype(complex)
     for c in model.lindblads:
-        s = np.vdot(psi, c @ psi)
+        s = col.conj().swapaxes(-1, -2) @ (c @ col)  # <c>, (..., 1, 1)
         h = h - 0.5j * (c.conj().T @ c - 2.0 * s.conjugate() * c + (s.conjugate() * s) * eye)
     return h
 
 
 def step_nonlinear_sse(model: LindbladModel, state, dxi, dt: float) -> np.ndarray:
-    """One normalized nonlinear vector step driven directly by the increments."""
-    psi = check_pure_state(state, model.dim)
+    """One normalized nonlinear vector step driven directly by the increments,
+    of a state ``(N,)`` or a stack ``(..., N)`` with increments ``(..., K)``."""
+    psi = _check_states(state, model.dim)
     _check_run(dt, ())
-    inc = _finite(dxi, "increments", model.num_lindblads)
-    eye = np.eye(model.dim)
-    new = psi + dt * (-1j * (_effective_hamiltonian(model, psi) @ psi))
+    inc = _finite(dxi, "increments", psi.shape[:-1] + (model.num_lindblads,))
+    col, eye = psi[..., None], np.eye(model.dim)
+    new = col + dt * (-1j * (_effective_hamiltonian(model, psi) @ col))
     for k, c in enumerate(model.lindblads):
-        s = np.vdot(psi, c @ psi)
-        new = new + inc[k].conjugate() * ((c - s * eye) @ psi)
-    norm = np.linalg.norm(new)
-    if not NORM_FLOOR <= norm < np.inf:  # the kernel's condition
-        raise NormCollapseError(f"state norm collapsed to {norm}")
-    return new / norm
+        s = col.conj().swapaxes(-1, -2) @ (c @ col)
+        new = new + inc[..., k, None, None].conj() * ((c - s * eye) @ col)
+    # np.linalg.norm's sum of squares, state by state, so one state keeps its bits
+    norm = np.sqrt(sum(x.swapaxes(-1, -2) @ x for x in (new.real, new.imag)))
+    bad = ~((norm >= NORM_FLOOR) & (norm < np.inf))  # the kernel's condition
+    if bad.any():
+        raise NormCollapseError(f"state norm collapsed to {norm[bad][0]}")
+    return (new / norm)[..., 0]
 
 
 def gauge_transform_step(state, f, dxi) -> np.ndarray:
@@ -452,10 +456,7 @@ def run_ensemble(
     if len(specs) != n_traj:
         raise ValueError(f"got {len(specs)} unravelings for {n_traj} trajectories")
     if increments is not None:
-        increments = np.asarray(increments, dtype=complex)
-        shape = (n_traj, steps, model.num_lindblads)
-        if increments.shape != shape:
-            raise ValueError(f"increments must have shape {shape}, got {increments.shape}")
+        increments = _finite(increments, "increments", (n_traj, steps, model.num_lindblads))
     workers = max(1, min(default_workers(), n_traj // MIN_LANES))
     # At least one contiguous index range per worker, each of at most CHUNK.
     size = min(CHUNK, -(-n_traj // workers))

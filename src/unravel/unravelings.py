@@ -89,9 +89,17 @@ def _read_u(u) -> np.ndarray:
     return a
 
 
+def _read_one_u(u) -> np.ndarray:
+    """One ``u`` ``(K, K)`` read by ``_read_u``, else ``UMatrixError``."""
+    a = _read_u(u)
+    if a.ndim != 2:
+        raise UMatrixError(f"u must be one (K, K) matrix, got shape {a.shape}")
+    return a
+
+
 def spectral_norm(u) -> float:
-    """Largest singular value of ``u``, read by ``_read_u``."""
-    return float(np.linalg.norm(_read_u(u), 2))
+    """Largest singular value of one ``u``, read by ``_read_one_u``."""
+    return float(np.linalg.norm(_read_one_u(u), 2))
 
 
 def validate_u(u) -> np.ndarray:
@@ -104,9 +112,7 @@ def validate_u(u) -> np.ndarray:
     NormExceededError
         If the spectral norm exceeds 1 beyond a 1e-10 slack.
     """
-    a = _read_u(u)
-    if a.ndim != 2:
-        raise UMatrixError(f"u must be square, got shape {a.shape}")
+    a = _read_one_u(u)
     if a.size == 0:  # zero channels: the empty matrix is trivially valid
         return a
     norm = spectral_norm(a)
@@ -202,19 +208,19 @@ def _roots(s, dt: float):
 
 
 def color_factors(u, dt: float):
-    """Factor ``u`` ``(K, K, ...)``, which must satisfy ``validate_u``, for
-    ``apply_color``: the unitary V ``(K, K, ...)`` of ``takagi(u)`` and the
-    roots ``a, b = sqrt(dt (1 +- sigma) / 2)`` ``(K, ...)`` of the
-    eigenvalues of ``real_embedding(u, dt)``.  Eigenvalues in
-    ``[-CLAMP_TOL, 0]`` are clamped to zero, so frozen quadratures on the
-    boundary ``||u|| = 1`` come out exactly zero.
+    """Factor ``u`` ``(K, K, ...)``, read by ``_read_u`` as its transpose
+    ``(..., K, K)``, for ``apply_color``: the unitary V ``(K, K, ...)`` of
+    ``takagi(u)`` and the roots ``a, b = sqrt(dt (1 +- sigma) / 2)``
+    ``(K, ...)`` of the eigenvalues of ``real_embedding(u, dt)``.
+    Eigenvalues in ``[-CLAMP_TOL, 0]`` are clamped to zero, so frozen
+    quadratures on the boundary ``||u|| = 1`` come out exactly zero.
 
     Raises
     ------
     CovarianceError
         If an eigenvalue lies below ``-CLAMP_TOL``.
     """
-    v, sigma = takagi(np.asarray(u, dtype=complex))
+    v, sigma = takagi(_read_u(np.asarray(u, dtype=complex).T).T)
     return (v, *_roots(sigma, dt))
 
 
@@ -339,7 +345,7 @@ def extremal_u(moment, signs, z=None, dt=None, out=None):
 def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
     """Draw one vector of complex increments dxi with correlations ``u``.
 
-    ``u`` goes through ``_read_u`` (else ``UMatrixError``), and beyond the
+    ``u`` goes through ``_read_one_u`` (else ``UMatrixError``), and beyond the
     norm bound the clamp raises ``CovarianceError``.  Consumes exactly 2K
     standard normals from ``rng``, so a fixed generator state yields a fixed
     sample regardless of surrounding calls; they are mapped by
@@ -360,7 +366,7 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
         Complex increments of shape ``(K,)``.
     """
     _check_run(dt, ())
-    a = _read_u(u)
+    a = _read_one_u(u)
     z = rng.standard_normal(2 * a.shape[0])
     if not a.size:  # without channels there is nothing to colour
         return np.zeros(0, dtype=complex)

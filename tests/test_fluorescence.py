@@ -36,6 +36,7 @@ from unravel.fluorescence import (
     write_figure_csvs,
 )
 from unravel.oracle import trace_distance
+from unravel.unravelings import color_factors
 from unravel.trajectory import EnsembleRun, gauge_transform_step, step_nonlinear_sse, step_sme
 from atom_closed_forms import scenario_expected_current, sme_u1_decomposed_step
 from conftest import random_state
@@ -139,6 +140,20 @@ BAD_NUMBERS = {
         sample_increments, ([[0.3, 0.5], [0.1, 0.2]], 1e-3, np.random.default_rng(0)),
         "u is not complex symmetric",
     ),
+    "spectral_norm-stack": (spectral_norm, (np.zeros((2, 2, 2)),), r"u must be one \(K, K\)"),
+    "sample_increments-stack": (
+        sample_increments, (np.zeros((2, 1, 1)), 1e-3, np.random.default_rng(0)),
+        r"u must be one \(K, K\)",
+    ),
+    "color_factors-nan": (color_factors, ([[np.nan]], 1e-3), "u contains non-finite"),
+    "color_factors-asymmetric": (
+        color_factors, ([[0.3, 0.5], [0.1, 0.2]], 1e-3), "u is not complex symmetric"
+    ),
+    # the lanes-last layout (K, K, lanes), one asymmetric lane of two
+    "color_factors-asymmetric-lane": (
+        color_factors, (np.stack([np.eye(2) / 2, [[0.3, 0.5], [0.1, 0.2]]], axis=-1), 1e-3),
+        "u is not complex symmetric",
+    ),
     **{f"step_nonlinear_sse-{x}": (
         step_nonlinear_sse, (ATOM, plus_x_state(), [x], 1e-3), "increments must be finite"
     ) for x in (np.nan, np.inf)},
@@ -149,6 +164,11 @@ BAD_NUMBERS = {
         step_sme, (ATOM, projector(plus_x_state()), [np.nan], 1e-3), "increments must be finite"
     ),
     "step_sme-dt=-1": (step_sme, (ATOM, projector(plus_x_state()), [0.01], -1.0), DT_MESSAGE),
+    "run_ensemble-increments": (
+        run_ensemble, (ATOM, Heterodyne(), plus_x_state(), 1, 1e-3, 2, 0, 1, 0, None,
+                       [[[0.01], [np.nan]]]),
+        "increments must be finite",
+    ),
     "gauge_transform_step-f": (
         gauge_transform_step, (plus_x_state(), [np.nan], [0.01]), "f must be finite"
     ),

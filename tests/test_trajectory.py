@@ -28,7 +28,12 @@ from unravel import (
     spectral_norm,
 )
 from unravel.fluorescence import KET_EXCITED, KET_GROUND, SIGMA_MINUS, SIGMA_X
-from unravel.operators import BLAS_MIN_DIM
+from unravel.operators import (
+    BLAS_MIN_DIM,
+    check_density_matrix,
+    check_pure_state,
+    transition_rate_operator,
+)
 from unravel.trajectory import (
     CHUNK,
     MIN_LANES,
@@ -172,6 +177,73 @@ class TestStepperConsistency:
         diff = diff - _effective_hamiltonian(model, psi)
         diff = diff - (np.trace(diff) / 3) * np.eye(3)
         assert np.abs(diff).max() < 1e-10
+
+
+def stacked_paths(rng):
+    """A random N=3, K=2 model, six states, their projectors and 20 steps of
+    increments for the six, ``(20, 6, 2)``."""
+    model = random_model(rng, 3, 2)
+    psi = np.array([random_state(rng, 3) for _ in range(6)])
+    dxi = np.sqrt(5e-4) * (rng.normal(size=(20, 6, 2)) + 1j * rng.normal(size=(20, 6, 2)))
+    return model, psi, np.array([projector(x) for x in psi]), dxi
+
+
+def with_member(stack, index, value):
+    """A copy of ``stack`` with member ``index`` replaced by ``value``."""
+    out = np.array(stack, dtype=complex)
+    out[index] = value
+    return out
+
+
+class TestStackedSteppers:
+    """``step_sme`` and ``step_nonlinear_sse`` step a stack of paths at once."""
+
+    @pytest.mark.parametrize("stepper", [step_nonlinear_sse, step_sme], ids=["nonlinear", "sme"])
+    def test_stack_equals_a_loop_of_single_calls(self, rng, stepper):
+        model, psi, rho, dxi = stacked_paths(rng)
+        stack = psi if stepper is step_nonlinear_sse else rho
+        singles = list(stack)
+        for inc in dxi:
+            stack = stepper(model, stack, inc, 1e-3)
+            singles = [stepper(model, one, d, 1e-3) for one, d in zip(singles, inc)]
+            assert stack.shape == (6, *singles[0].shape)
+            assert np.abs(stack - np.array(singles)).max() <= 1e-14
+
+    def test_one_bad_member_rejects_the_stack_by_name(self, rng):
+        model, psi, rho, dxi = stacked_paths(rng)
+        bad_inc = with_member(dxi[0], 4, [0.01, np.nan])
+        cases = [
+            (step_sme, with_member(rho, 2, np.eye(3) / 3), dxi[0], "not a rank-one projector"),
+            (step_sme, with_member(rho, 2, 2.0 * rho[2]), dxi[0], "trace is not 1"),
+            (step_sme, with_member(rho, 2, np.nan), dxi[0], "density matrix contains non-finite"),
+            (step_sme, rho, bad_inc, "increments must be finite"),
+            (step_sme, rho, dxi[0, :5], r"increments must have shape \(6, 2\)"),
+            (step_nonlinear_sse, with_member(psi, 2, 2.0 * psi[2]), dxi[0], "state norm 2"),
+            (step_nonlinear_sse, with_member(psi, 2, np.nan), dxi[0], "state contains non-finite"),
+            (step_nonlinear_sse, psi, bad_inc, "increments must be finite"),
+            (step_nonlinear_sse, psi[:, :2], dxi[0], "expected dimension 3"),
+        ]
+        for stepper, stack, inc, message in cases:
+            with pytest.raises(ValueError, match=message):
+                stepper(model, stack, inc, 1e-3)
+
+    def test_single_matrix_callers_reject_a_stack_by_name(self, rng, atom_model):
+        rho = np.tile(projector(plus_x_state()), (3, 1, 1))
+        states = np.tile(plus_x_state(), (3, 1))
+        cases = [
+            (bloch, (rho,), "density matrix must be one matrix"),
+            (integrate_master, (atom_model, rho, 1e-3, 2), "density matrix must be one matrix"),
+            (check_density_matrix, (rho,), "density matrix must be one matrix"),
+            (check_pure_state, (states,), "state must be a vector"),
+            (projector, (states,), "state must be a vector"),
+            (transition_rate_operator, (atom_model, states), "state must be a vector"),
+            (InvariantStateDep().resolve, (atom_model, states), "state must be a vector"),
+            (run_ensemble, (atom_model, Heterodyne(), states, 1, 1e-3, 2, 0),
+             "state must be a vector"),
+        ]
+        for func, args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                func(*args)
 
 
 class TestMeasurementOperator:
