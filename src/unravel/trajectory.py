@@ -44,6 +44,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .operators import (
     liouvillian_apply,
 )
 from .unravelings import (
+    UnravelingSpec,
     _kernel_rows,
     apply_color,
     centered_moments,
@@ -184,13 +186,15 @@ def step_nonlinear_sse(model: LindbladModel, state, dxi, dt: float) -> np.ndarra
 
 
 def gauge_transform_step(state, f, dxi) -> np.ndarray:
-    """Multiply the state by the random phase exp(i (f dxi^* + f^* dxi)).
+    """Multiply the normalized state by the random phase exp(i (f dxi^* + f^* dxi)),
+    for ``f`` and increments ``dxi`` of one shape ``(K,)``.
 
     The exponent is real, so the ray (and every expectation value) is
     unchanged; record statistics are likewise untouched.
     """
-    psi = np.asarray(state, dtype=complex)
-    fv, inc = _finite(f, "f"), _finite(dxi, "increments")
+    psi = check_pure_state(state)
+    fv = _finite(f, "f", (np.size(f),))
+    inc = _finite(dxi, "increments", fv.shape)
     dchi = float(np.sum(fv * inc.conj() + fv.conj() * inc).real)
     return np.exp(1j * dchi) * psi
 
@@ -230,11 +234,9 @@ def _collapse(norms, indices, step: int, dt: float) -> NormCollapseError:
     )
 
 
-def _run_chunk(
-    model, specs, initial, dt, steps, seed, index0, stride, supplied=None, keep_increments=True
-):
-    """Linear stepping of one batch of trajectories, ``specs[i]`` running on
-    the stream keyed by ``(seed, index0 + i)``.
+def _run_chunk(model, initial, dt, steps, seed, stride, per_range, lanes):
+    """Linear stepping of the index range ``lanes = (index0, specs, supplied)``,
+    ``specs[i]`` running on the stream keyed by ``(seed, index0 + i)``.
 
     Inside the call the lanes are reordered: the constant lanes first, then
     the state-dependent ones, each group in index order, so that each kind
@@ -269,12 +271,14 @@ def _run_chunk(
     order of ``specs``, replace the streams and the colouring; ``u`` is
     still resolved each step for the currents.
 
-    Returns times ``(n_rec,)``, states ``(m, n_rec, N)``, currents and
-    increments ``(m, n_rec, K)``, and the states after the last step
-    ``(m, N)``, lane-first in the order of ``specs``; the rows are written
-    straight into them at each record step.  With ``keep_increments=False``
-    the increments are neither kept nor returned (None in their place).
+    Returns the range as an ``EnsembleRun`` of times ``(n_rec,)``, states
+    ``(m, n_rec, N)``, currents and increments ``(m, n_rec, K)`` and the
+    states after the last step ``(m, N)``, lane-first in the order of
+    ``specs``, the rows written straight into them at each record step.
+    Given ``per_range``, it returns ``(times, per_range(index0, times,
+    states, currents))``, called in this process, and allocates no increments.
     """
+    index0, specs, supplied = lanes
     m, n, k = len(specs), model.dim, model.num_lindblads
     dep_flags = [spec.state_dependent and k > 0 for spec in specs]
     order = np.argsort(dep_flags, kind="stable")
@@ -314,7 +318,7 @@ def _run_chunk(
     n_rec = times.shape[0]
     states = np.empty((m, n_rec, n), dtype=complex)
     currents = np.empty((m, n_rec, k), dtype=complex)
-    increments = np.empty((m, n_rec, k), dtype=complex) if keep_increments else None
+    increments = np.empty((m, n_rec, k), dtype=complex) if per_range is None else None
     if draw:
         streams = [trajectory_stream(seed, index) for index in indices]
         # Each stream fills its own rows; one copy per block puts them lanes last.
@@ -363,21 +367,11 @@ def _run_chunk(
             if not (NORM_FLOOR <= norms.min() and norms.max() < np.inf):
                 raise _collapse(norms, indices, step, dt)
             psi /= norms
+    if per_range is not None:
+        return times, per_range(index0, times, states, currents)
     final = np.empty((m, n), dtype=complex)
     final[rec] = psi.T
-    return times, states, currents, increments, final
-
-
-def _ensemble_part(args):
-    """Times and, without a per-range function, the states, currents,
-    increments and final states of one index range; with one, what it
-    returns for the range's records."""
-    *chunk_args, per_range = args
-    if per_range is None:
-        times, *records = _run_chunk(*chunk_args)
-        return times, records
-    times, states, currents, _, _ = _run_chunk(*chunk_args, keep_increments=False)
-    return times, per_range(chunk_args[6], times, states, currents)
+    return EnsembleRun(times, states, currents, increments=increments, final=final)
 
 
 def default_workers() -> int:
@@ -439,7 +433,10 @@ def run_ensemble(
         come back in ``EnsembleRun.range_results`` in index order; the
         returned run then holds no ``states``, ``currents``, ``increments``
         or ``final`` (None), so the records never cross to the caller's
-        process.
+        process.  That process still holds its whole range's states and
+        currents, lanes x rows x (N + K) complex values, before
+        ``per_range`` sees them: the default ``--mode trajectories`` run
+        (2000 x 40 000 rows, two workers) puts about 1.9 GB in each worker.
     increments:
         Noise of shape ``(n_traj, steps, K)`` to drive the steps in place
         of the trajectories' streams: a run's ``increments`` fed back
@@ -453,6 +450,8 @@ def run_ensemble(
          ("seed", seed, 0), ("start_index", start_index, 0)),
     )
     specs = list(unraveling) if isinstance(unraveling, (list, tuple)) else [unraveling] * n_traj
+    if not all(isinstance(spec, UnravelingSpec) for spec in specs):
+        raise ValueError("unraveling must be an UnravelingSpec or a list or tuple of them")
     if len(specs) != n_traj:
         raise ValueError(f"got {len(specs)} unravelings for {n_traj} trajectories")
     if increments is not None:
@@ -460,36 +459,34 @@ def run_ensemble(
     workers = max(1, min(default_workers(), n_traj // MIN_LANES))
     # At least one contiguous index range per worker, each of at most CHUNK.
     size = min(CHUNK, -(-n_traj // workers))
-    tasks = [
-        (model, specs[lo : lo + size], psi0, dt, steps, seed, start_index + lo, record_stride,
-         None if increments is None else increments[lo : lo + size], per_range)
-        for lo in range(0, n_traj, size)
-    ]
-    workers = min(workers, len(tasks))
-    if per_range is None and len(tasks) == 1:
-        times, (states, currents, drawn, final) = _ensemble_part(tasks[0])
-        return EnsembleRun(times, states, currents, increments=drawn, final=final)
-    records, results = [], None
-    if per_range is None:
-        n, k, n_rec = model.dim, model.num_lindblads, -(-steps // record_stride)
-        records = [np.empty((n_traj, *shape), dtype=complex)
-                   for shape in ((n_rec, n), (n_rec, k), (n_rec, k), (n,))]
-    else:
-        results = []
+    ranges = [(start_index + lo, specs[lo : lo + size],
+               None if increments is None else increments[lo : lo + size])
+              for lo in range(0, n_traj, size)]
+    workers = min(workers, len(ranges))
+    run_range = partial(_run_chunk, model, psi0, dt, steps, seed, record_stride, per_range)
+    run = EnsembleRun(None, None, None, range_results=[]) if per_range is not None else None
+    records, lo = ("states", "currents", "increments", "final"), 0
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        parts = pool.map(_ensemble_part, tasks) if pool else map(_ensemble_part, tasks)
-        lo = 0
-        for times, part in parts:
-            if per_range is None:
-                for whole, piece in zip(records, part):
-                    whole[lo : lo + size] = piece
+        # lo is counted by hand: zip's reused result tuple would keep the
+        # last range alive while the next one is computed.
+        for part in pool.map(run_range, ranges) if pool else map(run_range, ranges):
+            if per_range is not None:
+                run.times, result = part
+                run.range_results.append(result)
+            elif len(ranges) == 1:  # the lone range is the run
+                run = part
             else:
-                results.append(part)
+                if run is None:  # the batch arrays, shaped after the first range
+                    run = EnsembleRun(part.times, **{
+                        name: np.empty((n_traj, *getattr(part, name).shape[1:]), dtype=complex)
+                        for name in records})
+                for name in records:
+                    getattr(run, name)[lo : lo + size] = getattr(part, name)
             lo += size
             del part  # hold one part at a time
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    states, currents, drawn, final = records or (None,) * 4
-    return EnsembleRun(times, states, currents, workers, len(tasks), results, drawn, final)
+    run.workers, run.lane_ranges = workers, len(ranges)
+    return run

@@ -115,7 +115,7 @@ def validate_u(u) -> np.ndarray:
     a = _read_one_u(u)
     if a.size == 0:  # zero channels: the empty matrix is trivially valid
         return a
-    norm = spectral_norm(a)
+    norm = float(np.linalg.norm(a, 2))  # spectral_norm, without reading u again
     if norm > 1.0 + NORM_SLACK:
         raise NormExceededError(norm)
     return a
@@ -348,8 +348,8 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
     ``u`` goes through ``_read_one_u`` (else ``UMatrixError``), and beyond the
     norm bound the clamp raises ``CovarianceError``.  Consumes exactly 2K
     standard normals from ``rng``, so a fixed generator state yields a fixed
-    sample regardless of surrounding calls; they are mapped by
-    ``apply_color(color_factors(u, dt), z)`` as the kernel maps a constant ``u``.
+    sample regardless of surrounding calls; they are mapped by ``apply_color``
+    with the factors of ``color_factors(u, dt)``, as the kernel maps a constant ``u``.
 
     Parameters
     ----------
@@ -371,7 +371,8 @@ def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
     if not a.size:  # without channels there is nothing to colour
         return np.zeros(0, dtype=complex)
     # A stack of one: numpy's scalar complex arithmetic rounds differently.
-    return apply_color(color_factors(a[..., None], dt), z[:, None])[:, 0]
+    v, sigma = takagi(a[..., None])
+    return apply_color((v, *_roots(sigma, dt)), z[:, None])[:, 0]
 
 
 def u_trace(model: LindbladModel, weight: float) -> np.ndarray:

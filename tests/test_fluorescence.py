@@ -175,6 +175,13 @@ BAD_NUMBERS = {
     "gauge_transform_step-increments": (
         gauge_transform_step, (plus_x_state(), [0.01], [np.nan]), "increments must be finite"
     ),
+    "gauge_transform_step-lengths": (
+        gauge_transform_step, (plus_x_state(), [0.3, 1.0, 2.0], [0.01]),
+        r"increments must have shape \(3,\)",
+    ),
+    "gauge_transform_step-norm": (
+        gauge_transform_step, ([5.0, 0.0], [0.3], [0.01]), "state norm"
+    ),
     # os.devnull is no directory, so nothing is written whichever check fires
     "write_figure_csvs-dt=0": (
         write_figure_csvs, (AtomParams(), 0.0, 1.0, 0, os.devnull), DT_MESSAGE

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -493,6 +494,15 @@ class TestRunEnsemble:
                 dt=1e-3, steps=5, seed=0,
             )
 
+    @pytest.mark.parametrize("unraveling", [
+        None, "heterodyne", (spec for spec in [Heterodyne()] * 2),
+        np.array([Heterodyne(), Heterodyne()], dtype=object), [Heterodyne(), "heterodyne"],
+    ], ids=["none", "string", "generator", "object-array", "list-with-string"])
+    def test_bad_unraveling_is_named(self, atom_model, unraveling):
+        # each once raised an unnamed AttributeError from inside the kernel
+        with pytest.raises(ValueError, match="^unraveling must be"):
+            run_ensemble(atom_model, unraveling, plus_x_state(), 2, 1e-3, 5, 0)
+
     def test_decay_ensemble_tracks_exponential(self, decay_model):
         # conditional averages must reproduce the deterministic evolution
         dt, steps, stride = 1e-3, 400, 40
@@ -821,14 +831,46 @@ class TestPerRange:
             assert np.array_equal(currents, whole.currents)
             assert all(np.array_equal(r[1], whole.times) for r in run.range_results)
 
-    def test_ensemble_ranges_keep_no_increments(self, atom_model):
-        args = (atom_model, [Heterodyne()] * 3, plus_x_state(), 1e-3, 10, 1, 0, 1)
-        times, states, currents, increments, _ = _run_chunk(*args)
-        lean = _run_chunk(*args, keep_increments=False)
-        assert lean[3] is None and increments.shape == (3, 10, 1)
-        assert np.array_equal(lean[0], times)
-        assert np.array_equal(lean[1], states)
-        assert np.array_equal(lean[2], currents)
+    def test_ensemble_ranges_keep_no_increments(self):
+        # handed to per_range, a range's records are the default run's, and
+        # its peak memory is lower by the increments it never allocates
+        rng = np.random.default_rng(3)
+        model = random_model(rng, 4, 3)
+        shared = (model, random_state(rng, 4), 1e-3, 500, 1, 1)
+        lanes = (0, [Heterodyne()] * 64, None)
+        outs, peaks = [], []
+        tracemalloc.start()
+        try:
+            for per_range in (None, range_records):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                outs.append(_run_chunk(*shared, per_range, lanes))
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        full, (times, (first, _, states, currents)) = outs
+        assert first == 0 and np.array_equal(times, full.times)
+        assert np.array_equal(states, full.states)
+        assert np.array_equal(currents, full.currents)
+        assert full.increments.shape == (64, 500, 3)
+        assert peaks[0] - peaks[1] == pytest.approx(full.increments.nbytes, rel=0.02)
+
+    def test_caller_holds_about_one_range_at_a_time(self, atom_model, monkeypatch):
+        # besides the result, stitching 8 ranges in this process holds about
+        # one range at a time (1.2 measured; a zip over the ranges held 2.2)
+        monkeypatch.setenv("UNRAVEL_THREADS", "1")
+        monkeypatch.setattr(trajectory, "CHUNK", 64)
+        args = (atom_model, InvariantStateDep(sign=1), plus_x_state())
+        run_ensemble(*args, 2, 1e-3, 5, 0)  # numpy's lazy imports load outside the trace
+        tracemalloc.start()
+        try:
+            run = run_ensemble(*args, 512, 1e-3, 400, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.lane_ranges == 8
+        result = sum(getattr(run, name).nbytes for name in RECORDS)
+        assert peak <= result + 1.5 * result / run.lane_ranges
 
 
 class TestStateDependentManyChannels:
