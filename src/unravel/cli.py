@@ -10,7 +10,8 @@ ensemble-check
     integration of the master equation, write a summary JSON, and exit
     nonzero when the 3-standard-error gate fails.
 figures
-    Emit the five named driven-atom scenario CSVs and their manifest.
+    Run the five named driven-atom scenarios, one trajectory each, from the
+    resolved config, and write their Bloch/record CSVs and a manifest.
 verify
     Run the deterministic self-check suite and report per-check lines.
 
@@ -65,12 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .fluorescence import (
-    SCENARIOS,
-    AtomParams,
-    build_atom,
-    plus_x_state,
-    scenario_spec,
-    write_figure_csvs,
+    SCENARIOS, AtomParams, _bloch_xyz, build_atom, plus_x_state, scenario_spec
 )
 from .operators import LindbladModel, projector
 from .oracle import GATE_ATOL, GATE_STANDARD_ERRORS, ensemble_summary, integrate_master
@@ -534,19 +530,46 @@ def _run_ensemble_check(config: RunConfig) -> int:
     return EXIT_GATE
 
 
+def write_figure_csvs(run, output_dir: Path, manifest: dict) -> None:
+    """Write ``manifest`` to ``output_dir/manifest.json`` and one CSV per
+    scenario it names: t and the Bloch and record components of that
+    trajectory of ``run``, as ``csv.writer`` writes them as strings (times to
+    10 and the rest to 12 significant digits, rows ended by CRLF)."""
+    xyz = _bloch_xyz(run.states)
+    template = "%.10g" + ",%.12g" * 5 + "\r\n"
+    for entry in manifest["scenarios"].values():
+        index = entry["trajectory_index"]
+        table = np.concatenate(
+            [run.times[:, None], xyz[index], run.currents[index].view(float)], axis=1
+        )
+        with (output_dir / entry["file"]).open("w", newline="") as fh:
+            fh.write(_csv_line(["t", "x", "y", "z", "re_J", "im_J"]))
+            fh.write("".join([template % tuple(row) for row in table.tolist()]))
+    with (output_dir / "manifest.json").open("w") as fh:
+        json.dump(manifest, fh, indent=2)
+
+
 def _run_figures(config: RunConfig) -> int:
-    manifest = write_figure_csvs(
-        config.atom,
+    # build_config made config.model the atom and config.initial its +x state
+    run = run_ensemble(
+        config.model,
+        [scenario_spec(name) for name in SCENARIOS],
+        config.initial,
+        n_traj=len(SCENARIOS),
         dt=config.dt,
-        t_max=config.t_max,
+        steps=config.steps,
         seed=config.seed,
-        output_dir=config.output_dir,
         record_stride=config.record_stride,
     )
-    print(
-        f"wrote {len(manifest['scenarios'])} scenario file(s) and manifest.json "
-        f"to {config.output_dir}"
-    )
+    manifest = {
+        "parameters": {"gamma": config.atom.gamma, "omega": config.atom.omega, "dt": config.dt,
+                       "t_max": config.t_max, "record_stride": config.record_stride},
+        "seed": config.seed,
+        "scenarios": {name: {"file": f"{name}.csv", "trajectory_index": index}
+                      for index, name in enumerate(SCENARIOS)},
+    }
+    write_figure_csvs(run, config.output_dir, manifest)
+    print(f"wrote {len(SCENARIOS)} scenario file(s) and manifest.json to {config.output_dir}")
     return EXIT_OK
 
 

@@ -14,19 +14,20 @@ records u = +1 and u = -1, the uncorrelated record u = 0, and the two
 extremal state-dependent choices.  For each, the mean record is available
 in closed form; the closed forms are redundant consequences of the general
 mean-current formula, so they live in the tests as cross-checks only.
+
+The module holds the atom, its scenarios, the Bloch components and the z
+drift residual; it runs no ensemble and writes no file (``cli`` does both).
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .operators import LindbladModel, _check_run, check_density_matrix, check_pure_state
-from .trajectory import run_ensemble
+from .operators import (
+    LindbladModel, _check_run, _check_states, check_density_matrix, check_pure_state
+)
 from .unravelings import UnravelingSpec, spec_from_dict
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,8 +37,6 @@ SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
 KET_EXCITED = np.array([1, 0], dtype=complex)
 KET_GROUND = np.array([0, 1], dtype=complex)
-
-FIGURE_HEADER = ("t", "x", "y", "z", "re_J", "im_J")
 
 # The named scenarios as unraveling objects in their JSON form.
 _SCENARIO_SPECS = {
@@ -116,68 +115,9 @@ def z_drift_residual(states, dt: float, params: AtomParams) -> np.ndarray:
     a square-root-of-dt noise component.
     """
     _check_run(dt, ())
-    psi = np.asarray(states, dtype=complex)
+    psi = _check_states(states, 2)
     if psi.ndim != 2 or psi.shape[0] < 2:
         raise ValueError("need at least two consecutive states")
     _, y, z = _bloch_xyz(psi).T
     drift = params.omega * y[:-1] - params.gamma * (z[:-1] + 1.0)
     return z[1:] - z[:-1] - dt * drift
-
-
-def write_figure_csvs(
-    params: AtomParams,
-    dt: float,
-    t_max: float,
-    seed: int,
-    output_dir,
-    record_stride: int = 1,
-) -> dict:
-    """Run one trajectory per scenario and write Bloch/record CSV files.
-
-    The scenarios run as one batch.  Every scenario starts from the +x
-    eigenstate and uses the stream keyed by ``(seed, scenario_index)``.
-    Returns the manifest that is also written to ``manifest.json``.
-    """
-    _check_run(dt, ())
-    if not (np.isfinite(t_max) and t_max > 0):
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model = build_atom(params)
-    steps = int(round(t_max / dt))
-    manifest = {
-        "parameters": {
-            "gamma": params.gamma,
-            "omega": params.omega,
-            "dt": dt,
-            "t_max": t_max,
-            "record_stride": record_stride,
-        },
-        "seed": int(seed),
-        "scenarios": {},
-    }
-    run = run_ensemble(
-        model,
-        [scenario_spec(name) for name in SCENARIOS],
-        plus_x_state(),
-        n_traj=len(SCENARIOS),
-        dt=dt,
-        steps=steps,
-        seed=seed,
-        record_stride=record_stride,
-    )
-    xyz = _bloch_xyz(run.states)
-    # The format csv.writer gives these values as strings, rows ended by CRLF.
-    template = "%.10g" + ",%.12g" * 5 + "\r\n"
-    for index, name in enumerate(SCENARIOS):
-        path = out / f"{name}.csv"
-        table = np.concatenate(
-            [run.times[:, None], xyz[index], run.currents[index].view(float)], axis=1
-        )
-        with path.open("w", newline="") as fh:
-            csv.writer(fh).writerow(FIGURE_HEADER)
-            fh.write("".join([template % tuple(row) for row in table.tolist()]))
-        manifest["scenarios"][name] = {"file": path.name, "trajectory_index": index}
-    with (out / "manifest.json").open("w") as fh:
-        json.dump(manifest, fh, indent=2)
-    return manifest

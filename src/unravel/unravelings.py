@@ -530,7 +530,8 @@ def spec_from_dict(data: dict) -> UnravelingSpec:
     """Rebuild an unraveling specification from its JSON object form, the
     one map from a ``type`` name to a class.  Missing fields default to
     ``eta = 1``, ``theta1 = theta2 = 0``, ``sign = 1`` and ``R = 0``; a
-    field the type does not take (``SPEC_FIELDS``) is an error."""
+    field the type does not take (``SPEC_FIELDS``), a missing ``u`` and a
+    value that cannot be read are errors that name the field."""
     try:
         kind = data["type"]
     except (KeyError, TypeError) as exc:
@@ -541,16 +542,22 @@ def spec_from_dict(data: dict) -> UnravelingSpec:
     unknown = sorted(set(data) - {"type", *fields})
     if unknown:
         raise ValueError(f"unraveling type {kind!r} takes no field {', '.join(unknown)}")
+
+    def read(field, convert, default=None):
+        if field not in data and default is None:
+            raise ValueError(f"unraveling type {kind!r} requires field {field}")
+        try:
+            return convert(data.get(field, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"unraveling type {kind!r} field {field}: {exc}") from exc
+
     if kind == "fixed":
-        return FixedU(u=matrix_from_pairs(data["u"]))
+        return FixedU(u=read("u", matrix_from_pairs))
     if kind == "homodyne":
-        return Homodyne(
-            eta=float(data.get("eta", 1.0)),
-            theta1=float(data.get("theta1", 0.0)),
-            theta2=float(data.get("theta2", 0.0)),
-        )
+        return Homodyne(eta=read("eta", float, 1.0), theta1=read("theta1", float, 0.0),
+                        theta2=read("theta2", float, 0.0))
     if kind == "heterodyne":
         return Heterodyne()
     if kind == "invariant":
         return InvariantStateDep(sign=data.get("sign", 1))  # int() would read 1.5 as 1
-    return InvariantTrace(weight=float(data.get("R", 0.0)))
+    return InvariantTrace(weight=read("R", float, 0.0))

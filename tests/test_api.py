@@ -1,8 +1,9 @@
 """Guard on the public API: ``unravel.__all__`` holds what the README
 documents or a demo imports, and the errors a caller catches.  Every other
 name is imported from its own module, and the list may shrink but not
-grow.  The package's modules import each other at module level only, and
-hold no name and no parameter that only the tests use."""
+grow.  The package's modules import each other at module level only, read
+every name they import, and hold no name and no parameter that only the
+tests use."""
 
 import ast
 import inspect
@@ -92,6 +93,29 @@ def test_every_import_in_the_package_is_at_module_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
         ]
     assert nested == [], f"imports below module level: {nested}"
+
+
+def test_every_import_in_the_package_is_read():
+    # a module-level import that its module never reads is dead; __init__'s
+    # imports are the re-exports, and __future__ imports set compiler flags
+    unread = []
+    for path in sorted((ROOT / "src" / "unravel").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reads = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{path.name}:{name}"
+            for statement in tree.body
+            if isinstance(statement, ast.Import)
+            or isinstance(statement, ast.ImportFrom) and statement.module != "__future__"
+            for name in ((a.asname or a.name).split(".")[0] for a in statement.names)
+            if name not in reads
+        ]
+    assert unread == [], f"imported but never read: {unread}"
 
 
 def test_every_runtime_name_is_read_outside_the_tests():

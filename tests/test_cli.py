@@ -14,6 +14,7 @@ from unravel import build_atom, AtomParams, LindbladModel, shift_lindblads
 from conftest import random_model, random_symmetric_u
 from unravel import cli
 from unravel.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, MODES, build_config, build_parser, main
+from unravel.fluorescence import SCENARIOS
 from unravel.oracle import EnsembleSummary
 from unravel.trajectory import MIN_LANES, EnsembleRun, NormCollapseError
 
@@ -340,6 +341,96 @@ class TestFiguresMode:
         assert manifest["parameters"]["gamma"] == 2.0
         assert manifest["parameters"]["omega"] == 5.0
 
+    def test_csv_and_manifest(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            capsys,
+            "--mode", "figures", "--dt", "1e-3", "--t-max", "0.05", "--seed", "7",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["seed"] == 7
+        assert manifest["parameters"]["gamma"] == 1.0
+        assert set(manifest["scenarios"]) == set(SCENARIOS)
+        for name in SCENARIOS:
+            entry = manifest["scenarios"][name]
+            path = tmp_path / entry["file"]
+            assert path.exists()
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["t", "x", "y", "z", "re_J", "im_J"]
+            assert len(rows) == 51
+            body = np.array(rows[1:], dtype=float)
+            np.testing.assert_allclose(
+                body[:, 0], 1e-3 * np.arange(50), atol=1e-12
+            )
+            # recorded points are pure states
+            radii = np.sum(body[:, 1:4] ** 2, axis=1)
+            np.testing.assert_allclose(radii, 1.0, atol=1e-9)
+
+    def test_rows_match_csv_writer(self, tmp_path, capsys, monkeypatch):
+        # values of every magnitude and sign, negative zeros among them
+        rng = np.random.default_rng(4)
+        n, n_rec = len(SCENARIOS), 6
+        parts = rng.normal(size=(4, n, n_rec)) * 10.0 ** rng.integers(
+            -150, 150, size=(4, n, n_rec)
+        )
+        states = np.stack([parts[0] + 1j * parts[1], parts[2] - 1j * parts[3]], axis=-1)
+        currents = (parts[3] + 1j * parts[0])[..., None]
+        currents[1, 2, 0] = complex(-0.0, 1.0)
+        currents[2, 3, 0] = complex(1.0, -0.0)
+        times = np.arange(n_rec) * (1.0 / 3.0)
+        run = EnsembleRun(times=times, states=states, currents=currents)
+        monkeypatch.setattr("unravel.cli.run_ensemble", lambda *args, **kwargs: run)
+        code, _, _ = run_cli(
+            capsys,
+            "--mode", "figures", "--dt", "1e-3", "--t-max", "0.006", "--seed", "0",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        a, b = states[..., 0], states[..., 1]
+        coherence = a * b.conj()
+        xyz = np.stack(
+            [2.0 * coherence.real, -2.0 * coherence.imag, np.abs(a) ** 2 - np.abs(b) ** 2],
+            axis=-1,
+        )
+        for index, name in enumerate(SCENARIOS):
+            with open(tmp_path / "want.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t", "x", "y", "z", "re_J", "im_J"])
+                for r in range(n_rec):
+                    x, y, z = xyz[index, r]
+                    j = currents[index, r, 0]
+                    writer.writerow([f"{times[r]:.10g}"] + [
+                        f"{v:.12g}" for v in (x, y, z, j.real, j.imag)
+                    ])
+            want = (tmp_path / "want.csv").read_bytes()
+            assert (tmp_path / f"{name}.csv").read_bytes() == want
+        assert b"-0," in (tmp_path / "homodyne_y.csv").read_bytes()
+
+    def test_distinct_streams_per_scenario(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            capsys,
+            "--mode", "figures", "--dt", "1e-3", "--t-max", "0.02", "--seed", "0",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        indices = {v["trajectory_index"] for v in manifest["scenarios"].values()}
+        assert len(indices) == len(SCENARIOS)
+
+    @pytest.mark.parametrize(
+        "flag, value, name", [("--dt", "0", "dt"), ("--t-max", "nan", "t_max")],
+        ids=["dt=0", "t_max=nan"],
+    )
+    def test_bad_step_or_duration_is_config_error(self, tmp_path, capsys, flag, value, name):
+        code, _, err = run_cli(
+            capsys, "--mode", "figures", flag, value, "--output-dir", str(tmp_path)
+        )
+        assert code == EXIT_CONFIG
+        assert f"{name} must be" in err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_model_other_than_atom_is_config_error(self, tmp_path, capsys):
         model_path = tmp_path / "decay.json"
         model_path.write_text(json.dumps(build_atom(AtomParams(gamma=2.0, omega=0.0)).to_dict()))
@@ -555,6 +646,29 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "--config", str(config_path))
         assert code == EXIT_CONFIG
         assert "takes no field theta" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "unraveling, message",
+        [
+            ({"type": "fixed"}, "unraveling type 'fixed' requires field u"),
+            ({"type": "homodyne", "eta": None}, "unraveling type 'homodyne' field eta"),
+            ({"type": "invariant_trace", "R": None}, "unraveling type 'invariant_trace' field R"),
+            ({"type": "homodyne", "theta1": [1]}, "unraveling type 'homodyne' field theta1"),
+        ],
+        ids=["fixed-no-u", "eta-null", "R-null", "theta1-list"],
+    )
+    def test_missing_or_unreadable_field_of_an_unraveling_object_is_named(
+        self, tmp_path, capsys, unraveling, message
+    ):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "mode": "trajectories", "n_traj": 1, "dt": 1e-3, "t_max": 0.01,
+            "unraveling": unraveling, "output_dir": str(tmp_path / "out"),
+        }))
+        code, _, err = run_cli(capsys, "--config", str(config_path))
+        assert code == EXIT_CONFIG
+        assert message in err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_field_of_a_model_file_is_config_error(self, tmp_path, capsys):

@@ -1,9 +1,5 @@
 """Tests for the driven damped two-level atom scenario pack."""
 
-import csv
-import json
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,11 +29,10 @@ from unravel.fluorescence import (
     SIGMA_MINUS,
     SIGMA_X,
     scenario_spec,
-    write_figure_csvs,
 )
 from unravel.oracle import trace_distance
 from unravel.unravelings import color_factors
-from unravel.trajectory import EnsembleRun, gauge_transform_step, step_nonlinear_sse, step_sme
+from unravel.trajectory import gauge_transform_step, step_nonlinear_sse, step_sme
 from atom_closed_forms import scenario_expected_current, sme_u1_decomposed_step
 from conftest import random_state
 from linear_reference import expected_current
@@ -119,6 +114,20 @@ BAD_NUMBERS = {
     **{f"z_drift_residual-dt={dt}": (
         z_drift_residual, (PLUS_X_TWICE, dt, AtomParams()), DT_MESSAGE
     ) for dt in (np.nan, -1e-3)},
+    # each returned residuals rather than naming what is wrong with the states
+    "z_drift_residual-dimension": (
+        z_drift_residual, (np.ones((3, 3)) / np.sqrt(3), 1e-3, AtomParams()),
+        "expected dimension 2",
+    ),
+    "z_drift_residual-norm": (
+        z_drift_residual, (5.0 * np.tile(plus_x_state(), (3, 1)), 1e-3, AtomParams()),
+        "state norm",
+    ),
+    "z_drift_residual-nan": (
+        z_drift_residual, (np.array([plus_x_state(), [np.nan, 0.0], plus_x_state()]), 1e-3,
+                           AtomParams()),
+        "state contains non-finite",
+    ),
     **{f"AtomParams-gamma={x}": (AtomParams, (x, 1.0), "gamma must be positive and finite")
        for x in (np.nan, np.inf)},
     **{f"AtomParams-omega={x}": (AtomParams, (1.0, x), "omega must be non-negative and finite")
@@ -181,14 +190,6 @@ BAD_NUMBERS = {
     ),
     "gauge_transform_step-norm": (
         gauge_transform_step, ([5.0, 0.0], [0.3], [0.01]), "state norm"
-    ),
-    # os.devnull is no directory, so nothing is written whichever check fires
-    "write_figure_csvs-dt=0": (
-        write_figure_csvs, (AtomParams(), 0.0, 1.0, 0, os.devnull), DT_MESSAGE
-    ),
-    "write_figure_csvs-t_max=nan": (
-        write_figure_csvs, (AtomParams(), 1e-3, np.nan, 0, os.devnull),
-        "t_max must be positive and finite",
     ),
     "ensemble_summary-norm": (
         ensemble_summary, ([0.0, 1.0], GATE_OFF_NORM, GATE_REFERENCE), "state norm"
@@ -359,72 +360,3 @@ class TestManifoldInvariance:
                 for x in (spec, fixed)
             )
             assert np.abs(projector(a) - projector(b)).max() < 1e-10
-
-
-class TestFigureOutput:
-    def test_csv_and_manifest(self, tmp_path):
-        params = AtomParams()
-        write_figure_csvs(params, dt=1e-3, t_max=0.05, seed=7, output_dir=tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["seed"] == 7
-        assert manifest["parameters"]["gamma"] == 1.0
-        assert set(manifest["scenarios"]) == set(SCENARIOS)
-        for name in SCENARIOS:
-            entry = manifest["scenarios"][name]
-            path = tmp_path / entry["file"]
-            assert path.exists()
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-            assert rows[0] == ["t", "x", "y", "z", "re_J", "im_J"]
-            assert len(rows) == 51
-            body = np.array(rows[1:], dtype=float)
-            np.testing.assert_allclose(
-                body[:, 0], 1e-3 * np.arange(50), atol=1e-12
-            )
-            # recorded points are pure states
-            radii = np.sum(body[:, 1:4] ** 2, axis=1)
-            np.testing.assert_allclose(radii, 1.0, atol=1e-9)
-
-    def test_rows_match_csv_writer(self, tmp_path, monkeypatch):
-        # values of every magnitude and sign, negative zeros among them
-        rng = np.random.default_rng(4)
-        n, n_rec = len(SCENARIOS), 6
-        parts = rng.normal(size=(4, n, n_rec)) * 10.0 ** rng.integers(
-            -150, 150, size=(4, n, n_rec)
-        )
-        states = np.stack([parts[0] + 1j * parts[1], parts[2] - 1j * parts[3]], axis=-1)
-        currents = (parts[3] + 1j * parts[0])[..., None]
-        currents[1, 2, 0] = complex(-0.0, 1.0)
-        currents[2, 3, 0] = complex(1.0, -0.0)
-        times = np.arange(n_rec) * (1.0 / 3.0)
-        run = EnsembleRun(times=times, states=states, currents=currents)
-        monkeypatch.setattr(
-            "unravel.fluorescence.run_ensemble", lambda *args, **kwargs: run
-        )
-        write_figure_csvs(AtomParams(), dt=1e-3, t_max=0.006, seed=0, output_dir=tmp_path)
-        a, b = states[..., 0], states[..., 1]
-        coherence = a * b.conj()
-        xyz = np.stack(
-            [2.0 * coherence.real, -2.0 * coherence.imag, np.abs(a) ** 2 - np.abs(b) ** 2],
-            axis=-1,
-        )
-        for index, name in enumerate(SCENARIOS):
-            with open(tmp_path / "want.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", "x", "y", "z", "re_J", "im_J"])
-                for r in range(n_rec):
-                    x, y, z = xyz[index, r]
-                    j = currents[index, r, 0]
-                    writer.writerow([f"{times[r]:.10g}"] + [
-                        f"{v:.12g}" for v in (x, y, z, j.real, j.imag)
-                    ])
-            want = (tmp_path / "want.csv").read_bytes()
-            assert (tmp_path / f"{name}.csv").read_bytes() == want
-        assert b"-0," in (tmp_path / "homodyne_y.csv").read_bytes()
-
-    def test_distinct_streams_per_scenario(self, tmp_path):
-        params = AtomParams()
-        write_figure_csvs(params, dt=1e-3, t_max=0.02, seed=0, output_dir=tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        indices = {v["trajectory_index"] for v in manifest["scenarios"].values()}
-        assert len(indices) == len(SCENARIOS)

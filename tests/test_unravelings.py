@@ -492,6 +492,20 @@ class TestSpecs:
         with pytest.raises(ValueError, match=f"takes no field {field}"):
             spec_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"type": "fixed"}, "unraveling type 'fixed' requires field u"),
+            ({"type": "homodyne", "eta": None}, "unraveling type 'homodyne' field eta"),
+            ({"type": "invariant_trace", "R": None}, "unraveling type 'invariant_trace' field R"),
+            ({"type": "homodyne", "theta1": [1]}, "unraveling type 'homodyne' field theta1"),
+        ],
+        ids=["fixed-no-u", "eta-null", "R-null", "theta1-list"],
+    )
+    def test_spec_from_dict_names_a_missing_or_unreadable_field(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            spec_from_dict(data)
+
     def test_spec_from_dict_rejects_non_integral_sign(self):
         with pytest.raises(ValueError, match="sign must be"):
             spec_from_dict({"type": "invariant", "sign": 1.5})
