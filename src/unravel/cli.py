@@ -52,8 +52,6 @@ CSV, part file or manifest behind.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import shutil
@@ -153,11 +151,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters for one CLI invocation."""
+    """Fully resolved run parameters for one CLI invocation: ``unraveling``
+    is one spec shared by the ``n_traj`` trajectories, or, for figures, the
+    five scenario specs in ``SCENARIOS`` order, one per trajectory."""
 
     mode: str
     model: LindbladModel
-    unraveling: UnravelingSpec
+    unraveling: UnravelingSpec | tuple[UnravelingSpec, ...]
     initial: np.ndarray
     atom: AtomParams
     dt: float
@@ -353,6 +353,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             flags = ", ".join("--" + key.replace("_", "-") for key in ignored)
             raise ConfigError(f"figures runs its own five scenarios, one trajectory each; "
                               f"it takes no {flags}")
+        unraveling, n_traj = tuple(scenario_spec(name) for name in SCENARIOS), len(SCENARIOS)
     if not isinstance(opts["combined"], bool):
         raise ConfigError(f"combined must be true or false, got {opts['combined']!r}")
     if opts["record_stride"] is None:
@@ -361,9 +362,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         stride = _as_count(opts["record_stride"], "record_stride")
     try:
         model, atom = _build_model(opts)
-        unraveling = _build_unraveling(opts)
-        if not unraveling.state_dependent:
-            unraveling.resolve(model)
+        if mode != "figures":
+            unraveling = _build_unraveling(opts)
+            if not unraveling.state_dependent:
+                unraveling.resolve(model)
         initial = _initial_state(opts, model)
         default_workers()  # a bad UNRAVEL_THREADS is a config error, not a crash later
     except ConfigError:
@@ -395,10 +397,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _csv_line(fields) -> str:
-    """One CSV row as ``csv.writer`` writes it, CRLF-terminated."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow(fields)
-    return buf.getvalue()
+    """One CSV header row, CRLF-terminated: for the plain identifiers the
+    CLI writes, the bytes ``csv.writer`` gives."""
+    return ",".join(fields) + "\r\n"
 
 
 def _complex_columns(prefix: str, count: int) -> list[str]:
@@ -437,6 +438,15 @@ def _write_range(folder: Path, header: str, combined: bool, first, times, states
     return names
 
 
+def _ensemble(config: RunConfig, per_range=None):
+    """The run ``config`` describes: every mode's one ``run_ensemble`` call."""
+    return run_ensemble(
+        config.model, config.unraveling, config.initial, n_traj=config.n_traj, dt=config.dt,
+        steps=config.steps, seed=config.seed, record_stride=config.record_stride,
+        per_range=per_range,
+    )
+
+
 def _write_trajectories(config: RunConfig) -> int:
     columns = (
         ["t"]
@@ -448,17 +458,7 @@ def _write_trajectories(config: RunConfig) -> int:
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=config.output_dir))
     write = partial(_write_range, staging, _csv_line(columns), config.combined)
     try:
-        run = run_ensemble(
-            config.model,
-            config.unraveling,
-            config.initial,
-            n_traj=config.n_traj,
-            dt=config.dt,
-            steps=config.steps,
-            seed=config.seed,
-            record_stride=config.record_stride,
-            per_range=write,
-        )
+        run = _ensemble(config, write)
         if config.combined:
             files = ["trajectories.csv"]
             with (staging / files[0]).open("wb") as fh:
@@ -498,16 +498,7 @@ def _write_trajectories(config: RunConfig) -> int:
 
 
 def _run_ensemble_check(config: RunConfig) -> int:
-    run = run_ensemble(
-        config.model,
-        config.unraveling,
-        config.initial,
-        n_traj=config.n_traj,
-        dt=config.dt,
-        steps=config.steps,
-        seed=config.seed,
-        record_stride=config.record_stride,
-    )
+    run = _ensemble(config)
     solution = integrate_master(config.model, projector(config.initial), config.dt, config.steps)
     reference = solution[np.arange(0, config.steps, config.record_stride)]
     summary = ensemble_summary(run.times, run.states, reference)
@@ -550,17 +541,8 @@ def write_figure_csvs(run, output_dir: Path, manifest: dict) -> None:
 
 
 def _run_figures(config: RunConfig) -> int:
-    # build_config made config.model the atom and config.initial its +x state
-    run = run_ensemble(
-        config.model,
-        [scenario_spec(name) for name in SCENARIOS],
-        config.initial,
-        n_traj=len(SCENARIOS),
-        dt=config.dt,
-        steps=config.steps,
-        seed=config.seed,
-        record_stride=config.record_stride,
-    )
+    # build_config made the config the atom from +x under the five scenarios
+    run = _ensemble(config)
     manifest = {
         "parameters": {"gamma": config.atom.gamma, "omega": config.atom.omega, "dt": config.dt,
                        "t_max": config.t_max, "record_stride": config.record_stride},

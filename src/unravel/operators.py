@@ -251,7 +251,7 @@ def rotate_lindblads(model: LindbladModel, t_matrix) -> LindbladModel:
 
     The Hamiltonian is unchanged; the generator is left invariant.
     """
-    t = np.asarray(t_matrix, dtype=complex)
+    t = _as_complex_matrix(t_matrix, "T")
     k = model.num_lindblads
     if t.shape != (k, k):
         raise ValueError(f"T must have shape ({k}, {k}), got {t.shape}")
@@ -269,10 +269,12 @@ def shift_lindblads(model: LindbladModel, chi) -> LindbladModel:
     The Hamiltonian picks up (i/2) sum_k (chi_k c_k^dag - chi_k^* c_k),
     which is exactly the compensation that leaves the generator invariant.
     """
-    x = np.asarray(chi, dtype=complex).reshape(-1)
+    x = np.asarray(chi, dtype=complex)
     k = model.num_lindblads
-    if x.shape[0] != k:
-        raise ValueError(f"chi must have length {k}, got {x.shape[0]}")
+    if x.shape != (k,):
+        raise ValueError(f"chi must have shape ({k},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("chi contains non-finite entries")
     eye = np.eye(model.dim, dtype=complex)
     shifted = tuple(c + xk * eye for c, xk in zip(model.lindblads, x))
     h = model.hamiltonian + (0.5j) * sum(

@@ -145,7 +145,7 @@ def ensemble_summary(times, states, reference) -> EnsembleSummary:
     Parameters
     ----------
     times:
-        Shared time grid of length T.
+        Shared finite time grid of shape ``(T,)``.
     states:
         Normalized state vectors ``(M, T, N)``: ``check_pure_state``'s rule, else ``ValueError``.
     reference:
@@ -163,8 +163,10 @@ def ensemble_summary(times, states, reference) -> EnsembleSummary:
     if psi.ndim != 3:
         raise ValueError(f"states must have shape (M, T, N), got {psi.shape}")
     m, t_len, n = psi.shape
-    if ref.shape != (t_len, n, n) or t_arr.shape[0] != t_len:
+    if ref.shape != (t_len, n, n) or t_arr.shape != (t_len,):
         raise ValueError("times, states, and reference grids do not match")
+    if not np.isfinite(t_arr).all():
+        raise ValueError("times contains non-finite entries")
     if m < 2:
         raise ValueError("jackknife needs at least two trajectories")
     _check_states(psi)

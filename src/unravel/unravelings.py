@@ -475,7 +475,7 @@ class InvariantStateDep:
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if isinstance(self.sign, bool) or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
     state_dependent = True
@@ -531,7 +531,8 @@ def spec_from_dict(data: dict) -> UnravelingSpec:
     one map from a ``type`` name to a class.  Missing fields default to
     ``eta = 1``, ``theta1 = theta2 = 0``, ``sign = 1`` and ``R = 0``; a
     field the type does not take (``SPEC_FIELDS``), a missing ``u`` and a
-    value that cannot be read are errors that name the field."""
+    value that cannot be read, true, false or a string among them, are
+    errors that name the field."""
     try:
         kind = data["type"]
     except (KeyError, TypeError) as exc:
@@ -546,8 +547,11 @@ def spec_from_dict(data: dict) -> UnravelingSpec:
     def read(field, convert, default=None):
         if field not in data and default is None:
             raise ValueError(f"unraveling type {kind!r} requires field {field}")
+        value = data.get(field, default)
         try:
-            return convert(data.get(field, default))
+            if isinstance(value, (bool, str)):  # which float() would read as a number
+                raise TypeError(f"expected a number, got {value!r}")
+            return convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"unraveling type {kind!r} field {field}: {exc}") from exc
 

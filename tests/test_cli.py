@@ -14,7 +14,7 @@ from unravel import build_atom, AtomParams, LindbladModel, shift_lindblads
 from conftest import random_model, random_symmetric_u
 from unravel import cli
 from unravel.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, MODES, build_config, build_parser, main
-from unravel.fluorescence import SCENARIOS
+from unravel.fluorescence import SCENARIOS, scenario_spec
 from unravel.oracle import EnsembleSummary
 from unravel.trajectory import MIN_LANES, EnsembleRun, NormCollapseError
 
@@ -329,6 +329,12 @@ class TestFiguresMode:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         for entry in manifest["scenarios"].values():
             assert (tmp_path / entry["file"]).exists()
+
+    def test_config_runs_the_scenarios(self):
+        # the one run call takes figures' specs and width from the config
+        config = build_config(build_parser().parse_args(["--mode", "figures"]))
+        assert config.unraveling == tuple(scenario_spec(name) for name in SCENARIOS)
+        assert config.n_traj == len(SCENARIOS)
 
     def test_gamma_omega_flags_reach_manifest(self, tmp_path, capsys):
         run_cli(

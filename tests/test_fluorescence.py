@@ -16,8 +16,10 @@ from unravel import (
     plus_x_state,
     projector,
     real_embedding,
+    rotate_lindblads,
     run_ensemble,
     sample_increments,
+    shift_lindblads,
     spectral_norm,
     z_drift_residual,
 )
@@ -198,10 +200,27 @@ BAD_NUMBERS = {
         ensemble_summary, ([0.0, 1.0], np.full((3, 2, 2), np.nan), GATE_REFERENCE),
         "state contains non-finite",
     ),
+    # each returned passed() with the time in the summary, which JSON cannot hold
+    "ensemble_summary-nan-time": (
+        ensemble_summary, ([np.nan, 1.0], GATE_STATES, GATE_REFERENCE),
+        "times contains non-finite",
+    ),
+    "ensemble_summary-inf-time": (
+        ensemble_summary, ([0.0, np.inf], GATE_STATES, GATE_REFERENCE),
+        "times contains non-finite",
+    ),
+    # which returned passed() with a 2-D times array; a scalar raised IndexError
+    **{f"ensemble_summary-{kind}-times": (
+        ensemble_summary, (t, GATE_STATES, GATE_REFERENCE), "grids do not match"
+    ) for kind, t in (("2d", np.zeros((2, 3))), ("scalar", 0.5))},
     "ensemble_summary-nan-reference": (
         ensemble_summary, ([0.0, 1.0], GATE_STATES, np.full((2, 2, 2), np.nan)),
         "trace_distance got non-finite matrices",
     ),
+    # each named the Hamiltonian or a Lindblad operator, or flattened chi
+    "shift_lindblads-nan": (shift_lindblads, (ATOM, [np.nan]), "chi contains non-finite"),
+    "shift_lindblads-matrix": (shift_lindblads, (ATOM, [[0.1]]), r"chi must have shape \(1,\)"),
+    "rotate_lindblads-nan": (rotate_lindblads, (ATOM, [[np.nan]]), "T contains non-finite"),
     "trace_distance-nan": (
         trace_distance, ([[np.nan, 0.0], [0.0, 1.0]], np.eye(2) / 2), "non-finite matrices"
     ),

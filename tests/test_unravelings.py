@@ -499,8 +499,13 @@ class TestSpecs:
             ({"type": "homodyne", "eta": None}, "unraveling type 'homodyne' field eta"),
             ({"type": "invariant_trace", "R": None}, "unraveling type 'invariant_trace' field R"),
             ({"type": "homodyne", "theta1": [1]}, "unraveling type 'homodyne' field theta1"),
+            # float() reads true, false and "0.5" as numbers
+            ({"type": "homodyne", "eta": True}, "unraveling type 'homodyne' field eta"),
+            ({"type": "invariant_trace", "R": False}, "unraveling type 'invariant_trace' field R"),
+            ({"type": "homodyne", "eta": "0.5"}, "unraveling type 'homodyne' field eta"),
         ],
-        ids=["fixed-no-u", "eta-null", "R-null", "theta1-list"],
+        ids=["fixed-no-u", "eta-null", "R-null", "theta1-list", "eta-true", "R-false",
+             "eta-string"],
     )
     def test_spec_from_dict_names_a_missing_or_unreadable_field(self, data, message):
         with pytest.raises(ValueError, match=message):
@@ -509,6 +514,13 @@ class TestSpecs:
     def test_spec_from_dict_rejects_non_integral_sign(self):
         with pytest.raises(ValueError, match="sign must be"):
             spec_from_dict({"type": "invariant", "sign": 1.5})
+
+    def test_true_is_not_a_sign(self):
+        # True == 1, so a membership test alone would take it
+        with pytest.raises(ValueError, match="sign must be"):
+            spec_from_dict({"type": "invariant", "sign": True})
+        with pytest.raises(ValueError, match="sign must be"):
+            InvariantStateDep(sign=True)
 
     @pytest.mark.parametrize(
         "kind, expected",
