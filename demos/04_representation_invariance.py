@@ -51,7 +51,7 @@ def main():
     dev = max(np.abs(projector(x) - projector(y)).max() for x, y in zip(a.states[0], b.states[0]))
     print(f"  projector deviation over 2000 steps: {dev:.1e}")
     # each record is the current of its own channels, offset by chi + u chi^*
-    u = np.array([spec.resolve(other, x)[0, 0] for x in b.states[0]])
+    u = spec.resolve(other, b.states[0])[:, 0, 0]
     gap = b.currents[0, :, 0] - phase * a.currents[0, :, 0] - (chi[0] + u * np.conj(chi[0]))
     print(f"  current offset differs from chi + u chi^* by {np.abs(gap).max():.1e}")
 

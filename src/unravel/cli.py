@@ -24,14 +24,15 @@ default is +x for N=2, else basis state 0), or give ``model`` and
 codes: 0 success, 1 gate or property failure, 2 configuration error,
 which includes a step count ``t_max / dt`` too large to index an array, a
 run that does not fit in memory, a config value of the wrong JSON type (a
-JSON true or false anywhere in a config file, a model file or
-``--u-json``, except as ``combined``, or a string where a number belongs:
-only ``mode``, ``model``, ``unraveling``, ``u_json`` and ``output_dir``
-hold strings, and an unraveling object's ``type``), a non-finite homodyne
-phase, a non-integral ``sign``, an output directory that cannot be created,
-and, outside ``verify``, a ``dt`` whose product with the largest rate of
-the rows the kernel steps (``_step_rate``) exceeds ``MAX_STEP_RATE``
-(0.1), so that a model and its shifts are judged alike.
+JSON true, false or string where a number belongs, in a number key, in
+``--u-json`` or in a model or unraveling object, all read by the library's
+one reader of JSON numbers, ``operators._json_numbers``; or a true or false
+under a string key: ``mode``, ``model``, ``unraveling``, ``u_json`` or
+``output_dir``), a non-finite homodyne phase, a non-integral ``sign``, an
+output directory that cannot be created, and, outside ``verify``, a ``dt``
+whose product with the largest rate of the rows the kernel steps
+(``_step_rate``) exceeds ``MAX_STEP_RATE`` (0.1), so that a model and its
+shifts are judged alike.
 Ensembles fan out over the CPUs available, with at least
 ``trajectory.MIN_LANES`` trajectories per worker process, so one narrower
 than twice that runs in-process.  The environment variable
@@ -66,7 +67,7 @@ import numpy as np
 from .fluorescence import (
     SCENARIOS, AtomParams, _bloch_xyz, build_atom, plus_x_state, scenario_spec
 )
-from .operators import LindbladModel, projector
+from .operators import LindbladModel, _json_numbers, projector
 from .oracle import GATE_ATOL, GATE_STANDARD_ERRORS, ensemble_summary, integrate_master
 from .trajectory import NormCollapseError, default_workers, run_ensemble
 from .unravelings import (
@@ -127,16 +128,11 @@ _UNRAVELING_FIELDS = {
 }
 
 
-# The config keys whose JSON holds numbers only (the options whose flag has
-# a numeric type, and the config-file-only initial state), and the fields
-# of a model or unraveling object that do: a string anywhere in them is of
-# the wrong JSON type, though float(), int() and numpy would read "3" as 3.
+# The config keys whose JSON holds numbers only: the options whose flag has
+# a numeric type, and the config-file-only initial state.  The others but
+# combined hold strings, or model and unraveling objects the library reads.
 _NUMBER_KEYS = {key for key, (_, flag) in _OPTIONS.items() if flag and "type" in flag} | {
     "initial"
-}
-_NUMBER_FIELDS = {
-    "model": ("dim", "hamiltonian", "lindblads"),
-    "unraveling": ("u", *_UNRAVELING_FIELDS.values()),
 }
 
 
@@ -191,31 +187,6 @@ def _read_json(path, what: str):
         raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
-def _reject_wrong_types(value, key: str, numbers: bool) -> None:
-    """Raise ``ConfigError`` for a JSON true or false anywhere in ``value``,
-    the JSON under config key ``key``, and, if it must hold ``numbers``, for
-    a string anywhere in it: ``float()``, ``int()`` and numpy would read
-    true as 1 and "3" as 3."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must not hold true or false, got {json.dumps(value)}")
-    if numbers and isinstance(value, str):
-        raise ConfigError(f"{key} must hold numbers, not strings, got {json.dumps(value)}")
-    if isinstance(value, (dict, list)):
-        for item in value.values() if isinstance(value, dict) else value:
-            _reject_wrong_types(item, key, numbers)
-
-
-def _check_json_types(value, key: str) -> None:
-    """The one type check of the JSON under config key ``key``: no true or
-    false anywhere, and numbers only under the number keys and in the
-    number fields of a model or unraveling object."""
-    if isinstance(value, dict) and key in _NUMBER_FIELDS:
-        for field, item in value.items():
-            _reject_wrong_types(item, key, field in _NUMBER_FIELDS[key])
-    else:
-        _reject_wrong_types(value, key, key in _NUMBER_KEYS)
-
-
 def _merged_options(args: argparse.Namespace) -> tuple[dict, set]:
     """The options with defaults filled in, and the keys a file or flag set."""
     given = {} if args.config is None else _read_json(args.config, "config file")
@@ -225,8 +196,13 @@ def _merged_options(args: argparse.Namespace) -> tuple[dict, set]:
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     for key, value in given.items():
-        if key != "combined":  # which has its own true-or-false rule
-            _check_json_types(value, key)
+        if key in _NUMBER_KEYS and value is not None:
+            try:
+                _json_numbers(value, key)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        elif isinstance(value, bool) and key != "combined":  # a string key
+            raise ConfigError(f"{key} must not hold true or false, got {json.dumps(value)}")
     given.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
     return {key: default for key, (default, _) in _OPTIONS.items()} | given, set(given)
 
@@ -264,9 +240,7 @@ def _build_model(opts: dict) -> tuple[LindbladModel, AtomParams]:
     name = str(raw)
     if name == "atom":
         return build_atom(atom), atom
-    data = _read_json(name, f"model file {name!r}")
-    _check_json_types(data, "model")
-    return LindbladModel.from_dict(data), atom
+    return LindbladModel.from_dict(_read_json(name, f"model file {name!r}")), atom
 
 
 def _build_unraveling(opts: dict) -> UnravelingSpec:
@@ -284,7 +258,7 @@ def _build_unraveling(opts: dict) -> UnravelingSpec:
             data["u"] = json.loads(opts["u_json"])
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--u-json is not valid JSON: {exc}") from exc
-        _reject_wrong_types(data["u"], "u_json", numbers=True)
+        _json_numbers(data["u"], "u_json")
     # the scheme flags this type takes; it ignores the others
     takes = SPEC_FIELDS.get(name, ())
     for key, field in _UNRAVELING_FIELDS.items():

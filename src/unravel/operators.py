@@ -128,14 +128,29 @@ def matrix_to_pairs(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
-def matrix_from_pairs(rows) -> np.ndarray:
-    """Decode a matrix from row-major nested ``[re, im]`` pairs."""
+def _json_numbers(value, name: str):
+    """``value`` if every leaf of its nested lists (or tuples) is an int or
+    a float and not a bool, else ``ValueError`` naming ``name`` and the
+    leaf: the one reader of JSON numbers, since ``float()`` and numpy read
+    true as 1 and "0.5" as 0.5."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _json_numbers(item, name)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must hold numbers, got {value!r}")
+    return value
+
+
+def matrix_from_pairs(rows, name: str = "matrix encoding") -> np.ndarray:
+    """Decode a matrix from row-major nested ``[re, im]`` pairs of numbers
+    (``_json_numbers``); errors call it ``name``."""
+    _json_numbers(rows, name)
     try:
         a = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix encoding: {exc}") from exc
+    except (ValueError, OverflowError) as exc:  # ragged rows; an int beyond float
+        raise ValueError(f"malformed {name}: {exc}") from exc
     if a.ndim != 3 or a.shape[2] != 2:
-        raise ValueError(f"matrix encoding must have shape (rows, cols, 2), got {a.shape}")
+        raise ValueError(f"{name} must have shape (rows, cols, 2), got {a.shape}")
     return a[..., 0] + 1j * a[..., 1]
 
 
@@ -193,9 +208,11 @@ class LindbladModel:
     @classmethod
     def from_dict(cls, data: dict) -> "LindbladModel":
         try:
-            dim = data["dim"]  # int() would read 2.7 as 2; the shape check rejects it
-            h = matrix_from_pairs(data["hamiltonian"])
-            cs = tuple(matrix_from_pairs(c) for c in data.get("lindblads", []))
+            # int() would read 2.7 as 2; the shape check rejects it
+            dim = _json_numbers(data["dim"], "dim of the model")
+            h = matrix_from_pairs(data["hamiltonian"], "hamiltonian of the model")
+            cs = tuple(matrix_from_pairs(c, f"lindblads[{k}] of the model")
+                       for k, c in enumerate(data.get("lindblads", [])))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed model object: {exc}") from exc
         unknown = sorted(set(data) - {"dim", "hamiltonian", "lindblads"})

@@ -40,8 +40,9 @@ import numpy as np
 from .operators import (
     LindbladModel,
     _check_run,
+    _check_states,
+    _json_numbers,
     _stack_apply,
-    check_pure_state,
     matrix_from_pairs,
     matrix_to_pairs,
     shift_lindblads,
@@ -481,17 +482,21 @@ class InvariantStateDep:
     state_dependent = True
 
     def resolve(self, model: LindbladModel, state) -> np.ndarray:
-        """``extremal_u`` at one state, the kernel's formula at width 1: its
-        stack (``_kernel_rows``), one ``_stack_apply`` product and one
-        expectation einsum, so the bits of the kernel's ``u``."""
-        psi = check_pure_state(state, model.dim)[:, None]
+        """``extremal_u`` ``(..., K, K)`` at a state ``(N,)`` or a stack of
+        them ``(..., N)``, by the kernel's formula with the states as lanes:
+        its stack (``_kernel_rows``, built once), one ``_stack_apply``
+        product and one expectation einsum, so each state gets the bits of
+        the kernel's ``u`` and of its own width-1 call."""
+        psi = _check_states(state, model.dim)
         k = model.num_lindblads
         if k == 0:  # without channels u is the empty matrix
-            return np.zeros((0, 0), dtype=complex)
+            return np.zeros(psi.shape[:-1] + (0, 0), dtype=complex)
         rows, _ = _kernel_rows(model)
-        means = np.einsum("am,sam->sm", psi.conj(), _stack_apply(rows, psi)[1:])
-        moment = centered_moments(means[k:].reshape(k, k, 1), means[:k])
-        return extremal_u(moment, np.array([float(self.sign)]))[0][:, :, 0]
+        lanes = np.ascontiguousarray(psi.reshape(-1, model.dim).T)
+        means = np.einsum("am,sam->sm", lanes.conj(), _stack_apply(rows, lanes)[1:])
+        moment = centered_moments(means[k:].reshape(k, k, -1), means[:k])
+        u = extremal_u(moment, np.full(lanes.shape[1], float(self.sign)))[0]
+        return u.transpose(2, 0, 1).reshape(psi.shape[:-1] + (k, k))
 
     def to_dict(self) -> dict:
         return {"type": "invariant", "sign": int(self.sign)}
@@ -547,13 +552,12 @@ def spec_from_dict(data: dict) -> UnravelingSpec:
     def read(field, convert, default=None):
         if field not in data and default is None:
             raise ValueError(f"unraveling type {kind!r} requires field {field}")
-        value = data.get(field, default)
+        name = f"unraveling type {kind!r} field {field}"
+        value = _json_numbers(data.get(field, default), name)
         try:
-            if isinstance(value, (bool, str)):  # which float() would read as a number
-                raise TypeError(f"expected a number, got {value!r}")
             return convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"unraveling type {kind!r} field {field}: {exc}") from exc
+            raise ValueError(f"{name}: {exc}") from exc
 
     if kind == "fixed":
         return FixedU(u=read("u", matrix_from_pairs))

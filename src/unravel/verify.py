@@ -240,7 +240,7 @@ def check_shift_invariance(seed: int) -> CheckResult:
         psi = _random_state(rng, 3)
         a = run_ensemble(model, spec, psi, 1, dt, steps, int(rng.integers(2**32)))
         b = run_ensemble(shifted, spec, psi, 1, dt, steps, 0, increments=a.increments)
-        offsets = [chi + spec.resolve(model, x) @ chi.conj() for x in a.states[0]]
+        offsets = chi + spec.resolve(model, a.states[0]) @ chi.conj()
         gap = np.abs(b.currents[0] - a.currents[0] - offsets).max() * dt
         path_dev = max(path_dev, _projector_deviation(a, b), gap)
     passed = static_dev <= 1e-10 and path_dev <= 1e-8

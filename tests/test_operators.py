@@ -138,6 +138,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match="declared dim 2.7"):
             LindbladModel.from_dict({**atom_model.to_dict(), "dim": 2.7})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hamiltonian", [[[0.0, 0.0], [True, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]),
+            ("hamiltonian", [[[0.0, 0.0], ["1", 0.0]], [[1.0, 0.0], [0.0, 0.0]]]),
+            ("lindblads", [[[[0.0, 0.0], [0.0, 0.0]], [[True, 0.0], [0.0, 0.0]]]]),
+            ("lindblads", [[[[0.0, 0.0], [0.0, 0.0]], [["1", 0.0], [0.0, 0.0]]]]),
+        ],
+        ids=["hamiltonian-true", "hamiltonian-string", "lindblads-true", "lindblads-string"],
+    )
+    def test_model_dict_names_a_value_that_is_not_a_number(self, atom_model, field, value):
+        # float() and numpy read true as 1 and "1" as 1
+        with pytest.raises(ValueError, match=f"{field}.* must hold numbers"):
+            LindbladModel.from_dict({**atom_model.to_dict(), field: value})
+
+    def test_true_is_not_a_dimension(self):
+        # true == 1, so with a 1x1 Hamiltonian the shape check would take it
+        with pytest.raises(ValueError, match="dim of the model must hold numbers"):
+            LindbladModel.from_dict({"dim": True, "hamiltonian": [[[1.0, 0.0]]]})
+
     def test_model_dict_rejects_unknown_fields(self, atom_model):
         with pytest.raises(ValueError, match="takes no field lindblad, omega"):
             LindbladModel.from_dict({**atom_model.to_dict(), "lindblad": [], "omega": 1.0})

@@ -238,7 +238,6 @@ class TestStackedSteppers:
             (check_pure_state, (states,), "state must be a vector"),
             (projector, (states,), "state must be a vector"),
             (transition_rate_operator, (atom_model, states), "state must be a vector"),
-            (InvariantStateDep().resolve, (atom_model, states), "state must be a vector"),
             (run_ensemble, (atom_model, Heterodyne(), states, 1, 1e-3, 2, 0),
              "state must be a vector"),
         ]

@@ -450,6 +450,27 @@ class TestSpecs:
         got = InvariantStateDep(sign=-1).resolve(atom_model, plus_x_state())
         np.testing.assert_allclose(got, [[1.0]], atol=1e-12)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("kind", ["n3-k2", "atom", "no-channels"])
+    def test_stacked_resolve_is_the_per_state_resolve(self, rng, atom_model, kind, sign):
+        # one call over a (2, 3, N) stack gives each state the bits of its
+        # own call; the atom's basis states lie below the moment floor
+        model = {"n3-k2": random_model(rng, 3, 2), "atom": atom_model,
+                 "no-channels": LindbladModel(hamiltonian=SIGMA_X, lindblads=())}[kind]
+        states = np.array([random_state(rng, model.dim) for _ in range(6)])
+        states[0] = np.eye(model.dim)[0]
+        states = states.reshape(2, 3, model.dim)
+        spec = InvariantStateDep(sign)
+        got = spec.resolve(model, states)
+        k = model.num_lindblads
+        assert got.shape == (2, 3, k, k)
+        want = np.array([[spec.resolve(model, psi) for psi in row] for row in states])
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+        if kind == "atom":
+            assert np.array_equal(got[0, 0], np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="expected dimension"):
+            spec.resolve(model, states[..., :1])
+
     def test_state_dependence_flags(self):
         assert InvariantStateDep().state_dependent
         assert not FixedU(np.zeros((1, 1))).state_dependent
@@ -503,9 +524,12 @@ class TestSpecs:
             ({"type": "homodyne", "eta": True}, "unraveling type 'homodyne' field eta"),
             ({"type": "invariant_trace", "R": False}, "unraveling type 'invariant_trace' field R"),
             ({"type": "homodyne", "eta": "0.5"}, "unraveling type 'homodyne' field eta"),
+            # numpy reads them too, inside a matrix
+            ({"type": "fixed", "u": [[[True, False]]]}, "unraveling type 'fixed' field u"),
+            ({"type": "fixed", "u": [[["0.5", "0"]]]}, "unraveling type 'fixed' field u"),
         ],
         ids=["fixed-no-u", "eta-null", "R-null", "theta1-list", "eta-true", "R-false",
-             "eta-string"],
+             "eta-string", "u-true", "u-string"],
     )
     def test_spec_from_dict_names_a_missing_or_unreadable_field(self, data, message):
         with pytest.raises(ValueError, match=message):
