@@ -26,10 +26,11 @@ which includes a step count ``t_max / dt`` too large to index an array, a
 run that does not fit in memory, a config value of the wrong JSON type (a
 JSON true, false or string where a number belongs, in a number key, in
 ``--u-json`` or in a model or unraveling object, all read by the library's
-one reader of JSON numbers, ``operators._json_numbers``; or a true or false
-under a string key: ``mode``, ``model``, ``unraveling``, ``u_json`` or
-``output_dir``), a non-finite homodyne phase, a non-integral ``sign``, an
-output directory that cannot be created, and, outside ``verify``, a ``dt``
+one reader of JSON numbers, ``operators._json_numbers``; a value that is
+not a string under ``mode``, ``u_json`` or ``output_dir``; or one that is
+neither a string nor an object under ``model`` or ``unraveling``), a
+non-finite homodyne phase, a non-integral ``sign``, an output directory
+that cannot be created, and, outside ``verify``, a ``dt``
 whose product with the largest rate of the rows the kernel steps
 (``_step_rate``) exceeds ``MAX_STEP_RATE`` (0.1), so that a model and its
 shifts are judged alike.
@@ -129,11 +130,14 @@ _UNRAVELING_FIELDS = {
 
 
 # The config keys whose JSON holds numbers only: the options whose flag has
-# a numeric type, and the config-file-only initial state.  The others but
-# combined hold strings, or model and unraveling objects the library reads.
+# a numeric type, and the config-file-only initial state.  Of the others,
+# model and unraveling hold a string or an object the library reads, the
+# string keys a string, and combined true or false.
 _NUMBER_KEYS = {key for key, (_, flag) in _OPTIONS.items() if flag and "type" in flag} | {
     "initial"
 }
+_OBJECT_KEYS = ("model", "unraveling")
+_STRING_KEYS = ("mode", "u_json", "output_dir")
 
 
 # Options that figures mode, which runs its own five scenarios, one
@@ -201,8 +205,10 @@ def _merged_options(args: argparse.Namespace) -> tuple[dict, set]:
                 _json_numbers(value, key)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        elif isinstance(value, bool) and key != "combined":  # a string key
-            raise ConfigError(f"{key} must not hold true or false, got {json.dumps(value)}")
+        elif key in _OBJECT_KEYS and not isinstance(value, (str, dict)):
+            raise ConfigError(f"{key} must be a string or an object, got {json.dumps(value)}")
+        elif key in _STRING_KEYS and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {json.dumps(value)}")
     given.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
     return {key: default for key, (default, _) in _OPTIONS.items()} | given, set(given)
 
@@ -237,21 +243,19 @@ def _build_model(opts: dict) -> tuple[LindbladModel, AtomParams]:
     raw = opts["model"]
     if isinstance(raw, dict):
         return LindbladModel.from_dict(raw), atom
-    name = str(raw)
-    if name == "atom":
+    if raw == "atom":
         return build_atom(atom), atom
-    return LindbladModel.from_dict(_read_json(name, f"model file {name!r}")), atom
+    return LindbladModel.from_dict(_read_json(raw, f"model file {raw!r}")), atom
 
 
 def _build_unraveling(opts: dict) -> UnravelingSpec:
     raw = opts["unraveling"]
     if isinstance(raw, dict):
         return spec_from_dict(raw)
-    name = str(raw)
-    if name in SCENARIOS:
-        return scenario_spec(name)
-    data = {"type": name}
-    if name == "fixed":
+    if raw in SCENARIOS:
+        return scenario_spec(raw)
+    data = {"type": raw}
+    if raw == "fixed":
         if opts["u_json"] is None:
             raise ConfigError("unraveling 'fixed' requires --u-json")
         try:
@@ -260,7 +264,7 @@ def _build_unraveling(opts: dict) -> UnravelingSpec:
             raise ConfigError(f"--u-json is not valid JSON: {exc}") from exc
         _json_numbers(data["u"], "u_json")
     # the scheme flags this type takes; it ignores the others
-    takes = SPEC_FIELDS.get(name, ())
+    takes = SPEC_FIELDS.get(raw, ())
     for key, field in _UNRAVELING_FIELDS.items():
         if opts[key] is not None and field in takes:
             data[field] = opts[key]
@@ -365,7 +369,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         n_traj=n_traj,
         seed=seed,
         record_stride=stride,
-        output_dir=Path(str(opts["output_dir"])),
+        output_dir=Path(opts["output_dir"]),
         combined=opts["combined"],
     )
 

@@ -12,11 +12,9 @@ and the complex record increments are
 Every run goes through one stepper, a batched kernel that propagates an
 unnormalized vector with the linear generator
 ``-iH - sum_k c_k^dag c_k / 2 + sum_k J_k^* c_k`` and renormalizes, which
-is the cheapest form.  Two statistically equivalent steppers are kept for
-cross-checks: a direct Euler step of the projector equation and a
-normalized nonlinear vector step.  Pairwise differences under a shared
-noise path, which the kernel takes as supplied increments, vanish as the
-step size shrinks.
+is the cheapest form.  The kernel takes supplied increments in place of its
+own noise, so the self-checks in ``verify`` can drive it along the same
+path as their reference steppers.
 
 A shift ``c_k -> c_k + chi_k`` with the compensating Hamiltonian
 (``operators.shift_lindblads``) leaves the master equation and its
@@ -48,15 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .operators import (
-    LindbladModel,
-    _check_densities,
-    _check_run,
-    _check_states,
-    _stack_apply,
-    check_pure_state,
-    liouvillian_apply,
-)
+from .operators import LindbladModel, _check_run, _stack_apply, check_pure_state
 from .unravelings import (
     UnravelingSpec,
     _kernel_rows,
@@ -70,8 +60,6 @@ from .unravelings import (
 # A propagated vector whose norm falls below this has left the reachable
 # manifold (the step size is far too large); stop rather than renormalize.
 NORM_FLOOR = 1e-12
-# Projector inputs may deviate from idempotency by at most this much.
-PROJECTOR_TOL = 1e-8
 # Most trajectories one kernel call steps side by side.  A lane's result
 # does not depend on the batch width, so this only caps memory: the kernel
 # keeps a few arrays of CHUNK * NOISE_BLOCK * 2K doubles besides the records.
@@ -94,12 +82,13 @@ MIN_LANES = 256
 
 
 class NormCollapseError(RuntimeError):
-    """The propagated vector norm collapsed below the safe floor, or is not
+    """A propagated vector norm collapsed below ``NORM_FLOOR``, or is not
     finite.
 
     The kernel sets ``trajectory_index`` (the lowest failing one), ``step``
-    (the step whose update failed) and ``t`` (that step's start time);
-    ``step_nonlinear_sse`` leaves them None.
+    (the step whose update failed) and ``t`` (that step's start time).
+    ``verify.step_nonlinear_sse``, which steps no indexed trajectory, leaves
+    them None.
     """
 
     def __init__(self, message: str, trajectory_index=None, step=None, t=None):
@@ -126,77 +115,6 @@ def _finite(values, name: str, shape=None) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
-
-
-def step_sme(model: LindbladModel, rho, dxi, dt: float) -> np.ndarray:
-    """One Euler step of the projector equation, re-projected to rank one, of
-    a projector ``(N, N)`` or a stack ``(..., N, N)`` with increments ``(..., K)``.
-
-    The Euler update is Hermitian and trace preserving but leaks purity at
-    second order in dt; the dominant eigenvector is taken as the new state.
-    """
-    p = _check_densities(rho, model.dim)
-    if np.abs(p @ p - p).max(initial=0.0) > PROJECTOR_TOL:
-        raise ValueError("input density matrix is not a rank-one projector")
-    _check_run(dt, ())
-    inc = _finite(dxi, "increments", p.shape[:-2] + (model.num_lindblads,))
-    new = p + dt * liouvillian_apply(model, p)
-    eye = np.eye(model.dim)
-    for k, c in enumerate(model.lindblads):
-        d = c - np.trace(c @ p, axis1=-2, axis2=-1)[..., None, None] * eye
-        term = d @ p * inc[..., k, None, None].conj()
-        new = new + term + term.conj().swapaxes(-1, -2)
-    vec = np.linalg.eigh(new)[1][..., -1]
-    return vec[..., :, None] * vec[..., None, :].conj()
-
-
-def _effective_hamiltonian(model: LindbladModel, psi) -> np.ndarray:
-    """Non-Hermitian drift generator ``(..., N, N)`` of the normalized
-    nonlinear step at each normalized state of ``psi`` ``(..., N)``.
-
-    ``H_eff = H - (i/2) sum_k (c_k^dag c_k - 2 <c_k>^* c_k + <c_k>^* <c_k>)``.
-    Changing the operator representation changes ``H_eff`` only by a
-    c-number multiple of the identity.
-    """
-    col, eye = psi[..., None], np.eye(model.dim)  # states as columns (..., N, 1)
-    h = model.hamiltonian.astype(complex)
-    for c in model.lindblads:
-        s = col.conj().swapaxes(-1, -2) @ (c @ col)  # <c>, (..., 1, 1)
-        h = h - 0.5j * (c.conj().T @ c - 2.0 * s.conjugate() * c + (s.conjugate() * s) * eye)
-    return h
-
-
-def step_nonlinear_sse(model: LindbladModel, state, dxi, dt: float) -> np.ndarray:
-    """One normalized nonlinear vector step driven directly by the increments,
-    of a state ``(N,)`` or a stack ``(..., N)`` with increments ``(..., K)``."""
-    psi = _check_states(state, model.dim)
-    _check_run(dt, ())
-    inc = _finite(dxi, "increments", psi.shape[:-1] + (model.num_lindblads,))
-    col, eye = psi[..., None], np.eye(model.dim)
-    new = col + dt * (-1j * (_effective_hamiltonian(model, psi) @ col))
-    for k, c in enumerate(model.lindblads):
-        s = col.conj().swapaxes(-1, -2) @ (c @ col)
-        new = new + inc[..., k, None, None].conj() * ((c - s * eye) @ col)
-    # np.linalg.norm's sum of squares, state by state, so one state keeps its bits
-    norm = np.sqrt(sum(x.swapaxes(-1, -2) @ x for x in (new.real, new.imag)))
-    bad = ~((norm >= NORM_FLOOR) & (norm < np.inf))  # the kernel's condition
-    if bad.any():
-        raise NormCollapseError(f"state norm collapsed to {norm[bad][0]}")
-    return (new / norm)[..., 0]
-
-
-def gauge_transform_step(state, f, dxi) -> np.ndarray:
-    """Multiply the normalized state by the random phase exp(i (f dxi^* + f^* dxi)),
-    for ``f`` and increments ``dxi`` of one shape ``(K,)``.
-
-    The exponent is real, so the ray (and every expectation value) is
-    unchanged; record statistics are likewise untouched.
-    """
-    psi = check_pure_state(state)
-    fv = _finite(f, "f", (np.size(f),))
-    inc = _finite(dxi, "increments", fv.shape)
-    dchi = float(np.sum(fv * inc.conj() + fv.conj() * inc).real)
-    return np.exp(1j * dchi) * psi
 
 
 @dataclass

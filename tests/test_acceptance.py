@@ -25,7 +25,6 @@ from unravel import (
     real_embedding,
     rotate_lindblads,
     run_ensemble,
-    sample_increments,
     shift_lindblads,
     spectral_norm,
     steady_state,
@@ -34,9 +33,8 @@ from unravel import (
 )
 from unravel.fluorescence import SCENARIOS, SIGMA_X, SIGMA_Y, scenario_spec
 from unravel.operators import transition_rate_operator
-from unravel.trajectory import gauge_transform_step, step_sme
 from unravel.unravelings import NORM_SLACK, takagi, u_trace
-from unravel.verify import stepper_strong_orders
+from unravel.verify import step_sme, stepper_strong_orders
 from atom_closed_forms import sme_u1_decomposed_step
 from conftest import random_model, random_state, random_symmetric_u, random_unitary
 
@@ -315,20 +313,7 @@ def test_criterion_7_formulation_equivalence(announce):
     min_order = min(orders.values())
 
     rng = np.random.default_rng(3)
-    model = random_model(rng, 3, 2)
-    spec = FixedU(random_symmetric_u(rng, 2, 0.6))
     dt = 1e-3
-    twin = random_state(rng, 3)
-    dxi = np.array([sample_increments(spec.u, dt, rng) for _ in range(1000)])
-    # the ungauged path in one kernel call, the gauged one step by step
-    run = run_ensemble(model, spec, twin, 1, dt, 1000, 0, increments=dxi[None])
-    gauge_dev = 0.0
-    for psi, inc in zip([*run.states[0, 1:], run.final[0]], dxi):
-        f = rng.normal(size=2) + 1j * rng.normal(size=2)
-        twin = run_ensemble(model, spec, twin, 1, dt, 1, 0, increments=[[inc]]).final[0]
-        twin = gauge_transform_step(twin, f, inc)
-        gauge_dev = max(gauge_dev, np.abs(projector(psi) - projector(twin)).max())
-
     rho_a = projector(plus_x_state())
     rho_b = rho_a.copy()
     decomposed_dev = 0.0
@@ -338,11 +323,11 @@ def test_criterion_7_formulation_equivalence(announce):
         rho_b = step_sme(ATOM, rho_b, [dzeta], dt)
         decomposed_dev = max(decomposed_dev, np.abs(rho_a - rho_b).max())
 
-    ok = min_order >= 0.5 and gauge_dev < 1e-10 and decomposed_dev < 1e-9
+    ok = min_order >= 0.5 and decomposed_dev < 1e-9
     announce(
         f"criterion 7 {'PASS' if ok else 'FAIL'}: stepper pair strong orders "
-        f">= {min_order:.2f}, gauge-phase deviation {gauge_dev:.1e}, decomposed "
-        f"two-noise stepper off by {decomposed_dev:.1e} over 10^3 steps"
+        f">= {min_order:.2f}, decomposed two-noise stepper off by "
+        f"{decomposed_dev:.1e} over 10^3 steps"
     )
     assert ok
 

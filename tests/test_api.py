@@ -144,6 +144,6 @@ def test_no_parameter_that_only_the_tests_set():
         node.func.id for node in ast.walk(ast.parse(inspect.getsource(verify.run_all)))
         if isinstance(node, ast.Call)
     ]
-    assert len(calls) == 5
+    assert len(calls) == 4
     for name in calls:
         assert list(inspect.signature(getattr(verify, name)).parameters) == ["seed"], name

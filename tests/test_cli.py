@@ -504,10 +504,9 @@ class TestVerifyMode:
             "PASS eigenvalue-identity",
             "PASS rotation-invariance",
             "PASS shift-invariance",
-            "PASS gauge-invariance",
             "PASS stepper-equivalence",
         ]
-        assert "all 5 checks passed" in lines[-1]
+        assert "all 4 checks passed" in lines[-1]
 
 
 class TestConfigHandling:
@@ -846,9 +845,17 @@ class TestConfigHandling:
             ("record_stride", True),
             ("seed", False),
             ("t_max", True),
+            # both wrote a folder named after str() of the value and exited 0
+            ("output_dir", ["a"]),
+            ("output_dir", 5),
+            ("mode", 3),
+            ("unraveling", ["heterodyne"]),
         ],
     )
-    def test_config_value_of_the_wrong_type_is_config_error(self, tmp_path, capsys, key, value):
+    def test_config_value_of_the_wrong_type_is_config_error(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        monkeypatch.chdir(tmp_path)
         config = {"mode": "trajectories", "n_traj": 1, "dt": 1e-3, "t_max": 0.01,
                   "output_dir": str(tmp_path)}
         config[key] = value
@@ -857,7 +864,8 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "--config", str(config_path))
         assert code == EXIT_CONFIG
         assert key in err
-        assert not (tmp_path / "manifest.json").exists()
+        # no folder, manifest or CSV was written
+        assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
     @pytest.mark.parametrize(
         "fields, flags, key",

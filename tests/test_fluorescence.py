@@ -34,7 +34,7 @@ from unravel.fluorescence import (
 )
 from unravel.oracle import trace_distance
 from unravel.unravelings import color_factors
-from unravel.trajectory import gauge_transform_step, step_nonlinear_sse, step_sme
+from unravel.verify import step_nonlinear_sse, step_sme
 from atom_closed_forms import scenario_expected_current, sme_u1_decomposed_step
 from conftest import random_state
 from linear_reference import expected_current
@@ -179,19 +179,6 @@ BAD_NUMBERS = {
         run_ensemble, (ATOM, Heterodyne(), plus_x_state(), 1, 1e-3, 2, 0, 1, 0, None,
                        [[[0.01], [np.nan]]]),
         "increments must be finite",
-    ),
-    "gauge_transform_step-f": (
-        gauge_transform_step, (plus_x_state(), [np.nan], [0.01]), "f must be finite"
-    ),
-    "gauge_transform_step-increments": (
-        gauge_transform_step, (plus_x_state(), [0.01], [np.nan]), "increments must be finite"
-    ),
-    "gauge_transform_step-lengths": (
-        gauge_transform_step, (plus_x_state(), [0.3, 1.0, 2.0], [0.01]),
-        r"increments must have shape \(3,\)",
-    ),
-    "gauge_transform_step-norm": (
-        gauge_transform_step, ([5.0, 0.0], [0.3], [0.01]), "state norm"
     ),
     "ensemble_summary-norm": (
         ensemble_summary, ([0.0, 1.0], GATE_OFF_NORM, GATE_REFERENCE), "state norm"

@@ -39,14 +39,11 @@ from unravel.trajectory import (
     CHUNK,
     MIN_LANES,
     NOISE_BLOCK,
-    _effective_hamiltonian,
     _run_chunk,
-    gauge_transform_step,
-    step_nonlinear_sse,
-    step_sme,
     trajectory_stream,
 )
 from unravel.unravelings import extremal_u, u_trace
+from unravel.verify import _effective_hamiltonian, step_nonlinear_sse, step_sme
 from unravel import trajectory
 from conftest import random_model, random_state, random_symmetric_u
 from linear_reference import (
@@ -279,26 +276,6 @@ class TestMeasurementOperator:
     def test_vanishing_likelihood_raises(self, atom_model):
         with pytest.raises(VanishingLikelihoodError):
             apply_measurement(np.zeros((2, 2)), projector(KET_EXCITED))
-
-
-class TestGaugeStep:
-    def test_phase_leaves_ray_unchanged(self, rng, atom_model):
-        # the ungauged path in one kernel call, the gauged one step by step
-        spec = FixedU(np.array([[0.4 - 0.2j]]))
-        dxi = np.array([sample_increments(spec.u, 1e-3, rng) for _ in range(200)])
-        run = run_ensemble(atom_model, spec, plus_x_state(), 1, 1e-3, 200, 0, increments=dxi[None])
-        twin = plus_x_state()
-        for inc in dxi:
-            f = rng.normal(size=1) + 1j * rng.normal(size=1)
-            twin = run_ensemble(atom_model, spec, twin, 1, 1e-3, 1, 0, increments=[[inc]]).final[0]
-            twin = gauge_transform_step(twin, f, inc)
-        assert np.abs(projector(run.final[0]) - projector(twin)).max() < 1e-12
-
-    def test_phase_is_unimodular(self, rng):
-        psi = random_state(rng, 3)
-        out = gauge_transform_step(psi, [0.3 + 1j], [0.01 - 0.02j])
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(projector(out), projector(psi), atol=1e-15)
 
 
 class TestRunTrajectory:

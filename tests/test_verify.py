@@ -1,10 +1,13 @@
 """Tests for the self-check battery's results and report formatting."""
 
+import numpy as np
+
+from unravel import verify
 from unravel.verify import (
     CheckResult,
     check_eigenvalue_identity,
-    check_gauge_invariance,
     check_shift_invariance,
+    check_stepper_equivalence,
     format_report,
 )
 
@@ -36,12 +39,19 @@ class TestChecks:
         assert result.passed
         assert result.value < result.threshold
 
-    def test_gauge_invariance_passes(self):
-        result = check_gauge_invariance(seed=5)
-        assert result.passed
-
     def test_shift_invariance_passes(self):
         # the kernel steps one presentation for a model and its shift
         result = check_shift_invariance(seed=5)
         assert result.passed
         assert result.value <= 1e-12
+
+    def test_stepper_equivalence_fails_an_unconjugated_projector_step(self, monkeypatch):
+        # negative control: a projector step fed dxi in place of dxi^* is
+        # inconsistent, and its fitted strong orders fall to near 0
+        step_sme = verify.step_sme
+        monkeypatch.setattr(
+            verify, "step_sme", lambda model, rho, dxi, dt: step_sme(model, rho, np.conj(dxi), dt)
+        )
+        result = check_stepper_equivalence(0)
+        assert not result.passed
+        assert result.value < result.threshold
