@@ -41,7 +41,6 @@ from .unravelings import (
     homodyne_u,
     is_valid_u,
     real_embedding,
-    sample_increments,
     spec_from_dict,
     spectral_norm,
     validate_u,
@@ -78,7 +77,6 @@ __all__ = [
     "real_embedding",
     "rotate_lindblads",
     "run_ensemble",
-    "sample_increments",
     "shift_lindblads",
     "spec_from_dict",
     "spectral_norm",

@@ -173,6 +173,8 @@ class LindbladModel:
 
     def __post_init__(self):
         h = _as_complex_matrix(self.hamiltonian, "hamiltonian")
+        if not h.size:
+            raise ValueError("hamiltonian must have dimension at least 1")
         if np.abs(h - h.conj().T).max() > DEFAULT_TOL:
             raise ValueError("hamiltonian is not Hermitian")
         cs = tuple(_as_complex_matrix(c, f"lindblads[{k}]") for k, c in enumerate(self.lindblads))
@@ -272,7 +274,7 @@ def rotate_lindblads(model: LindbladModel, t_matrix) -> LindbladModel:
     k = model.num_lindblads
     if t.shape != (k, k):
         raise ValueError(f"T must have shape ({k}, {k}), got {t.shape}")
-    if np.abs(t.conj().T @ t - np.eye(k)).max() > DEFAULT_TOL:
+    if np.abs(t.conj().T @ t - np.eye(k)).max(initial=0.0) > DEFAULT_TOL:
         raise ValueError("T is not unitary")
     rotated = tuple(
         sum(t[i, l] * model.lindblads[l] for l in range(k)) for i in range(k)

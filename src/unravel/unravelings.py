@@ -13,12 +13,16 @@ positive semi-definite exactly when the spectral norm of ``u`` is at most 1.
 Each ``u`` is a way of monitoring the outputs: its Takagi form
 ``u = V diag(sigma) V^T`` remixes the K output channels by the unitary V
 and splits channel j between two quadrature phases with efficiency
-``(1 + sigma_j) / 2``.  Sampling is that measurement for every K,
-``dxi = V (a z_a + i b z_b)`` with ``a, b = sqrt(dt (1 +- sigma) / 2)``, so
-quadratures frozen on the boundary (``b = 0``) come out exactly zero.  For
-K = 1, ``V = sqrt(u / |u|)``; on the boundary ``|u| = 1`` that is
-``dxi = sqrt(dt u) z_a``, the closed form of the extremal state-dependent
-correlations.
+``(1 + sigma_j) / 2``.  ``color_factors`` and ``apply_color`` are that
+measurement for every K, and the package's one route from standard normals
+to increments, ``dxi = V (a z_a + i b z_b)`` with
+``a, b = sqrt(dt (1 +- sigma) / 2)``, so quadratures frozen on the boundary
+(``b = 0``) come out exactly zero.  The kernel colours its constant lanes
+through them and ``extremal_u`` its lanes below ``MOMENT_FLOOR``, and keeps
+a run's increments in ``EnsembleRun.increments``; the tests colour blocks
+of drawn normals through them.  For K = 1, ``V = sqrt(u / |u|)``; on the
+boundary ``|u| = 1`` that is ``dxi = sqrt(dt u) z_a``, the ``sigma = 1``
+case that ``extremal_u`` takes in closed form.
 
 The colouring functions take the trajectory kernel's layout, component
 axes first and stack (lane) axes last: ``u``, ``M`` and ``V`` are
@@ -52,7 +56,7 @@ from .operators import (
 SYMMETRY_TOL = 1e-12
 # Spectral norms up to 1 + NORM_SLACK are accepted as valid.
 NORM_SLACK = 1e-10
-# Covariance eigenvalues in [-CLAMP_TOL, 0] are clamped to zero when sampling.
+# Covariance eigenvalues in [-CLAMP_TOL, 0] are clamped to zero when colouring.
 CLAMP_TOL = 1e-10
 # Extremal correlation weights fall back to zero below this moment norm.
 MOMENT_FLOOR = 1e-9
@@ -216,11 +220,19 @@ def color_factors(u, dt: float):
     Eigenvalues in ``[-CLAMP_TOL, 0]`` are clamped to zero, so frozen
     quadratures on the boundary ``||u|| = 1`` come out exactly zero.
 
+    With ``apply_color`` this is the package's one colouring: the kernel's
+    constant lanes and ``extremal_u``'s lanes below ``MOMENT_FLOOR`` go
+    through it, and the tests colour a block of drawn normals ``z``
+    ``(n, 2K)`` by ``apply_color(color_factors(u[..., None], dt), z.T)``.
+
     Raises
     ------
+    ValueError
+        If ``dt`` is not positive and finite.
     CovarianceError
         If an eigenvalue lies below ``-CLAMP_TOL``.
     """
+    _check_run(dt, ())
     v, sigma = takagi(_read_u(np.asarray(u, dtype=complex).T).T)
     return (v, *_roots(sigma, dt))
 
@@ -236,7 +248,9 @@ def apply_color(factors, z, out=None) -> np.ndarray:
     elementwise products over the stack, the later terms one component at
     a time.  So each entry of the result depends only on its own factors
     and ``z``, not on the size or layout of the stack, and each component
-    streams along the lanes.
+    streams along the lanes.  Every increment the package colours is this
+    sum: ``extremal_u`` calls it for K > 1, and its K = 1 closed form
+    ``sqrt(dt u) z_a`` is the ``sigma = 1`` case written out.
     """
     v, a, b = factors
     k = z.shape[0] // 2
@@ -341,39 +355,6 @@ def extremal_u(moment, signs, z=None, dt=None, out=None):
     if not live.all():
         out[:, ~live] = apply_color(color_factors(np.zeros((k, k, 1)), dt), z[:, ~live])
     return u, out
-
-
-def sample_increments(u, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw one vector of complex increments dxi with correlations ``u``.
-
-    ``u`` goes through ``_read_one_u`` (else ``UMatrixError``), and beyond the
-    norm bound the clamp raises ``CovarianceError``.  Consumes exactly 2K
-    standard normals from ``rng``, so a fixed generator state yields a fixed
-    sample regardless of surrounding calls; they are mapped by ``apply_color``
-    with the factors of ``color_factors(u, dt)``, as the kernel maps a constant ``u``.
-
-    Parameters
-    ----------
-    u:
-        Complex symmetric ``(K, K)`` correlation matrix.
-    dt:
-        Step size, positive and finite.
-    rng:
-        numpy Generator supplying standard normals.
-
-    Returns
-    -------
-    ndarray
-        Complex increments of shape ``(K,)``.
-    """
-    _check_run(dt, ())
-    a = _read_one_u(u)
-    z = rng.standard_normal(2 * a.shape[0])
-    if not a.size:  # without channels there is nothing to colour
-        return np.zeros(0, dtype=complex)
-    # A stack of one: numpy's scalar complex arithmetic rounds differently.
-    v, sigma = takagi(a[..., None])
-    return apply_color((v, *_roots(sigma, dt)), z[:, None])[:, 0]
 
 
 def u_trace(model: LindbladModel, weight: float) -> np.ndarray:

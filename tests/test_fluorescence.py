@@ -9,6 +9,7 @@ from unravel import (
     FixedU,
     Heterodyne,
     InvariantStateDep,
+    LindbladModel,
     bloch,
     build_atom,
     ensemble_summary,
@@ -18,7 +19,6 @@ from unravel import (
     real_embedding,
     rotate_lindblads,
     run_ensemble,
-    sample_increments,
     shift_lindblads,
     spectral_norm,
     z_drift_residual,
@@ -110,9 +110,9 @@ BAD_NUMBERS = {
     "bloch-non-hermitian": (bloch, (np.array([[1.0, 2j], [0.0, 0.0]]),), "not Hermitian"),
     "bloch-trace": (bloch, (2.5 * np.eye(2),), "trace is not 1"),
     "bloch-dimension": (bloch, (np.eye(3) / 3,), "dimension 3, expected 2"),
-    **{f"sample_increments-dt={dt}": (
-        sample_increments, ([[0.5]], dt, np.random.default_rng(0)), DT_MESSAGE
-    ) for dt in (np.nan, np.inf, 0.0, -1e-3)},
+    # NaN factors, or a CovarianceError for a negative dt
+    **{f"color_factors-dt={dt}": (color_factors, ([[0.5]], dt), DT_MESSAGE)
+       for dt in (np.nan, np.inf, 0.0, -1e-3)},
     **{f"z_drift_residual-dt={dt}": (
         z_drift_residual, (PLUS_X_TWICE, dt, AtomParams()), DT_MESSAGE
     ) for dt in (np.nan, -1e-3)},
@@ -141,21 +141,7 @@ BAD_NUMBERS = {
        for dt in (np.nan, np.inf, 0.0, -1.0)},
     "real_embedding-nonsquare": (real_embedding, ([[0.5, 0.1]], 1e-3), "u must be square"),
     "spectral_norm-nan": (spectral_norm, ([[np.nan]],), "u contains non-finite"),
-    "sample_increments-nan": (
-        sample_increments, ([[np.nan]], 1e-3, np.random.default_rng(0)), "u contains non-finite"
-    ),
-    "sample_increments-nonsquare": (
-        sample_increments, ([[0.5, 0.1]], 1e-3, np.random.default_rng(0)), "u must be square"
-    ),
-    "sample_increments-asymmetric": (
-        sample_increments, ([[0.3, 0.5], [0.1, 0.2]], 1e-3, np.random.default_rng(0)),
-        "u is not complex symmetric",
-    ),
     "spectral_norm-stack": (spectral_norm, (np.zeros((2, 2, 2)),), r"u must be one \(K, K\)"),
-    "sample_increments-stack": (
-        sample_increments, (np.zeros((2, 1, 1)), 1e-3, np.random.default_rng(0)),
-        r"u must be one \(K, K\)",
-    ),
     "color_factors-nan": (color_factors, ([[np.nan]], 1e-3), "u contains non-finite"),
     "color_factors-asymmetric": (
         color_factors, ([[0.3, 0.5], [0.1, 0.2]], 1e-3), "u is not complex symmetric"
@@ -208,6 +194,8 @@ BAD_NUMBERS = {
     "shift_lindblads-nan": (shift_lindblads, (ATOM, [np.nan]), "chi contains non-finite"),
     "shift_lindblads-matrix": (shift_lindblads, (ATOM, [[0.1]]), r"chi must have shape \(1,\)"),
     "rotate_lindblads-nan": (rotate_lindblads, (ATOM, [[np.nan]]), "T contains non-finite"),
+    # numpy's unnamed zero-size reduction error
+    "LindbladModel-empty": (LindbladModel, (np.zeros((0, 0)),), "dimension at least 1"),
     "trace_distance-nan": (
         trace_distance, ([[np.nan, 0.0], [0.0, 1.0]], np.eye(2) / 2), "non-finite matrices"
     ),

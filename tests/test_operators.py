@@ -210,6 +210,18 @@ class TestChannelTransformations:
         with pytest.raises(ValueError, match="unitary"):
             rotate_lindblads(atom_model, np.array([[2.0]]))
 
+    # a channel-free model's only remix (T is 0 x 0) and shift leave it as it is
+    @pytest.mark.parametrize(
+        "transform, arg",
+        [(rotate_lindblads, np.zeros((0, 0))), (shift_lindblads, np.zeros(0))],
+        ids=["rotate", "shift"],
+    )
+    def test_channel_free_model_transforms_to_itself(self, transform, arg):
+        model = LindbladModel(hamiltonian=SIGMA_Z)
+        out = transform(model, arg)
+        assert out.num_lindblads == 0
+        np.testing.assert_array_equal(out.hamiltonian, model.hamiltonian)
+
     def test_shift_leaves_liouvillian_unchanged(self, rng):
         model = random_model(rng, 3, 2)
         chi = rng.normal(size=2) + 1j * rng.normal(size=2)

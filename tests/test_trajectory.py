@@ -24,7 +24,6 @@ from unravel import (
     plus_x_state,
     projector,
     run_ensemble,
-    sample_increments,
     shift_lindblads,
     spectral_norm,
 )
@@ -42,7 +41,7 @@ from unravel.trajectory import (
     _run_chunk,
     trajectory_stream,
 )
-from unravel.unravelings import extremal_u, u_trace
+from unravel.unravelings import apply_color, color_factors, extremal_u, u_trace
 from unravel.verify import _effective_hamiltonian, step_nonlinear_sse, step_sme
 from unravel import trajectory
 from conftest import random_model, random_state, random_symmetric_u
@@ -119,8 +118,9 @@ class TestStepLinear:
         assert got_current[0] == pytest.approx(complex(j_dt / mp.mpf(dt)), abs=1e-12)
 
     def test_dark_state_is_exact_fixed_point(self, decay_model, rng):
-        dxi = np.array([sample_increments([[0.5]], 1e-2, rng) for _ in range(20)])
-        spec = FixedU(np.array([[0.5]]))
+        u = np.array([[0.5]])
+        dxi = apply_color(color_factors(u[..., None], 1e-2), rng.standard_normal((20, 2)).T).T
+        spec = FixedU(u)
         run = run_ensemble(decay_model, spec, KET_GROUND, 1, 1e-2, 20, 0, increments=dxi[None])
         for new in [*run.states[0], run.final[0]]:
             np.testing.assert_array_equal(new, KET_GROUND)
@@ -248,7 +248,7 @@ class TestMeasurementOperator:
         psi = random_state(rng, 2)
         u = random_symmetric_u(rng, 1, 0.6)
         dt = 1e-3
-        dxi = sample_increments(u, dt, rng)
+        dxi = apply_color(color_factors(u[..., None], dt), rng.standard_normal((2, 1)))[:, 0]
         run = run_ensemble(atom_model, FixedU(u), psi, 1, dt, 1, 0, increments=[[dxi]])
         omega = measurement_operator(atom_model, run.currents[0, 0], dt)
         conditioned = apply_measurement(omega, projector(psi))
@@ -260,9 +260,9 @@ class TestMeasurementOperator:
         u = random_symmetric_u(rng, 2, 0.7)
         dt = 1e-2
         n = 40000
+        draws = apply_color(color_factors(u[..., None], dt), rng.standard_normal((n, 4)).T).T
         acc = np.zeros((3, 3), dtype=complex)
-        for _ in range(n):
-            dxi = sample_increments(u, dt, rng)
+        for dxi in draws:
             omega = measurement_operator(model, dxi / dt, dt)
             acc += omega.conj().T @ omega
         acc /= n
@@ -726,9 +726,9 @@ class TestKernelAgainstReference:
             assert run.increments[0, i, 0] == pytest.approx(want, abs=1e-8)
 
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_sample_increments_equal_kernel_increments(self, atom_model, channels):
-        # a single u, drawn from the same stream, is coloured exactly as the
-        # kernel colours it
+    def test_coloured_stream_equals_kernel_increments(self, atom_model, channels):
+        # the stream's normals for 2K per step, drawn as one block and
+        # coloured by the run's factors, are the kernel's increments
         if channels == 1:
             model, u = atom_model, np.array([[0.3 + 0.4j]])
         else:
@@ -736,9 +736,9 @@ class TestKernelAgainstReference:
             model, u = random_model(rng, 4, 3), random_symmetric_u(rng, 3, 0.8)
         initial = np.eye(model.dim)[0].astype(complex)
         run = run_ensemble(model, FixedU(u), initial, n_traj=1, dt=1e-3, steps=200, seed=3)
-        stream = trajectory_stream(3, 0)
-        draws = np.array([sample_increments(u, 1e-3, stream) for _ in range(200)])
-        assert np.array_equal(draws, run.increments[0])
+        z = trajectory_stream(3, 0).standard_normal((200, 2 * channels))
+        draws = apply_color(color_factors(u[..., None], 1e-3), z.T)
+        assert np.array_equal(draws.T, run.increments[0])
 
 
 class TestSuppliedIncrements:
@@ -865,9 +865,9 @@ class TestStateDependentManyChannels:
             model, InvariantStateDep(1), initial, 1, dt, steps, seed, start_index=index
         )
         assert np.abs(run.states[0, :, 1:]).max() == 0.0
-        stream = trajectory_stream(seed, index)
-        draws = np.array([sample_increments(np.zeros((3, 3)), dt, stream) for _ in range(steps)])
-        assert np.array_equal(draws, run.increments[0])
+        z = trajectory_stream(seed, index).standard_normal((steps, 6))
+        draws = apply_color(color_factors(np.zeros((3, 3, 1)), dt), z.T)
+        assert np.array_equal(draws.T, run.increments[0])
 
 
 class TestDeadLanes:

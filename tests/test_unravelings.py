@@ -1,4 +1,4 @@
-"""Tests for correlation-matrix validation, sampling, and scheme resolution."""
+"""Tests for correlation-matrix validation, colouring, and scheme resolution."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from unravel import (
     plus_x_state,
     real_embedding,
     rotate_lindblads,
-    sample_increments,
+    run_ensemble,
     spec_from_dict,
     spectral_norm,
     validate_u,
@@ -123,11 +123,13 @@ class TestRealEmbedding:
 
 
 class TestSampling:
+    # Blocks of standard normals coloured by the one route, color_factors
+    # and apply_color, as the kernel colours its constant lanes.
     def test_moments_match_request(self, rng):
         dt = 0.01
         u = random_symmetric_u(rng, 2, 0.8)
         n = 40000
-        draws = np.array([sample_increments(u, dt, rng) for _ in range(n)])
+        draws = apply_color(color_factors(u[..., None], dt), rng.standard_normal((n, 4)).T).T
         scale = dt / np.sqrt(n)
         np.testing.assert_allclose(
             draws.mean(axis=0), np.zeros(2), atol=6 * np.sqrt(dt / n)
@@ -142,31 +144,21 @@ class TestSampling:
         )
 
     def test_full_correlation_gives_real_increments(self, rng):
-        for _ in range(50):
-            dxi = sample_increments([[1.0]], 0.01, rng)
-            assert dxi.imag[0] == 0.0
+        dxi = apply_color(color_factors(np.ones((1, 1, 1)), 0.01), rng.standard_normal((50, 2)).T)
+        assert (dxi.imag == 0.0).all()
 
     def test_opposite_correlation_gives_imaginary_increments(self, rng):
-        for _ in range(50):
-            dxi = sample_increments([[-1.0]], 0.01, rng)
-            assert abs(dxi.real[0]) < 1e-15
+        dxi = apply_color(color_factors(-np.ones((1, 1, 1)), 0.01), rng.standard_normal((50, 2)).T)
+        assert (np.abs(dxi.real) < 1e-15).all()
 
-    def test_consumes_fixed_normal_count(self, rng):
-        # generator state after sampling K channels == after 2K raw normals
-        u = random_symmetric_u(rng, 3, 0.5)
-        g1 = np.random.default_rng(7)
-        g2 = np.random.default_rng(7)
-        sample_increments(u, 1e-3, g1)
-        g2.standard_normal(6)
-        assert g1.standard_normal() == g2.standard_normal()
+    def test_zero_channels_give_no_increments(self):
+        model = LindbladModel(hamiltonian=SIGMA_Z)
+        run = run_ensemble(model, Heterodyne(), plus_x_state(), 1, 1e-3, 3, 0)
+        assert run.increments.shape == (1, 3, 0) and run.increments.dtype == complex
 
-    def test_zero_channels_give_no_increments(self, rng):
-        dxi = sample_increments(np.zeros((0, 0)), 1e-3, rng)
-        assert dxi.shape == (0,) and dxi.dtype == complex
-
-    def test_rejects_invalid_covariance(self, rng):
+    def test_rejects_invalid_covariance(self):
         with pytest.raises(CovarianceError):
-            sample_increments([[1.5]], 1e-3, rng)
+            color_factors([[1.5]], 1e-3)
 
 
 class TestFactoredColoring:
