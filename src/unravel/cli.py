@@ -72,7 +72,7 @@ from .operators import LindbladModel, _json_numbers, projector
 from .oracle import GATE_ATOL, GATE_STANDARD_ERRORS, ensemble_summary, integrate_master
 from .trajectory import NormCollapseError, default_workers, run_ensemble
 from .unravelings import (
-    SPEC_FIELDS,
+    SPEC_TYPES,
     CovarianceError,
     UMatrixError,
     UnravelingSpec,
@@ -213,11 +213,15 @@ def _merged_options(args: argparse.Namespace) -> tuple[dict, set]:
     return {key: default for key, (default, _) in _OPTIONS.items()} | given, set(given)
 
 
-def _as_positive_float(value, name: str) -> float:
+def _as_float(value, name: str) -> float:
     try:
-        out = float(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _as_positive_float(value, name: str) -> float:
+    out = _as_float(value, name)
     if not np.isfinite(out) or out <= 0:
         raise ConfigError(f"{name} must be positive, got {value!r}")
     return out
@@ -238,7 +242,7 @@ def _as_count(value, name: str, minimum: int = 1) -> int:
 def _build_model(opts: dict) -> tuple[LindbladModel, AtomParams]:
     atom = AtomParams(
         gamma=_as_positive_float(opts["gamma"], "gamma"),
-        omega=float(opts["omega"]),
+        omega=_as_float(opts["omega"], "omega"),
     )
     raw = opts["model"]
     if isinstance(raw, dict):
@@ -264,7 +268,7 @@ def _build_unraveling(opts: dict) -> UnravelingSpec:
             raise ConfigError(f"--u-json is not valid JSON: {exc}") from exc
         _json_numbers(data["u"], "u_json")
     # the scheme flags this type takes; it ignores the others
-    takes = SPEC_FIELDS.get(raw, ())
+    takes = SPEC_TYPES[raw][1] if raw in SPEC_TYPES else ()
     for key, field in _UNRAVELING_FIELDS.items():
         if opts[key] is not None and field in takes:
             data[field] = opts[key]

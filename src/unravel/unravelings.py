@@ -256,7 +256,7 @@ def apply_color(factors, z, out=None) -> np.ndarray:
     k = z.shape[0] // 2
     w = (a * z[:k]).astype(complex)
     np.multiply(b, z[k:], out=w.imag)
-    out = np.multiply(v[:, 0], w[:1], out=out)
+    out = np.multiply(v[:, 0] if k else v.sum(1), w[:1], out=out)  # K = 0: no column 0
     for i in range(k):
         for j in range(1, k):
             out[i] += v[i, j] * w[j]
@@ -384,16 +384,27 @@ def homodyne_u(eta: float, theta1: float, theta2: float) -> np.ndarray:
     return np.array([[val]], dtype=complex)
 
 
+class UnravelingSpec:
+    """Base of the five schemes below; each has its own ``resolve``, and the
+    JSON object form that ``SPEC_TYPES`` declares."""
+
+    state_dependent = False
+
+    def to_dict(self) -> dict:
+        kind, fields = next((k, f) for k, (c, f) in SPEC_TYPES.items() if c is type(self))
+        return {"type": kind} | {
+            field: write(getattr(self, attr)) for field, (attr, _, write, _) in fields.items()
+        }
+
+
 @dataclass(frozen=True)
-class FixedU:
+class FixedU(UnravelingSpec):
     """A constant, explicitly supplied correlation matrix."""
 
     u: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "u", validate_u(self.u))
-
-    state_dependent = False
 
     def resolve(self, model: LindbladModel, state=None) -> np.ndarray:
         if self.u.shape[0] != model.num_lindblads:
@@ -402,50 +413,32 @@ class FixedU:
             )
         return self.u
 
-    def to_dict(self) -> dict:
-        return {"type": "fixed", "u": matrix_to_pairs(self.u)}
-
 
 @dataclass(frozen=True)
-class Homodyne:
+class Homodyne(UnravelingSpec):
     """Single-channel two-phase quadrature mixing."""
 
     eta: float
     theta1: float
     theta2: float = 0.0
 
-    state_dependent = False
-
     def resolve(self, model: LindbladModel, state=None) -> np.ndarray:
         if model.num_lindblads != 1:
             raise ValueError("homodyne mixing is defined for single-channel models")
         return homodyne_u(self.eta, self.theta1, self.theta2)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "homodyne",
-            "eta": float(self.eta),
-            "theta1": float(self.theta1),
-            "theta2": float(self.theta2),
-        }
-
 
 @dataclass(frozen=True)
-class Heterodyne:
+class Heterodyne(UnravelingSpec):
     """Uncorrelated increments, u = 0."""
-
-    state_dependent = False
 
     def resolve(self, model: LindbladModel, state=None) -> np.ndarray:
         k = model.num_lindblads
         return np.zeros((k, k), dtype=complex)
 
-    def to_dict(self) -> dict:
-        return {"type": "heterodyne"}
-
 
 @dataclass(frozen=True)
-class InvariantStateDep:
+class InvariantStateDep(UnravelingSpec):
     """Extremal state-dependent correlations, resolved each step.
 
     With ``sign=+1`` the correlations maximally suppress the fluctuations of
@@ -479,74 +472,58 @@ class InvariantStateDep:
         u = extremal_u(moment, np.full(lanes.shape[1], float(self.sign)))[0]
         return u.transpose(2, 0, 1).reshape(psi.shape[:-1] + (k, k))
 
-    def to_dict(self) -> dict:
-        return {"type": "invariant", "sign": int(self.sign)}
-
 
 @dataclass(frozen=True)
-class InvariantTrace:
+class InvariantTrace(UnravelingSpec):
     """Constant correlations from trace-centered second moments."""
 
     weight: float = 0.0
 
-    state_dependent = False
-
     def resolve(self, model: LindbladModel, state=None) -> np.ndarray:
         return validate_u(u_trace(model, self.weight))
 
-    def to_dict(self) -> dict:
-        return {"type": "invariant_trace", "R": float(self.weight)}
 
-
-# Any of the above classes; they share resolve() and to_dict().
-UnravelingSpec = FixedU | Homodyne | Heterodyne | InvariantStateDep | InvariantTrace
-
-
-# The fields each type of unraveling object takes besides its "type".
-SPEC_FIELDS = {
-    "fixed": ("u",),
-    "homodyne": ("eta", "theta1", "theta2"),
-    "heterodyne": (),
-    "invariant": ("sign",),
-    "invariant_trace": ("R",),
+# Each unraveling type's JSON form, read by ``spec_from_dict`` and written by
+# ``to_dict``: its class and its other fields, in order, as ``{JSON field:
+# (attribute, reader, writer, default)}``.  A default of None marks a required
+# field; a reader of None passes the value unread (int() reads 1.5 as 1).
+SPEC_TYPES = {
+    "fixed": (FixedU, {"u": ("u", matrix_from_pairs, matrix_to_pairs, None)}),
+    "homodyne": (Homodyne, {"eta": ("eta", float, float, 1.0),
+                            "theta1": ("theta1", float, float, 0.0),
+                            "theta2": ("theta2", float, float, 0.0)}),
+    "heterodyne": (Heterodyne, {}),
+    "invariant": (InvariantStateDep, {"sign": ("sign", None, int, 1)}),
+    "invariant_trace": (InvariantTrace, {"R": ("weight", float, float, 0.0)}),
 }
 
 
 def spec_from_dict(data: dict) -> UnravelingSpec:
-    """Rebuild an unraveling specification from its JSON object form, the
-    one map from a ``type`` name to a class.  Missing fields default to
-    ``eta = 1``, ``theta1 = theta2 = 0``, ``sign = 1`` and ``R = 0``; a
-    field the type does not take (``SPEC_FIELDS``), a missing ``u`` and a
-    value that cannot be read, true, false or a string among them, are
-    errors that name the field."""
+    """Rebuild an unraveling specification from its JSON object form, as
+    ``SPEC_TYPES`` declares it: missing fields take their defaults, and a
+    field the type does not take, a missing ``u`` and a value that cannot be
+    read, true, false or a string among them, are errors that name it."""
     try:
         kind = data["type"]
     except (KeyError, TypeError) as exc:
         raise ValueError("unraveling object must have a 'type' field") from exc
-    fields = SPEC_FIELDS.get(kind) if isinstance(kind, str) else None
-    if fields is None:
+    if not isinstance(kind, str) or kind not in SPEC_TYPES:
         raise ValueError(f"unknown unraveling type {kind!r}")
+    cls, fields = SPEC_TYPES[kind]
     unknown = sorted(set(data) - {"type", *fields})
     if unknown:
         raise ValueError(f"unraveling type {kind!r} takes no field {', '.join(unknown)}")
-
-    def read(field, convert, default=None):
+    values = {}
+    for field, (attr, read, _, default) in fields.items():
         if field not in data and default is None:
             raise ValueError(f"unraveling type {kind!r} requires field {field}")
-        name = f"unraveling type {kind!r} field {field}"
-        value = _json_numbers(data.get(field, default), name)
-        try:
-            return convert(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{name}: {exc}") from exc
-
-    if kind == "fixed":
-        return FixedU(u=read("u", matrix_from_pairs))
-    if kind == "homodyne":
-        return Homodyne(eta=read("eta", float, 1.0), theta1=read("theta1", float, 0.0),
-                        theta2=read("theta2", float, 0.0))
-    if kind == "heterodyne":
-        return Heterodyne()
-    if kind == "invariant":
-        return InvariantStateDep(sign=data.get("sign", 1))  # int() would read 1.5 as 1
-    return InvariantTrace(weight=read("R", float, 0.0))
+        value = data.get(field, default)
+        if read is not None:
+            name = f"unraveling type {kind!r} field {field}"
+            _json_numbers(value, name)
+            try:
+                value = read(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+        values[attr] = value
+    return cls(**values)

@@ -850,6 +850,8 @@ class TestConfigHandling:
             ("output_dir", 5),
             ("mode", 3),
             ("unraveling", ["heterodyne"]),
+            # float() of a list raised a TypeError that did not name the key
+            ("omega", [1.0]),
         ],
     )
     def test_config_value_of_the_wrong_type_is_config_error(

@@ -155,6 +155,12 @@ class TestSampling:
         model = LindbladModel(hamiltonian=SIGMA_Z)
         run = run_ensemble(model, Heterodyne(), plus_x_state(), 1, 1e-3, 3, 0)
         assert run.increments.shape == (1, 3, 0) and run.increments.dtype == complex
+        # and the colouring alone, with no column of V to start the sum
+        factors = color_factors(np.zeros((0, 0, 1)), 1e-3)
+        dxi = apply_color(factors, np.zeros((0, 5)))
+        assert dxi.shape == (0, 5) and dxi.dtype == complex
+        out = np.empty((0, 5), dtype=complex)
+        assert apply_color(factors, np.zeros((0, 5)), out=out) is out
 
     def test_rejects_invalid_covariance(self):
         with pytest.raises(CovarianceError):
@@ -488,6 +494,24 @@ class TestSpecs:
         np.testing.assert_allclose(
             back.resolve(atom_model, state), spec.resolve(atom_model, state), atol=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "spec, items",
+        [
+            (FixedU(np.array([[0.3 + 0.1j]])), [("type", "fixed"), ("u", [[[0.3, 0.1]]])]),
+            (Homodyne(eta=1, theta1=0.2, theta2=1.3),
+             [("type", "homodyne"), ("eta", 1.0), ("theta1", 0.2), ("theta2", 1.3)]),
+            (Heterodyne(), [("type", "heterodyne")]),
+            (InvariantStateDep(sign=-1), [("type", "invariant"), ("sign", -1)]),
+            (InvariantTrace(weight=0.25), [("type", "invariant_trace"), ("R", 0.25)]),
+        ],
+        ids=["fixed", "homodyne", "heterodyne", "invariant", "invariant_trace"],
+    )
+    def test_to_dict_is_pinned(self, spec, items):
+        # key order and value types too: manifest.json holds these bytes
+        got = list(spec.to_dict().items())
+        assert got == items
+        assert [type(v) for _, v in got] == [type(v) for _, v in items]
 
     def test_spec_from_dict_rejects_unknown_type(self):
         with pytest.raises(ValueError, match="type"):
